@@ -501,15 +501,30 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
     entries: dict[int, int] = {}
     for sol in refined.values():
         entries.update(sol)
-    model = translate(q, rel, upper_override=_upper_override)
-    x = np.zeros(model.n_vars)
-    index = model.var_index()
-    for t, mult in entries.items():
-        x[index[t]] = mult
-    if not feasible(model, x, tol=cfg.feasibility_tol * 10):
-        raise EvalError("internal error: refined package violates the query")
+    _verify_package(q, rel, entries, _upper_override, cfg.feasibility_tol * 10)
     objective = package_objective(q, rel, entries)
     return report(FEASIBLE, Package(entries, objective), objective)
+
+
+def _verify_package(q: paql.PackageQuery, rel: Relation,
+                    entries: Mapping[int, int],
+                    upper_override: Optional[Mapping[int, float]],
+                    tol: float) -> None:
+    """Check a package against the query's ILP over the package's own
+    tuples; the rest of the relation has multiplicity zero and adds nothing
+    to any constraint, so this agrees with checking the whole model."""
+    ids = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
+    mult = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
+    if len(ids) and (ids.min() < 0 or ids.max() >= rel.n):
+        raise EvalError(
+            "internal error: package holds a tuple id outside the relation")
+    model = translate(q, rel, ids=ids, upper_override=upper_override)
+    if model.n_vars != len(ids):
+        raise EvalError(
+            "internal error: package holds a tuple the base predicate drops")
+    x = mult[np.argsort(ids)]  # ids are distinct
+    if not feasible(model, x, tol=tol):
+        raise EvalError("internal error: refined package violates the query")
 
 
 def _solve_sketch(q_work, sketch_q, rep_rel, caps, work_p, rel, cfg, ctx,

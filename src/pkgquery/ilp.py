@@ -133,7 +133,7 @@ def translate(q: paql.PackageQuery, rel: Relation,
     if ids is None:
         pool = np.arange(rel.n, dtype=np.int64)
     else:
-        pool = np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
+        pool = np.sort(np.asarray(ids, dtype=np.int64))
     if q.base_predicate is not None:
         keep = np.zeros(rel.n, dtype=bool)
         keep[apply_base_predicate(rel, q.base_predicate)] = True
@@ -210,13 +210,13 @@ def feasible(m: IlpModel, x: Sequence[float], tol: float = FEAS_TOL) -> bool:
 
 
 def package_from_solution(m: IlpModel, x: Sequence[float]) -> dict[int, int]:
-    """Multiplicity map {tuple_id: count} from an integral solution vector."""
-    out = {}
-    for t, v in zip(m.var_ids, x):
-        k = int(round(float(v)))
-        if k > 0:
-            out[int(t)] = k
-    return out
+    """Multiplicity map {tuple_id: count} from an integral solution vector.
+
+    Entries round half to even, like Python's ``round``; keys and counts
+    are plain Python ints in variable order."""
+    k = np.rint(np.asarray(x, dtype=np.float64))
+    keep = np.nonzero(k > 0)[0]
+    return dict(zip(m.var_ids[keep].tolist(), k[keep].astype(np.int64).tolist()))
 
 
 # ---------------------------------------------------------------------------

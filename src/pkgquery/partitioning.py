@@ -239,7 +239,7 @@ def restrict_to_ids(p: Partitioning, keep_ids: Sequence[int]) -> Partitioning:
     recomputed radius exceeds the stored limit is flagged degenerate (the
     centroid may move when members are removed)."""
     keep = np.zeros(len(p.gid), dtype=bool)
-    keep[np.asarray(list(keep_ids), dtype=np.int64)] = True
+    keep[np.asarray(keep_ids, dtype=np.int64)] = True
     member_lists = [members[keep[members]] for members in p.groups]
     return _rebuild(p, member_lists, p.points, len(p.gid), p.origin_ids)
 
@@ -309,10 +309,18 @@ def load_partitioning(path, rel: Relation) -> Partitioning:
             f"{path}: gid column covers {len(gid)} tuples, relation has {rel.n}")
     points = _attr_matrix(rel, attrs)
     m = len(d["sizes"])
-    groups = tuple(np.nonzero(gid == g + 1)[0].astype(np.int64) for g in range(m))
     sizes = np.asarray(d["sizes"], dtype=np.int64)
-    if not np.array_equal(sizes, np.asarray([len(g) for g in groups])):
+    # one stable sort keeps each group's members in ascending id order
+    # (numpy sorts keys of at most 16 bits by radix); gids outside 1..m
+    # (0 = not covered) join no group
+    in_range = (gid >= 1) & (gid <= m)
+    counts = np.bincount(gid[in_range] - 1, minlength=m)
+    if not np.array_equal(sizes, counts):
         raise PartitionError(f"{path}: stored sizes disagree with gid column")
+    order = np.nonzero(in_range)[0]
+    key = gid[order].astype(np.min_scalar_type(m))
+    order = order[np.argsort(key, kind="stable")]
+    groups = tuple(np.split(order, np.cumsum(counts)[:-1])) if m else ()
     omega = math.inf if d["omega"] == "inf" else float(d["omega"])
     return Partitioning(
         attrs=attrs, tau=int(d["tau"]), omega=omega, gid=gid, groups=groups,

@@ -22,6 +22,7 @@ _LB, _UB, _BASIC = 0, 1, 2
 _ENTER_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _STALL_LIMIT = 120
+_PRICE_CHUNK = 64
 
 
 class SimplexError(Exception):
@@ -39,6 +40,22 @@ class LpResult:
     # bound; basic variables carry ~0 reduced cost
     reduced_costs: Optional[np.ndarray] = None
     at_upper: Optional[np.ndarray] = None
+
+
+def _pricing_order(idx, mag, chunk=_PRICE_CHUNK):
+    """Yield ``idx[np.argsort(-mag, kind="stable")]`` one sorted chunk at a
+    time: the ``chunk`` largest magnitudes plus all ties with the smallest
+    of them, found by ``np.partition``. A pricing pass usually stops at its
+    first candidate, so later chunks (each twice the size) are only cut
+    when bound flips retire every candidate before them."""
+    while len(idx) > chunk:
+        cut = len(mag) - chunk
+        top = mag >= np.partition(mag, cut)[cut]
+        sel = idx[top]
+        yield from sel[np.argsort(-mag[top], kind="stable")]
+        idx, mag = idx[~top], mag[~top]
+        chunk *= 2
+    yield from idx[np.argsort(-mag, kind="stable")]
 
 
 def _simplex_loop(T, xB, basis, stat, ub, c, allowed, max_iter):
@@ -71,7 +88,7 @@ def _simplex_loop(T, xB, basis, stat, ub, c, allowed, max_iter):
         if bland:
             order = idx
         else:
-            order = idx[np.argsort(-np.abs(d[idx]), kind="stable")]
+            order = _pricing_order(idx, np.abs(d[idx]))
 
         progressed = False
         for e_ in order:

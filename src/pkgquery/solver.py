@@ -35,7 +35,6 @@ class SolverConfig:
     time_limit: float = 3600.0
     integrality_tol: float = 1e-6
     feasibility_tol: float = 1e-9
-    node_limit: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -270,9 +269,6 @@ class _Search:
     def out_of_budget(self) -> bool:
         if time.perf_counter() - self.t0 > self.cfg.time_limit:
             self.hit_limit = True
-        elif (self.cfg.node_limit is not None
-              and self.stats.nodes >= self.cfg.node_limit):
-            self.hit_limit = True
         return self.hit_limit
 
     def offer(self, vec: np.ndarray) -> None:
@@ -438,7 +434,9 @@ class _Search:
             frac = np.abs(x - np.round(x))
             if np.all(frac <= itol):
                 # integral solutions beneath a node never beat its bound
-                assert float(c @ np.round(x)) <= node_bound + 1e-6
+                if float(c @ np.round(x)) > node_bound + 1e-6:
+                    raise SolverError(
+                        "integral LP point exceeds its node bound")
                 offer_local(np.round(x))
                 continue
             frac_idx = np.nonzero(frac > itol)[0]
@@ -587,28 +585,6 @@ def brute_force(m: IlpModel) -> SolveResult:
     if best_x is None:
         return SolveResult(STATUS_INFEASIBLE, None, None, stats)
     return SolveResult(STATUS_OPTIMAL, best_x, sign * best_val, stats)
-
-
-def debug_dump(m: IlpModel) -> str:
-    """Human-readable LP-style rendering of a model, for inspection."""
-    def term(coef, i):
-        return f"{coef:+g} x{int(m.var_ids[i])}"
-
-    lines = []
-    sense = "maximize" if m.maximize else "minimize"
-    obj = " ".join(term(c, i) for i, c in enumerate(m.objective) if c != 0) or "0"
-    lines.append(f"{sense} {obj}")
-    lines.append("subject to")
-    for k, c in enumerate(m.constraints):
-        row = " ".join(term(v, i) for i, v in enumerate(c.coeffs) if v != 0) or "0"
-        tag = f"  [{c.provenance}]" if c.provenance else ""
-        lines.append(f"  c{k}: {row} {c.op} {c.rhs:g}{tag}")
-    lines.append("bounds")
-    for i in range(m.n_vars):
-        hi = "inf" if not np.isfinite(m.upper[i]) else f"{m.upper[i]:g}"
-        lines.append(f"  {m.lower[i]:g} <= x{int(m.var_ids[i])} <= {hi}")
-    lines.append("integers: all")
-    return "\n".join(lines)
 
 
 def verify_result(m: IlpModel, res: SolveResult, tol: float = 1e-6) -> bool:

@@ -19,10 +19,11 @@ from pkgquery.evaluate import (
     eval_sketchrefine,
     partial_shifts,
 )
+from pkgquery.evaluate import _verify_package as verify_package
 from pkgquery.ilp import UnboundedModelError, feasible, translate
 from pkgquery.partitioning import PartitionParams, partition, partition_with_epsilon
 from pkgquery.relation import from_columns
-from pkgquery.solver import brute_force
+from pkgquery.solver import STATUS_OPTIMAL, brute_force, solve
 
 
 def q_of(text, rel):
@@ -430,3 +431,99 @@ def test_sketchrefine_always_feasible_or_declines(seed):
             x[idx[t]] = mult
         assert feasible(m, x)
         assert package_satisfies(q, rel, report.package.entries)
+
+
+class TestPackageCheck:
+    """The final SketchRefine check, made over the package's own tuples,
+    agrees with checking the whole relation's model."""
+
+    QUERIES = (
+        "SELECT PACKAGE(R) AS P FROM R REPEAT 1 WHERE R.x >= 0.75 AND R.c = 'a' "
+        "SUCH THAT COUNT(P.*) BETWEEN 2 AND 6 AND AVG(P.y) >= 1.1 "
+        "AND (SELECT COUNT(*) FROM P WHERE P.y > 1.5) <= 2 MAXIMIZE SUM(P.y)",
+        "SELECT PACKAGE(R) AS P FROM R REPEAT 2 "
+        "SUCH THAT (SELECT COUNT(*) FROM P WHERE P.x > 1) >= "
+        "(SELECT COUNT(*) FROM P WHERE P.y > 1) AND SUM(P.x) <= 6 "
+        "AND AVG(P.x) <= 1.5 MINIMIZE SUM(P.x)",
+        "SELECT PACKAGE(R) AS P FROM R WHERE R.c = 'b' "
+        "SUCH THAT SUM(P.x) BETWEEN 3 AND 5 AND AVG(P.y) <= 1.4",
+    )
+
+    def relation(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        return from_columns("R", {
+            "x": dyadic(rng, 0.5, 2.0, n), "y": dyadic(rng, 0.5, 2.0, n),
+            "c": [str(v) for v in rng.choice(["a", "b"], size=n)],
+        }, kinds={"c": "categorical"})
+
+    def test_agrees_with_full_model(self):
+        outcomes = {qi: set() for qi in range(len(self.QUERIES))}
+        for seed in range(120):
+            rel = self.relation(seed)
+            rng = np.random.default_rng(seed + 1000)
+            qi = seed % len(self.QUERIES)
+            q = q_of(self.QUERIES[qi], rel)
+            survivors = translate(q, rel).var_ids
+            k = int(rng.integers(0, min(7, len(survivors)) + 1))
+            ids = rng.choice(survivors, size=k, replace=False)
+            entries = {int(t): int(rng.integers(1, 4)) for t in ids}
+            override = None
+            if rng.integers(0, 2):
+                capped = rng.choice(rel.n, size=10, replace=False)
+                override = {int(t): float(rng.integers(0, 3)) for t in capped}
+            full = translate(q, rel, upper_override=override)
+            x = np.zeros(full.n_vars)
+            index = full.var_index()
+            for t, mult in entries.items():
+                x[index[t]] = mult
+            expected = feasible(full, x, tol=1e-8)
+            try:
+                verify_package(q, rel, entries, override, 1e-8)
+                got = True
+            except EvalError as err:
+                assert "violates" in str(err)
+                got = False
+            assert got == expected, (seed, entries)
+            outcomes[qi].add(got)
+        # every query saw both a passing and a failing package
+        assert all(seen == {True, False} for seen in outcomes.values())
+
+    def test_dropped_tuple_raises(self):
+        rel = self.relation(3)
+        q = q_of(self.QUERIES[0], rel)
+        dropped = int(np.nonzero(rel.column("x") < 0.75)[0][0])
+        with pytest.raises(EvalError, match="base predicate"):
+            verify_package(q, rel, {dropped: 1}, None, 1e-8)
+
+    def test_out_of_range_id_raises(self):
+        rel = self.relation(3)
+        q = q_of(self.QUERIES[2], rel)
+        for bad in (rel.n, -1):
+            with pytest.raises(EvalError, match="outside the relation"):
+                verify_package(q, rel, {bad: 1}, None, 1e-8)
+
+    def test_forged_refine_package_raises(self):
+        # a solver that slips a tuple the base predicate drops into the
+        # refine solution: the package check must refuse it
+        rel = from_columns("R", {
+            "x": [1.0, 1.25, 1.5, 1.75, 2.0, 0.5, 0.75, 1.0],
+            "c": ["a", "a", "a", "a", "b", "b", "b", "b"],
+        }, kinds={"c": "categorical"})
+        q = q_of("SELECT PACKAGE(R) AS P FROM R REPEAT 0 WHERE R.c = 'a' "
+                 "SUCH THAT COUNT(P.*) = 2 MINIMIZE SUM(P.x)", rel)
+        p = partition(rel, PartitionParams(("x",), 4))
+        calls = []
+
+        def forging_solver(model, cfg):
+            res = solve(model, cfg)
+            calls.append(model)
+            if len(calls) > 1 and res.status == STATUS_OPTIMAL:
+                chosen = int(np.nonzero(res.x > 0.5)[0][0])
+                model.var_ids[chosen] = 7  # c = 'b'
+            return res
+
+        assert eval_sketchrefine(q, rel, p).status == FEASIBLE
+        with pytest.raises(EvalError, match="base predicate"):
+            eval_sketchrefine(q, rel, p, solver_fn=forging_solver)
+        assert len(calls) > 1

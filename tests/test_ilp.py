@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import dyadic, enumerate_vectors, package_satisfies
 from pkgquery import paql
 from pkgquery.ilp import (
+    IlpModel,
     RawIlp,
     UnboundedModelError,
     derive_bounds,
@@ -149,6 +152,27 @@ class TestFeasible:
         m = translate(meal_query, recipes)
         with pytest.raises(Exception, match="length"):
             feasible(m, [0, 0])
+
+
+class TestPackageFromSolution:
+    def test_near_integral_and_half_way_values(self):
+        ids = np.array([3, 5, 8, 13, 21, 34, 55], dtype=np.int64)
+        n = len(ids)
+        m = IlpModel(ids, np.zeros(n), np.full(n, 3.0), (), np.zeros(n))
+        x = [2.9999999, 1e-9, 0.5, 2.5, 1.0000001, 1.5, -1e-9]
+        pkg = package_from_solution(m, x)
+        # round half to even, like Python's round
+        assert pkg == {3: 3, 13: 2, 21: 1, 34: 2}
+        assert pkg == {int(t): int(round(v)) for t, v in zip(ids, x)
+                       if round(v) > 0}
+        assert all(type(k) is int and type(v) is int for k, v in pkg.items())
+        assert list(pkg) == sorted(pkg)
+        assert json.loads(json.dumps(pkg)) == {str(k): v for k, v in pkg.items()}
+
+    def test_empty_solution(self):
+        m = IlpModel(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), (),
+                     np.zeros(0))
+        assert package_from_solution(m, np.zeros(0)) == {}
 
 
 class TestReduction:

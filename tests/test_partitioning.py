@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -197,6 +198,40 @@ class TestIo:
         save_partitioning(p, tmp_path / "p.json")
         with pytest.raises(PartitionError, match="covers"):
             load_partitioning(tmp_path / "p.json", grid_rel(19, 1, seed=2))
+
+
+    def test_roundtrip_keeps_groups(self, tmp_path):
+        rel = grid_rel(500, 2, seed=4)
+        p = partition(rel, PartitionParams(("a0", "a1"), 7))
+        save_partitioning(p, tmp_path / "p.json")
+        back = load_partitioning(tmp_path / "p.json", rel)
+        assert len(back.groups) == p.m
+        for mine, theirs in zip(back.groups, p.groups):
+            assert mine.tolist() == theirs.tolist()
+        assert back.sizes.tolist() == p.sizes.tolist()
+        check_valid(back, tau=7)
+
+    def test_gid_outside_range_joins_no_group(self, tmp_path):
+        rel = grid_rel(6, 1, seed=1)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "attrs": ["a0"], "tau": 3, "omega": "inf",
+            "gids": [2, 0, 1, 5, 2, -1], "representatives": [[1.0], [1.0]],
+            "radii": [0.0, 0.0], "sizes": [1, 2], "degenerate": []}))
+        back = load_partitioning(path, rel)
+        assert [g.tolist() for g in back.groups] == [[2], [0, 4]]
+
+    def test_tampered_sizes_detected(self, tmp_path):
+        rel = grid_rel(60, 1, seed=2)
+        p = partition(rel, PartitionParams(("a0",), 10))
+        path = tmp_path / "p.json"
+        save_partitioning(p, path)
+        d = json.loads(path.read_text())
+        d["sizes"][0] += 1
+        d["sizes"][-1] -= 1
+        path.write_text(json.dumps(d))
+        with pytest.raises(PartitionError, match="stored sizes disagree"):
+            load_partitioning(path, rel)
 
 
 class TestGroupMeans:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pkgquery import simplex
 from pkgquery.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve
 
 
@@ -110,3 +111,87 @@ class TestAgainstScipy:
             assert ref.status == 0
             assert mine.status == OPTIMAL
             assert mine.objective == pytest.approx(-ref.fun, abs=1e-7)
+
+
+def full_sort_order(idx, mag):
+    return idx[np.argsort(-mag, kind="stable")]
+
+
+class TestPricingOrder:
+    """The lazily sorted pricing order equals one full stable argsort."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 700),
+           st.sampled_from([1, 3, 8, simplex._PRICE_CHUNK]),
+           st.sampled_from([None, 0.25, 2.0]))
+    def test_matches_stable_argsort(self, seed, n, chunk, quantum):
+        rng = np.random.default_rng(seed)
+        idx = np.sort(rng.choice(3 * n + 1, size=n, replace=False))
+        mag = rng.uniform(1e-6, 10.0, size=n)
+        if quantum is not None:
+            mag = np.ceil(mag / quantum) * quantum  # many exact ties
+        got = np.fromiter(simplex._pricing_order(idx, mag, chunk), dtype=np.int64)
+        assert np.array_equal(got, full_sort_order(idx, mag))
+
+    def test_ties_straddle_chunk_boundary(self):
+        # the chunk of 4 ends inside a run of ten tied magnitudes: the
+        # whole run joins it, in ascending index order
+        mag = np.array([1.0, 3.0, 5.0, 3.0, 3.0, 5.0, 3.0, 3.0, 3.0, 3.0,
+                        1.0, 3.0, 3.0, 5.0, 3.0])
+        idx = np.arange(len(mag)) * 2
+        lazy = simplex._pricing_order(idx, mag, 4)
+        got = [int(next(lazy)) for _ in range(13)]
+        assert got == [4, 10, 26, 2, 6, 8, 12, 14, 16, 18, 22, 24, 28]
+        assert [int(e) for e in lazy] == [0, 20]
+
+    def test_longer_than_one_chunk(self):
+        rng = np.random.default_rng(5)
+        n = 10 * simplex._PRICE_CHUNK + 3
+        idx = np.arange(n)
+        mag = rng.integers(1, 6, size=n).astype(float)
+        got = np.fromiter(simplex._pricing_order(idx, mag), dtype=np.int64)
+        assert np.array_equal(got, full_sort_order(idx, mag))
+
+
+def _flip_heavy_lp(seed):
+    """Few rows, many columns, small integer bounds and quantized
+    coefficients: pricing meets many ties and long bound-flip sweeps."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    n = int(rng.integers(200, 2001))
+    c = rng.integers(1, 17, size=n) / 4.0
+    A = rng.integers(1, 9, size=(k, n)) / 4.0
+    ops = [str(rng.choice(["<=", ">="])) for _ in range(k)]
+    ops[0] = "<="
+    row_sums = A.sum(axis=1)
+    b = np.where(np.array(ops) == "<=", 0.4, 0.1) * row_sums
+    hi = rng.integers(1, 4, size=n).astype(float)
+    return c, A, ops, b, np.zeros(n), hi, bool(rng.integers(0, 2))
+
+
+class TestLazyPricingPath:
+    def test_same_path_as_full_sort(self, monkeypatch):
+        consumed = []
+
+        def counting(idx, mag, chunk=simplex._PRICE_CHUNK):
+            n = 0
+            for e in real(idx, mag, chunk):
+                n += 1
+                consumed.append(n)
+                yield e
+
+        real = simplex._pricing_order
+        for seed in range(8):
+            lp = _flip_heavy_lp(seed)
+            monkeypatch.setattr(simplex, "_pricing_order", counting)
+            lazy = lp_solve(*lp)
+            monkeypatch.setattr(simplex, "_pricing_order", full_sort_order)
+            full = lp_solve(*lp)
+            monkeypatch.setattr(simplex, "_pricing_order", real)
+            assert lazy.status == full.status == OPTIMAL
+            assert np.array_equal(lazy.x, full.x)
+            assert lazy.objective == full.objective
+            assert lazy.iterations == full.iterations
+            assert np.array_equal(lazy.reduced_costs, full.reduced_costs)
+        # some pricing round ran past its first chunk
+        assert max(consumed) > simplex._PRICE_CHUNK
