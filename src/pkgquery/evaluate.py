@@ -3,30 +3,35 @@
 Direct translates the whole query into one ILP and hands it to the solver.
 The scalable path sketches a package over per-group representative tuples
 (capped by group capacities), then refines one group at a time, replacing
-representatives with original tuples under bound-shifted subqueries, with
-greedy backtracking over refinement orders. Every package returned here is
-verified feasible for the original query before it leaves.
+representatives with original tuples, with greedy backtracking over
+refinement orders. Each level translates its sketch once; a group's refine
+model is the query's ILP over the group's tuples with each right side
+reduced by the fixed part's activity, and a hybrid model stacks the group's
+columns beside the sketch columns of the other groups. Every package
+returned here is verified feasible for the original query before it leaves.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import paql
 from .ilp import (
     IlpModel,
+    activity,
     aggregate_value,
     derive_bounds,
     feasible,
+    hstack,
     package_from_solution,
-    predicate_linear_value,
+    predicate_linear_value,  # noqa: F401 -- ``perfbench`` traces this name
+    shift_rhs,
     translate,
 )
 from .partitioning import Partitioning, PartitionParams, group_means, partition, restrict_to_ids
@@ -49,6 +54,8 @@ TIME_LIMIT = "time_limit"
 
 SolverFn = Callable[[IlpModel, SolverConfig], SolveResult]
 
+MAX_RECURSION_DEPTH = 3  # sketches of sketches, at most this deep
+
 
 class EvalError(Exception):
     pass
@@ -64,7 +71,6 @@ class EvalConfig:
     time_limit: float = 3600.0
     backtrack_limit: Optional[int] = None      # None -> 10 * group count
     recursion_threshold: Optional[int] = None  # None -> partitioning tau
-    max_recursion_depth: int = 3
     hybrid_sketch: bool = True
     integrality_tol: float = 1e-6
     feasibility_tol: float = 1e-9
@@ -74,7 +80,6 @@ class EvalConfig:
             time_limit=max(remaining, 0.0),
             integrality_tol=self.integrality_tol,
             feasibility_tol=self.feasibility_tol,
-            seed=self.seed,
         )
 
 
@@ -84,9 +89,6 @@ class Package:
 
     entries: dict[int, int]
     objective_value: float
-
-    def total_count(self) -> int:
-        return sum(self.entries.values())
 
 
 @dataclass
@@ -143,13 +145,12 @@ class _BudgetExceeded(Exception):
 
 def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfig(),
                 solver_fn: SolverFn = solve,
-                ids: Optional[Sequence[int]] = None,
-                upper_override: Optional[Mapping[int, float]] = None) -> EvalReport:
+                ids: Optional[Sequence[int]] = None) -> EvalReport:
     """Translate the whole query to one ILP and solve it exactly."""
     if not q.validated:
         raise EvalError("query must be validated")
     t_translate = _Timer()
-    model = derive_bounds(translate(q, rel, ids=ids, upper_override=upper_override))
+    model = derive_bounds(translate(q, rel, ids=ids))
     translate_ms = t_translate.ms()
 
     t_solve = _Timer()
@@ -158,12 +159,9 @@ def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfi
     timings = {"translate_ms": translate_ms, "solve_ms": solve_ms,
                "total_ms": translate_ms + solve_ms}
 
-    if res.status == STATUS_TIME_LIMIT:
-        return EvalReport(METHOD_DIRECT, TIME_LIMIT, timings_ms=timings,
-                          subproblems={"solves": 1})
-    if res.status == STATUS_INFEASIBLE:
-        return EvalReport(METHOD_DIRECT, INFEASIBLE, timings_ms=timings,
-                          subproblems={"solves": 1})
+    if res.status in (STATUS_TIME_LIMIT, STATUS_INFEASIBLE):
+        status = TIME_LIMIT if res.status == STATUS_TIME_LIMIT else INFEASIBLE
+        return EvalReport(METHOD_DIRECT, status, timings_ms=timings, subproblems={"solves": 1})
     if res.status != STATUS_OPTIMAL:
         raise EvalError(f"unexpected solver status {res.status!r}")
 
@@ -182,15 +180,20 @@ def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfi
 # Sketch
 
 
-def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation
-                       ) -> tuple[Relation, paql.PackageQuery, dict[int, float], tuple[str, ...]]:
+def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
+                       upper: Optional[np.ndarray] = None
+                       ) -> tuple[Relation, paql.PackageQuery, np.ndarray, tuple[str, ...]]:
     """Representative relation, rewritten query, and per-group capacities.
 
     The representative relation has one row per group (tuple id = 0-based
     group index) carrying group means for the partitioning attributes plus
-    every attribute the query touches. Capacities bound each
-    representative's multiplicity by group size times the repetition
-    allowance; without a REPEAT clause there are no capacity bounds. Base
+    every attribute the query touches. The sketch query is the query over
+    that relation, so a filtered count counts a representative by its own
+    (mean) values: its coefficient is the indicator of the group mean, not
+    the mean of the members' indicators. Capacities (one per group,
+    ``np.inf`` for none) bound each representative's multiplicity by group
+    size times the repetition allowance, and by the members' total of
+    ``upper``, the per-tuple caps an enclosing sketch puts on ``rel``. Base
     predicates never reach this query: groups are built from the filtered
     relation instead.
     """
@@ -208,50 +211,54 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation
     means = group_means(p, rel, needed)
     rep_rel = from_columns(
         "representatives", {a: means[:, i] for i, a in enumerate(needed)})
-    sketch_q = paql.PackageQuery(
-        relation_name="representatives",
-        relation_alias="representatives",
-        package_name=q.package_name,
-        repeat=None,
-        base_predicate=None,
-        global_predicates=q.global_predicates,
-        objective=q.objective,
-    )
-    sketch_q = paql.validate(sketch_q, rep_rel.schema)
-    caps: dict[int, float] = {}
-    if q.repeat is not None:
-        caps = {g: float(p.sizes[g]) * (1 + q.repeat) for g in range(p.m)}
+    sketch_q = paql.validate(replace(
+        q, relation_name="representatives", relation_alias="representatives",
+        repeat=None, validated=False), rep_rel.schema)
+    caps = np.full(p.m, np.inf) if q.repeat is None else p.sizes * float(1 + q.repeat)
+    if upper is not None:  # gid holds each tuple's 1-based group, 0 for none
+        caps = np.minimum(caps, np.bincount(p.gid, upper, minlength=p.m + 1)[1:p.m + 1])
     return rep_rel, sketch_q, caps, flags
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One SketchRefine level, from which its refine and hybrid models are
+    built: the query over a relation's groups and its sketch, translated once."""
+
+    q: paql.PackageQuery  # no base predicate: the groups are pre-filtered
+    rel: Relation
+    p: Partitioning
+    upper: Optional[np.ndarray]  # per-tuple caps from an enclosing sketch
+    sketch_q: paql.PackageQuery
+    rep_rel: Relation
+    sketch: IlpModel  # before derive_bounds; its upper bounds are the capacities
+
+    def group_model(self, g: int) -> IlpModel:
+        """The query's ILP over group g's tuples."""
+        return translate(self.q, self.rel, ids=self.p.groups[g],
+                         upper_override=self.upper)
 
 
 # ---------------------------------------------------------------------------
 # Refine
 
 
-def partial_shifts(q: paql.PackageQuery, rel: Relation,
-                   orig_entries: Mapping[int, int], rep_rel: Relation,
-                   rep_entries: Mapping[int, int]) -> list[float]:
-    """Per-predicate linearized contribution of a partial package that mixes
-    already-refined original tuples with still-unrefined representatives."""
-    return [
-        predicate_linear_value(g, rel, orig_entries)
-        + predicate_linear_value(g, rep_rel, rep_entries)
-        for g in q.global_predicates
-    ]
+def fixed_activity(refined: Iterable[np.ndarray], sketch: IlpModel,
+                   rep_part: Mapping[int, int]) -> np.ndarray:
+    """Row activity of the part held fixed while one group is refined: the
+    refined groups' stored activities, plus the sketch columns of the other
+    unrefined groups (``rep_part``) times their multiplicities."""
+    idx = np.fromiter(rep_part.keys(), dtype=np.int64, count=len(rep_part))
+    mult = np.fromiter(rep_part.values(), dtype=np.float64, count=len(rep_part))
+    orig = sum(refined, np.zeros(len(sketch.constraints)))
+    return orig + activity(sketch, idx, mult)
 
 
-def build_refine_query(q: paql.PackageQuery,
-                       shifts: Sequence[float]) -> paql.PackageQuery:
-    """Query for one group's tuples given the rest of the package.
-
-    Each global predicate's bound is shifted by the partial package's
-    contribution (carried in ``linear_shift`` and applied to the linearized
-    right side at translation); the objective and REPEAT carry through.
-    """
-    preds = tuple(
-        replace(g, linear_shift=g.linear_shift + s)
-        for g, s in zip(q.global_predicates, shifts))
-    return replace(q, base_predicate=None, global_predicates=preds)
+def _solved_part(model: IlpModel, x: np.ndarray) -> tuple[dict[int, int], np.ndarray]:
+    """A solved group's package entries and their row activity."""
+    k = np.rint(x)
+    keep = np.nonzero(k > 0)[0]
+    return package_from_solution(model, x), activity(model, keep, k[keep])
 
 
 class _Context:
@@ -273,10 +280,14 @@ class _Context:
             raise _TimeExceeded()
         return left
 
-    def charge_refine(self):
-        self.refine_solves += 1
-        if self.refine_solves > self.budget:
+    def charge(self, hybrid: bool = False) -> None:
+        """Count one refine (or hybrid) solve against the budget."""
+        if self.refine_solves + self.hybrid_solves >= self.budget:
             raise _BudgetExceeded()
+        if hybrid:
+            self.hybrid_solves += 1
+        else:
+            self.refine_solves += 1
 
 
 def _solve_submodel(model: IlpModel, ctx: _Context, solver_fn: SolverFn) -> SolveResult:
@@ -291,45 +302,37 @@ class _Refiner:
 
     Failure of a non-root refine propagates the failed group upward; the
     parent then prioritizes failed groups (most recent failure first) and
-    retries. The total number of refine solves is capped by the budget.
+    retries. Refine solves count against the budget. A refined group is
+    kept as (package entries, row activity).
     """
 
-    def __init__(self, q, rel, rep_rel, p, ctx, solver_fn, upper_override):
-        self.q = q
-        self.rel = rel
-        self.rep_rel = rep_rel
-        self.p = p
+    def __init__(self, level: _Level, ctx: _Context, solver_fn: SolverFn):
+        self.level = level
         self.ctx = ctx
         self.solver_fn = solver_fn
-        self.upper_override = upper_override
 
+    # ``perfbench`` wraps this method by name to count refine solves
     def _refine_group(self, g: int, rep_part: dict, orig_part: dict
-                      ) -> Optional[dict[int, int]]:
-        """Solve the refine query for group g; None when infeasible."""
-        others_rep = {h: mult for h, mult in rep_part.items() if h != g}
-        partial_orig: dict[int, int] = {}
-        for sol in orig_part.values():
-            partial_orig.update(sol)
-        shifts = partial_shifts(self.q, self.rel, partial_orig,
-                                self.rep_rel, others_rep)
-        refine_q = build_refine_query(self.q, shifts)
-        members = self.p.groups[g]
-        self.ctx.charge_refine()
-        model = derive_bounds(translate(
-            refine_q, self.rel, ids=members, upper_override=self.upper_override))
+                      ) -> Optional[tuple[dict[int, int], np.ndarray]]:
+        """Solve the refine model for group g; None when infeasible."""
+        self.ctx.charge()
+        others = {h: mult for h, mult in rep_part.items() if h != g}
+        fixed = fixed_activity((act for _, act in orig_part.values()),
+                               self.level.sketch, others)
+        model = derive_bounds(shift_rhs(self.level.group_model(g), fixed))
         res = _solve_submodel(model, self.ctx, self.solver_fn)
         if res.status != STATUS_OPTIMAL:
             return None
-        return package_from_solution(model, res.x)
+        return _solved_part(model, res.x)
 
-    def run(self, rep_part: dict[int, int], orig_part: dict[int, dict]
-            ) -> Optional[dict[int, dict]]:
+    def run(self, rep_part: dict[int, int], orig_part: dict[int, tuple]
+            ) -> Optional[dict[int, tuple]]:
         # groups without representatives in the sketch need no refinement
         rep_part = {g: mult for g, mult in rep_part.items() if mult > 0}
         outcome = self._refine_rec(rep_part, orig_part, is_root=True)
         return outcome[1] if outcome[0] else None
 
-    def _refine_rec(self, rep_part: dict[int, int], orig_part: dict[int, dict],
+    def _refine_rec(self, rep_part: dict[int, int], orig_part: dict[int, tuple],
                     is_root: bool):
         if not rep_part:
             return True, orig_part
@@ -361,50 +364,27 @@ class _Refiner:
 # Hybrid sketch fallback
 
 
-def hybrid_sketch(q: paql.PackageQuery, p: Partitioning, rel: Relation,
-                  rep_rel: Relation, caps: Mapping[int, float], ctx: _Context,
-                  solver_fn: SolverFn
-                  ) -> Optional[tuple[int, dict[int, int], dict[int, int]]]:
-    """Try merging the sketch with one group's refine query.
-
-    For each group in seeded-random order, solve over that group's original
-    tuples plus the other groups' representatives (capacity-bounded). The
-    first feasible solve wins and returns (group, its original-tuple
-    package part, representative multiplicities for the other groups).
-    """
-    needed = [a for a, _ in rep_rel.schema.attributes]
-    order = list(range(p.m))
+def hybrid_sketch(level: _Level, ctx: _Context, solver_fn: SolverFn
+                  ) -> Optional[tuple[dict[int, int], dict[int, tuple]]]:
+    """Try merging the sketch with one group's refine problem: for each
+    group in seeded-random order, solve its translated columns beside the
+    other groups' sketch columns (bounds derived on the stack), charging
+    the budget. The first feasible solve wins; returns (rep_part, orig_part)
+    as ``_solve_sketch`` does."""
+    order = list(range(level.p.m))
     ctx.rng.shuffle(order)
     for g in order:
-        members = p.groups[g]
-        n_mem = len(members)
-        others = [h for h in range(p.m) if h != g]
-        cols = {}
-        for attr in needed:
-            mem_vals = rel.column(attr)[members]
-            rep_vals = rep_rel.column(attr)[others] if others else np.zeros(0)
-            cols[attr] = np.concatenate([mem_vals, rep_vals])
-        mixed = from_columns("hybrid", cols)
-        hybrid_q = paql.validate(
-            replace(q, relation_name="hybrid", relation_alias="hybrid",
-                    base_predicate=None, repeat=None, validated=False),
-            mixed.schema)
-        override: dict[int, float] = {}
-        if q.repeat is not None:
-            for i in range(n_mem):
-                override[i] = q.repeat + 1
-        for pos, h in enumerate(others):
-            if h in caps:
-                override[n_mem + pos] = caps[h]
-        ctx.hybrid_solves += 1
-        model = derive_bounds(translate(hybrid_q, mixed, upper_override=override))
+        ctx.charge(hybrid=True)
+        group = level.group_model(g)
+        others = np.delete(np.arange(level.p.m), g)
+        model = derive_bounds(hstack(group, level.sketch, others))
         res = _solve_submodel(model, ctx, solver_fn)
         if res.status != STATUS_OPTIMAL:
             continue
-        entries = package_from_solution(model, res.x)
-        orig_part = {int(members[i]): mult for i, mult in entries.items() if i < n_mem}
-        rep_part = {others[i - n_mem]: mult for i, mult in entries.items() if i >= n_mem}
-        return g, orig_part, rep_part
+        n = group.n_vars
+        k = np.rint(res.x[n:])
+        rep_part = {int(h): int(mult) for h, mult in zip(others, k) if mult > 0}
+        return rep_part, {g: _solved_part(group, res.x[:n])}
     return None
 
 
@@ -415,7 +395,7 @@ def hybrid_sketch(q: paql.PackageQuery, p: Partitioning, rel: Relation,
 def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
                       cfg: EvalConfig = EvalConfig(), solver_fn: SolverFn = solve,
                       _depth: int = 0,
-                      _upper_override: Optional[Mapping[int, float]] = None
+                      _upper_override: Optional[np.ndarray] = None
                       ) -> EvalReport:
     """Sketch over representatives, then refine group by group.
 
@@ -423,6 +403,7 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
     feasible for the query's own ILP before being returned. Sketch or
     refinement failure yields an infeasible report (which may be a false
     negative); the hybrid fallback is tried when the plain sketch fails.
+    ``_upper_override`` holds the per-tuple caps of an enclosing sketch.
     """
     if not q.validated:
         raise EvalError("query must be validated")
@@ -455,25 +436,14 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
         return report(direct.status, direct.package, direct.objective)
 
     t_sketch = _Timer()
-    rep_rel, sketch_q, caps, sketch_flags = build_sketch_query(q_work, work_p, rel)
+    rep_rel, sketch_q, caps, sketch_flags = build_sketch_query(
+        q_work, work_p, rel, _upper_override)
     flags.extend(sketch_flags)
-    if _upper_override is not None:
-        # per-variable caps inherited from an enclosing sketch: a group's
-        # representative cannot repeat past its members' total capacity
-        for g in range(work_p.m):
-            total = 0.0
-            for t in work_p.groups[g]:
-                cap = _upper_override.get(int(t), math.inf)
-                total += cap
-                if not math.isfinite(total):
-                    break
-            if math.isfinite(total):
-                caps[g] = min(caps.get(g, math.inf), total)
+    level = _Level(q_work, rel, work_p, _upper_override, sketch_q, rep_rel,
+                   translate(sketch_q, rep_rel, upper_override=caps))
 
     try:
-        rep_part, orig_part = _solve_sketch(
-            q_work, sketch_q, rep_rel, caps, work_p, rel, cfg, ctx, solver_fn,
-            _depth, flags)
+        rep_part, orig_part = _solve_sketch(level, cfg, ctx, solver_fn, _depth, flags)
     except _TimeExceeded:
         timings["sketch_ms"] = t_sketch.ms()
         return report(TIME_LIMIT)
@@ -483,9 +453,8 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
         return report(INFEASIBLE)
 
     t_refine = _Timer()
-    refiner = _Refiner(q_work, rel, rep_rel, work_p, ctx, solver_fn, _upper_override)
     try:
-        refined = refiner.run(rep_part, orig_part)
+        refined = _Refiner(level, ctx, solver_fn).run(rep_part, orig_part)
     except _TimeExceeded:
         timings["refine_ms"] = t_refine.ms()
         return report(TIME_LIMIT)
@@ -499,7 +468,7 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
         return report(INFEASIBLE)
 
     entries: dict[int, int] = {}
-    for sol in refined.values():
+    for sol, _ in refined.values():
         entries.update(sol)
     _verify_package(q, rel, entries, _upper_override, cfg.feasibility_tol * 10)
     objective = package_objective(q, rel, entries)
@@ -508,7 +477,7 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
 
 def _verify_package(q: paql.PackageQuery, rel: Relation,
                     entries: Mapping[int, int],
-                    upper_override: Optional[Mapping[int, float]],
+                    upper_override: Optional[np.ndarray],
                     tol: float) -> None:
     """Check a package against the query's ILP over the package's own
     tuples; the rest of the relation has multiplicity zero and adds nothing
@@ -527,45 +496,49 @@ def _verify_package(q: paql.PackageQuery, rel: Relation,
         raise EvalError("internal error: refined package violates the query")
 
 
-def _solve_sketch(q_work, sketch_q, rep_rel, caps, work_p, rel, cfg, ctx,
-                  solver_fn, depth, flags):
-    """Solve the sketch query (recursively when it is itself too large).
+def _solve_sketch(level: _Level, cfg: EvalConfig, ctx: _Context,
+                  solver_fn: SolverFn, depth: int, flags: list[str]):
+    """Solve the sketch (recursively when it is itself too large).
 
     Returns (rep_part, orig_part): representative multiplicities per group,
-    plus already-refined original tuples when the hybrid fallback ran.
+    plus the refined part of one group when the hybrid fallback ran.
     """
+    p = level.p
     threshold = cfg.recursion_threshold if cfg.recursion_threshold is not None \
-        else work_p.tau
-    if work_p.m > threshold and depth < cfg.max_recursion_depth:
-        sub_tau = min(work_p.tau, rep_rel.n)
-        sub_p = partition(rep_rel, PartitionParams(work_p.attrs, sub_tau, work_p.omega))
+        else p.tau
+    if p.m > threshold and depth < MAX_RECURSION_DEPTH:
+        sub_tau = min(p.tau, level.rep_rel.n)
+        sub_p = partition(level.rep_rel, PartitionParams(p.attrs, sub_tau, p.omega))
         # the recursion inherits whatever is left of the global time budget
         sub_cfg = replace(cfg, time_limit=ctx.remaining())
-        sub = eval_sketchrefine(sketch_q, rep_rel, sub_p, sub_cfg, solver_fn,
-                                _depth=depth + 1, _upper_override=caps)
+        sub = eval_sketchrefine(level.sketch_q, level.rep_rel, sub_p, sub_cfg,
+                                solver_fn, _depth=depth + 1,
+                                _upper_override=level.sketch.upper)
         ctx.sketch_solves += sub.subproblems.get("sketch", 0)
         ctx.refine_solves += sub.subproblems.get("refine", 0)
+        ctx.hybrid_solves += sub.subproblems.get("hybrid", 0)
         if sub.status == TIME_LIMIT:
             raise _TimeExceeded()
         if sub.status == FEASIBLE:
-            rep_part = {g: int(m) for g, m in sub.package.entries.items()}
-            return rep_part, {}
+            return dict(sub.package.entries), {}
         res_status = STATUS_INFEASIBLE
     else:
         ctx.sketch_solves += 1
-        model = derive_bounds(translate(sketch_q, rep_rel, upper_override=caps))
+        model = derive_bounds(level.sketch)
         res = _solve_submodel(model, ctx, solver_fn)
         if res.status == STATUS_OPTIMAL:
-            entries = package_from_solution(model, res.x)
-            return {g: int(m) for g, m in entries.items()}, {}
+            return package_from_solution(model, res.x), {}
         res_status = res.status
 
     if res_status == STATUS_INFEASIBLE and cfg.hybrid_sketch:
-        hybrid = hybrid_sketch(q_work, work_p, rel, rep_rel, caps, ctx, solver_fn)
+        try:
+            hybrid = hybrid_sketch(level, ctx, solver_fn)
+        except _BudgetExceeded:
+            flags.append("backtrack_limit_exceeded")
+            return None, {}
         if hybrid is not None:
-            g, orig_sol, rep_part = hybrid
             flags.append("hybrid_used")
-            return rep_part, ({g: orig_sol} if orig_sol else {g: {}})
+            return hybrid
     return None, {}
 
 

@@ -108,7 +108,7 @@ def predicate_linear_value(g: paql.GlobalPredicate, rel: Relation,
 
     For COUNT/SUM/filtered-count-vs-constant this is the plain aggregate;
     AVG and indicator comparisons contribute through their linearized
-    coefficient form. Used to shift refine-query bounds."""
+    coefficient form. Unused by the engine; ``perfbench`` traces it."""
     if not package:
         return 0.0
     ids = np.fromiter(package.keys(), dtype=np.int64)
@@ -120,12 +120,13 @@ def predicate_linear_value(g: paql.GlobalPredicate, rel: Relation,
 
 def translate(q: paql.PackageQuery, rel: Relation,
               ids: Optional[Sequence[int]] = None,
-              upper_override: Optional[Mapping[int, float]] = None) -> IlpModel:
+              upper_override: Optional[np.ndarray] = None) -> IlpModel:
     """Build the ILP for a validated query over a relation (or tuple subset).
 
     ``ids`` restricts the variable set to a subset of tuple ids (used for
-    per-group subproblems). ``upper_override`` caps individual variables,
-    taking the minimum with the repetition bound.
+    per-group subproblems). ``upper_override`` holds one cap per tuple id of
+    the relation (``np.inf`` for none); each variable takes the minimum of
+    its cap and the repetition bound.
     """
     if not q.validated:
         raise IlpError("query must be validated before translation")
@@ -143,11 +144,8 @@ def translate(q: paql.PackageQuery, rel: Relation,
     upper = np.full(n, np.inf)
     if q.repeat is not None:
         upper[:] = q.repeat + 1
-    if upper_override:
-        for j, t in enumerate(pool):
-            cap = upper_override.get(int(t))
-            if cap is not None:
-                upper[j] = min(upper[j], float(cap))
+    if upper_override is not None:
+        upper = np.minimum(upper, upper_override[pool])
 
     constraints = []
     for k, g in enumerate(q.global_predicates):
@@ -162,6 +160,37 @@ def translate(q: paql.PackageQuery, rel: Relation,
         objective = np.zeros(n)
 
     return IlpModel(pool, np.zeros(n), upper, tuple(constraints), objective, maximize)
+
+
+def constraint_matrix(m: IlpModel) -> np.ndarray:
+    """The k x n coefficient matrix, one row per constraint."""
+    return np.array([c.coeffs for c in m.constraints],
+                    dtype=np.float64).reshape(len(m.constraints), m.n_vars)
+
+
+def activity(m: IlpModel, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row's left side over the columns at positions ``cols`` with
+    multiplicities ``x`` (one dot product per row)."""
+    return np.array([c.coeffs[cols] @ x for c in m.constraints], dtype=np.float64)
+
+
+def shift_rhs(m: IlpModel, fixed: np.ndarray) -> IlpModel:
+    """The model with each row's right side reduced by ``fixed``, the row
+    activity of a package part held outside the model's variables."""
+    return replace(m, constraints=tuple(
+        replace(c, rhs=c.rhs - float(f)) for c, f in zip(m.constraints, fixed)))
+
+
+def hstack(left: IlpModel, right: IlpModel, cols: np.ndarray) -> IlpModel:
+    """The columns of ``left`` followed by those of ``right`` at positions
+    ``cols``, over the rows of ``left``; variable ids are column positions."""
+    return IlpModel(
+        np.arange(left.n_vars + len(cols), dtype=np.int64),
+        np.concatenate([left.lower, right.lower[cols]]),
+        np.concatenate([left.upper, right.upper[cols]]),
+        tuple(replace(c, coeffs=np.concatenate([c.coeffs, r.coeffs[cols]]))
+              for c, r in zip(left.constraints, right.constraints)),
+        np.concatenate([left.objective, right.objective[cols]]), left.maximize)
 
 
 def derive_bounds(m: IlpModel) -> IlpModel:

@@ -94,13 +94,13 @@ class GlobalPredicate:
     ``linear_shift`` is a constant already contributed to the predicate's
     linearized left side by a fixed partial package; it is subtracted from
     the linearized right side at translation time. Surface queries always
-    have shift 0; the refine-query builder sets it.
+    have shift 0 and the engine sets none; ``perfbench`` reads the field.
     """
 
     lhs: AggregateExpr
     op: str  # '<=', '>=', '=', 'between'
     rhs: Union[float, tuple[float, float], AggregateExpr]
-    linear_shift: float = 0.0
+    linear_shift: float = 0.0  # perfbench/check.py reads it
 
     def __post_init__(self):
         if self.op == "between":

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ilp import IlpModel, feasible
+from .ilp import IlpModel, constraint_matrix, feasible
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, lp_solve
 
 STATUS_OPTIMAL = "optimal"
@@ -35,7 +35,6 @@ class SolverConfig:
     time_limit: float = 3600.0
     integrality_tol: float = 1e-6
     feasibility_tol: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if self.integrality_tol <= 0 or self.feasibility_tol <= 0:
@@ -201,26 +200,23 @@ def _greedy_improve(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def _objective_grid(c: np.ndarray) -> Optional[float]:
     """Largest power-of-two grid (down to 2^-24) that every objective
     coefficient lies on exactly, or None. Integer coefficients yield 1.0."""
-    nz = c[c != 0]
-    if nz.size == 0:
-        return 1.0
-    if np.abs(nz).max() > 1e12:
+    scaled = np.abs(c)
+    if not scaled.max(initial=0.0) <= 1e12:  # also catches nan
         return None
-    for k in range(0, 25):
-        g = 2.0 ** -k
-        scaled = nz / g
-        if np.all(scaled == np.round(scaled)):
-            return g
-    return None
+    scaled *= 2.0 ** 24  # exact, and below 2^64
+    if not np.all(scaled == np.rint(scaled)):
+        return None
+    # the grid is 2^-24 times the lowest set bit any scaled value has
+    low = int(np.bitwise_or.reduce(scaled.astype(np.uint64)))
+    if low == 0:
+        return 1.0
+    return 2.0 ** -(24 - min((low & -low).bit_length() - 1, 24))
 
 
 def _constraint_arrays(m: IlpModel):
-    if not m.constraints:
-        return np.zeros((0, m.n_vars)), [], np.zeros(0)
-    A = np.vstack([c.coeffs for c in m.constraints])
     ops = [c.op for c in m.constraints]
-    b = np.asarray([c.rhs for c in m.constraints])
-    return A, ops, b
+    b = np.asarray([c.rhs for c in m.constraints], dtype=np.float64)
+    return constraint_matrix(m), ops, b
 
 
 def _empty_model_result(m: IlpModel) -> SolveResult:

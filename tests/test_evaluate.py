@@ -13,14 +13,20 @@ from pkgquery.evaluate import (
     EvalError,
     RatioUndefinedError,
     approximation_ratio,
-    build_refine_query,
     build_sketch_query,
     eval_direct,
     eval_sketchrefine,
-    partial_shifts,
+    fixed_activity,
 )
 from pkgquery.evaluate import _verify_package as verify_package
-from pkgquery.ilp import UnboundedModelError, feasible, translate
+from pkgquery.ilp import (
+    UnboundedModelError,
+    activity,
+    constraint_matrix,
+    feasible,
+    shift_rhs,
+    translate,
+)
 from pkgquery.partitioning import PartitionParams, partition, partition_with_epsilon
 from pkgquery.relation import from_columns
 from pkgquery.solver import STATUS_OPTIMAL, brute_force, solve
@@ -90,17 +96,44 @@ class TestSketchQuery:
     def test_repeat0_capacity_is_group_size(self):
         rel, q, p = self.make(" R REPEAT 0")
         _, _, caps, _ = build_sketch_query(q, p, rel)
-        assert caps == {g: float(p.sizes[g]) for g in range(p.m)}
+        assert caps.tolist() == [float(p.sizes[g]) for g in range(p.m)]
 
     def test_repeat1_capacity_doubles(self):
         rel, q, p = self.make(" R REPEAT 1")
         _, _, caps, _ = build_sketch_query(q, p, rel)
-        assert caps == {g: 2.0 * p.sizes[g] for g in range(p.m)}
+        assert caps.tolist() == [2.0 * p.sizes[g] for g in range(p.m)]
 
     def test_no_repeat_no_capacity(self):
         rel, q, p = self.make(" R")
         _, _, caps, _ = build_sketch_query(q, p, rel)
-        assert caps == {}
+        assert caps.shape == (p.m,) and np.all(np.isinf(caps))
+
+    def test_inherited_caps_sum_over_members(self):
+        # caps from an enclosing sketch: group {0, 1, 2, 3} is held to its
+        # members' total 4 (below 2 x 4); uncapped tuple 4 leaves group {4}
+        # at its REPEAT capacity
+        rel, q, p = self.make(" R REPEAT 1")
+        assert [g.tolist() for g in p.groups] == [[0, 1, 2, 3], [4]]
+        upper = np.array([1.0, 0.0, 2.0, 1.0, np.inf])
+        _, _, caps, _ = build_sketch_query(q, p, rel, upper)
+        assert caps.tolist() == [4.0, 2.0]
+        upper[0] = 9.0  # total 12 is above 2 x 4
+        _, _, caps, _ = build_sketch_query(q, p, rel, upper)
+        assert caps.tolist() == [8.0, 2.0]
+
+    def test_filtered_count_uses_indicator_of_the_mean(self):
+        # one group {0.0, 2.0} with mean 1.0: the representative counts as
+        # 0 under x > 1.5 and as 1 under x > 0.5, never as the members'
+        # mean indicator 0.5
+        rel = from_columns("R", {"x": [0.0, 2.0]})
+        p = partition(rel, PartitionParams(("x",), 2))
+        assert p.m == 1
+        for bound, expected in ((1.5, 0.0), (0.5, 1.0)):
+            q = q_of("SELECT PACKAGE(R) AS P FROM R REPEAT 0 SUCH THAT "
+                     f"(SELECT COUNT(*) FROM P WHERE P.x > {bound}) >= 1", rel)
+            rep_rel, sketch_q, caps, _ = build_sketch_query(q, p, rel)
+            sketch = translate(sketch_q, rep_rel, upper_override=caps)
+            assert sketch.constraints[0].coeffs.tolist() == [expected]
 
     def test_representatives_are_group_means(self):
         rel, q, p = self.make(" R REPEAT 0")
@@ -127,24 +160,31 @@ class TestSketchQuery:
             build_sketch_query(meal_query, p, recipes)
 
 
+def fixed_part_activity(q, rel, entries):
+    """Row activity of a package part made of original tuples."""
+    ids = sorted(entries)
+    part = translate(q, rel, ids=ids)
+    return activity(part, np.arange(part.n_vars),
+                    np.asarray([entries[t] for t in ids], dtype=np.float64))
+
+
 class TestRefineQuery:
+    """A group's refine model is the query's ILP over the group's tuples
+    with each row's right side reduced by the fixed part's activity."""
+
+    def refine(self, q, rel, fixed_entries, members):
+        return shift_rhs(translate(q, rel, ids=members),
+                         fixed_part_activity(q, rel, fixed_entries))
+
     def test_count_shift(self, recipes, meal_query):
         # partial package already supplies 2 tuples: refine needs exactly 1
-        partial = {0: 1, 1: 1}
-        shifts = partial_shifts(meal_query, recipes, partial,
-                                from_columns("reps", {"kcal": [], "saturated_fat": []}), {})
-        refine_q = build_refine_query(meal_query, shifts)
-        m = translate(refine_q, recipes, ids=[2, 3, 4])
+        m = self.refine(meal_query, recipes, {0: 1, 1: 1}, [2, 3, 4])
         count_row = m.constraints[0]
         assert count_row.op == "="
         assert count_row.rhs == pytest.approx(1.0)  # 3 - 2
 
     def test_sum_window_shift(self, recipes, meal_query):
-        partial = {0: 1}  # kcal 0.9
-        shifts = partial_shifts(meal_query, recipes, partial,
-                                from_columns("reps", {"kcal": [], "saturated_fat": []}), {})
-        refine_q = build_refine_query(meal_query, shifts)
-        m = translate(refine_q, recipes, ids=[1, 2, 3, 4])
+        m = self.refine(meal_query, recipes, {0: 1}, [1, 2, 3, 4])  # kcal 0.9
         lo_row, hi_row = m.constraints[1], m.constraints[2]
         assert lo_row.rhs == pytest.approx(2.0 - 0.9)
         assert hi_row.rhs == pytest.approx(2.5 - 0.9)
@@ -153,11 +193,8 @@ class TestRefineQuery:
         rel = from_columns("R", {"x": [0.25, 0.75, 1.25, 2.0]})
         q = q_of("SELECT PACKAGE(R) AS P FROM R REPEAT 0 SUCH THAT AVG(P.x) <= 1.0 "
                  "AND COUNT(P.*) >= 1", rel)
-        partial = {3: 1}  # contributes (2.0 - 1.0) to the linearized AVG row
-        shifts = partial_shifts(q, rel, partial,
-                                from_columns("reps", {"x": []}), {})
-        refine_q = build_refine_query(q, shifts)
-        m = translate(refine_q, rel, ids=[0, 1, 2])
+        # {3: 1} contributes (2.0 - 1.0) to the linearized AVG row
+        m = self.refine(q, rel, {3: 1}, [0, 1, 2])
         avg_row = m.constraints[0]
         assert avg_row.rhs == pytest.approx(-1.0)
         # combined package {0.25, 2.0} has avg 1.125 > 1: infeasible
@@ -167,16 +204,63 @@ class TestRefineQuery:
 
     def test_representative_contributions_count(self):
         rel = from_columns("R", {"x": [1.0, 2.0, 3.0, 4.0]})
-        rep_rel = from_columns("reps", {"x": [1.5, 3.5]})
         q = q_of("SELECT PACKAGE(R) AS P FROM R REPEAT 0 "
                  "SUCH THAT SUM(P.x) <= 10 AND COUNT(P.*) >= 1", rel)
-        shifts = partial_shifts(q, rel, {0: 1}, rep_rel, {1: 2})
-        assert shifts[0] == pytest.approx(1.0 + 2 * 3.5)  # sum row
-        assert shifts[1] == pytest.approx(1 + 2)           # count row
+        p = partition(rel, PartitionParams(("x",), 2))
+        rep_rel, sketch_q, caps, _ = build_sketch_query(q, p, rel)
+        assert rep_rel.column("x").tolist() == [1.5, 3.5]
+        sketch = translate(sketch_q, rep_rel, upper_override=caps)
+        fixed = fixed_activity([fixed_part_activity(q, rel, {0: 1})], sketch, {1: 2})
+        assert fixed[0] == pytest.approx(1.0 + 2 * 3.5)  # sum row
+        assert fixed[1] == pytest.approx(1 + 2)           # count row
 
     def test_repeat_carried_through(self, recipes, meal_query):
-        refine_q = build_refine_query(meal_query, [0.0, 0.0, 0.0])
-        assert refine_q.repeat == meal_query.repeat
+        m = self.refine(meal_query, recipes, {}, [0, 1, 2])
+        assert m.upper.tolist() == [meal_query.repeat + 1] * 3
+
+    QUERIES = (
+        "SELECT PACKAGE(R) AS P FROM R SUCH THAT COUNT(P.*) BETWEEN 2 AND 8 "
+        "AND AVG(P.y) >= 1.25 MAXIMIZE SUM(P.y)",
+        "SELECT PACKAGE(R) AS P FROM R SUCH THAT "
+        "(SELECT COUNT(*) FROM P WHERE P.x > 1.25) >= "
+        "(SELECT COUNT(*) FROM P WHERE P.y > 1.25) AND SUM(P.x) <= 8",
+        "SELECT PACKAGE(R) AS P FROM R REPEAT 1 SUCH THAT SUM(P.x) BETWEEN 4 AND 7 "
+        "AND COUNT(P.*) <= 6 MINIMIZE SUM(P.y)",
+        "SELECT PACKAGE(R) AS P FROM R REPEAT 0 WHERE R.c = 'a' AND R.x >= 0.75 "
+        "SUCH THAT COUNT(P.*) BETWEEN 2 AND 5 AND SUM(P.y) <= 6",
+    )
+
+    def test_refine_model_matches_full_model(self):
+        # x_g is feasible for the refine model exactly when x_g together
+        # with the fixed part is feasible for the whole query's model
+        outcomes = {qi: set() for qi in range(len(self.QUERIES))}
+        for seed in range(160):
+            rng = np.random.default_rng(seed)
+            n = 40
+            rel = from_columns("R", {
+                "x": dyadic(rng, 0.5, 2.0, n), "y": dyadic(rng, 0.5, 2.0, n),
+                "c": [str(v) for v in rng.choice(["a", "b"], size=n)],
+            }, kinds={"c": "categorical"})
+            qi = seed % len(self.QUERIES)
+            q = q_of(self.QUERIES[qi], rel)
+            full = translate(q, rel)
+            p = partition(rel, PartitionParams(("x", "y"), 8))
+            members = p.groups[int(rng.integers(p.m))]
+            top = 1 if q.repeat is None else q.repeat + 1
+            outside = np.setdiff1d(full.var_ids, members)
+            chosen = rng.choice(outside, size=int(rng.integers(0, 5)), replace=False)
+            fixed = {int(t): int(rng.integers(1, top + 1)) for t in chosen}
+            group = translate(q, rel, ids=members)
+            refine = shift_rhs(group, fixed_part_activity(q, rel, fixed))
+            x_g = rng.integers(0, top + 1, size=group.n_vars).astype(np.float64)
+            x = np.zeros(full.n_vars)
+            x[np.searchsorted(full.var_ids, group.var_ids)] = x_g
+            for t, mult in fixed.items():
+                x[np.searchsorted(full.var_ids, t)] = mult
+            got = feasible(refine, x_g)
+            assert got == feasible(full, x), (seed, fixed, x_g)
+            outcomes[qi].add(got)
+        assert all(seen == {True, False} for seen in outcomes.values())
 
 
 class TestSketchRefine:
@@ -375,6 +459,67 @@ class TestHybrid:
         p = partition(rel, PartitionParams(("x",), 2))
         assert eval_sketchrefine(q, rel, p).status == INFEASIBLE
 
+    def test_hybrid_model_stacks_group_beside_sketch_columns(self):
+        rel, q, p = self.outlier_fixture()
+        rep_rel, sketch_q, caps, _ = build_sketch_query(q, p, rel)
+        sketch = translate(sketch_q, rep_rel, upper_override=caps)
+        models = []
+
+        def recording_solver(model, cfg):
+            models.append(model)
+            return solve(model, cfg)
+
+        report = eval_sketchrefine(q, rel, p, solver_fn=recording_solver)
+        assert report.subproblems["hybrid"] >= 1
+        hybrids = models[1:1 + report.subproblems["hybrid"]]
+        for model in hybrids:
+            matches = []
+            for g, members in enumerate(p.groups):
+                group = translate(q, rel, ids=members)
+                others = [h for h in range(p.m) if h != g]
+                expected = np.hstack([constraint_matrix(group),
+                                      constraint_matrix(sketch)[:, others]])
+                objective = np.concatenate([group.objective, sketch.objective[others]])
+                matches.append(
+                    constraint_matrix(model).shape == expected.shape
+                    and np.array_equal(constraint_matrix(model), expected)
+                    and np.array_equal(model.objective, objective)
+                    and np.array_equal(model.upper[:group.n_vars], group.upper))
+            assert sum(matches) == 1
+
+    def test_hybrid_solves_count_against_budget(self):
+        rel, q, p = self.outlier_fixture()
+        for limit in range(5):
+            report = eval_sketchrefine(q, rel, p, EvalConfig(backtrack_limit=limit))
+            used = report.subproblems["refine"] + report.subproblems["hybrid"]
+            assert used <= limit
+            if report.status != FEASIBLE:
+                assert report.status == INFEASIBLE
+                assert "backtrack_limit_exceeded" in report.flags
+        report = eval_sketchrefine(q, rel, p, EvalConfig(backtrack_limit=0))
+        assert report.status == INFEASIBLE
+        assert "backtrack_limit_exceeded" in report.flags
+
+    def test_recursive_hybrid_keeps_inherited_caps(self):
+        # a recursive sketch falls back to its hybrid; the hybrid's group
+        # columns are representatives capped by the enclosing sketch, which
+        # a hybrid built on a fresh relation used to drop
+        rng = np.random.default_rng(0)
+        x, y = dyadic(rng, 0.5, 2.0, 50), dyadic(rng, 0.5, 2.0, 50)
+        k = int(rng.integers(1, 4))
+        x[rng.choice(50, size=k, replace=False)] = dyadic(rng, 3.0, 8.0, k)
+        rel = from_columns("R", {"x": x, "y": y})
+        q = q_of("SELECT PACKAGE(R) AS P FROM R REPEAT 0 SUCH THAT "
+                 "COUNT(P.*) BETWEEN 3 AND 5 AND SUM(P.x) >= 13.09 "
+                 "MAXIMIZE SUM(P.y)", rel)
+        p = partition(rel, PartitionParams(("x", "y"), 2))
+        assert p.m > p.tau  # the sketch recurses
+        assert eval_direct(q, rel).status == INFEASIBLE
+        for seed in range(4):
+            report = eval_sketchrefine(q, rel, p, EvalConfig(seed=seed))
+            assert report.status == INFEASIBLE
+            assert report.subproblems["hybrid"] > 0
+
 
 class TestApproximationRatio:
     def r(self, obj, method="direct"):
@@ -471,7 +616,9 @@ class TestPackageCheck:
             override = None
             if rng.integers(0, 2):
                 capped = rng.choice(rel.n, size=10, replace=False)
-                override = {int(t): float(rng.integers(0, 3)) for t in capped}
+                override = np.full(rel.n, np.inf)
+                for t in capped:
+                    override[t] = float(rng.integers(0, 3))
             full = translate(q, rel, upper_override=override)
             x = np.zeros(full.n_vars)
             index = full.var_index()

@@ -12,6 +12,7 @@ from pkgquery.relation import from_columns
 from pkgquery.solver import (
     SolverConfig,
     SolverError,
+    _objective_grid,
     brute_force,
     lp_relax,
     solve,
@@ -185,7 +186,51 @@ def test_lp_bound_dominates_ilp(seed):
 
 def test_determinism(recipes, meal_query):
     m = derive_bounds(translate(meal_query, recipes))
-    runs = [solve(m, SolverConfig(seed=7)) for _ in range(3)]
+    runs = [solve(m, SolverConfig()) for _ in range(3)]
     assert len({r.status for r in runs}) == 1
     assert len({r.objective for r in runs}) == 1
     assert all(np.array_equal(runs[0].x, r.x) for r in runs)
+
+
+def objective_grid_reference(c):
+    """The scan ``_objective_grid`` replaced: try each power of two."""
+    nz = c[c != 0]
+    if nz.size == 0:
+        return 1.0
+    if np.abs(nz).max() > 1e12:
+        return None
+    for k in range(0, 25):
+        g = 2.0 ** -k
+        scaled = nz / g
+        if np.all(scaled == np.round(scaled)):
+            return g
+    return None
+
+
+GRID_VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(float),                       # integers
+    st.tuples(st.integers(-10**6, 10**6), st.integers(0, 30))
+      .map(lambda t: t[0] / 2.0 ** t[1]),                         # dyadic grids
+    st.floats(-1e6, 1e6, allow_nan=False),                        # off-grid
+    st.floats(1e12, 1e15).map(lambda v: float(np.round(v))),      # above 1e12
+    st.just(0.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(GRID_VALUES, min_size=0, max_size=12), st.booleans())
+def test_objective_grid_matches_scan(values, negate):
+    c = np.asarray(values, dtype=np.float64)
+    if negate:
+        c = -c
+    assert _objective_grid(c) == objective_grid_reference(c)
+
+
+def test_objective_grid_examples():
+    for c, grid in (([0.0, 0.0], 1.0), ([], 1.0), ([3.0, -7.0], 1.0),
+                    ([0.5, 0.25, 1.0], 0.25), ([1 / 64, 2.0], 1 / 64),
+                    ([2.0 ** -24], 2.0 ** -24), ([2.0 ** -25], None),
+                    ([0.1], None), ([2e12], None), ([1e12, 0.5], 0.5),
+                    ([np.nan, 1.0], None), ([np.inf], None)):
+        c = np.asarray(c, dtype=np.float64)
+        assert _objective_grid(c) == objective_grid_reference(c) == grid

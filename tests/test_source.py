@@ -15,3 +15,21 @@ def test_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert list(SRC.glob("*.py"))
     assert found == []
+
+
+def test_benchmark_reads_resolve(monkeypatch):
+    # ``perfbench`` (not collected here) patches names on the engine and
+    # reads its query AST; a rename there would break the benchmark silently
+    monkeypatch.syspath_prepend(str(SRC.parent.parent))
+    from perfbench import check, tracing, workloads
+    from pkgquery import evaluate, generate
+
+    missing = [attr for attr, _ in tracing.EVALUATE_IMPORTS
+               if not callable(getattr(evaluate, attr, None))]
+    assert missing == []
+    assert callable(evaluate._Refiner._refine_group)
+    rel = generate.gen_dataset(200, workloads.COLS, seed=5, low=workloads.LOW,
+                               high=workloads.HIGH, grid=1 / 64)
+    for q in generate.gen_workload(rel, 10, seed=5,
+                                   expected_size=workloads.EXPECTED_SIZE):
+        check.spec_of(q)  # raises ValueError on a query it cannot check
