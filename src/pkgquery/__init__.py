@@ -14,7 +14,6 @@ from .paql import PackageQuery, PaqlError, ParseError, ValidationError, parse, t
 from .ilp import (
     IlpModel,
     IlpError,
-    LinearConstraint,
     RawIlp,
     UnboundedModelError,
     derive_bounds,

@@ -5,7 +5,7 @@ The scalable path sketches a package over per-group representative tuples
 (capped by group capacities), then refines one group at a time, replacing
 representatives with original tuples, with greedy backtracking over
 refinement orders. Each level translates its sketch once; a group's refine
-model is the query's ILP over the group's tuples with each right side
+model is the query's ILP over the group's tuples with each row's bounds
 reduced by the fixed part's activity, and a hybrid model stacks the group's
 columns beside the sketch columns of the other groups. Every package
 returned here is verified feasible for the original query before it leaves.
@@ -250,7 +250,7 @@ def fixed_activity(refined: Iterable[np.ndarray], sketch: IlpModel,
     unrefined groups (``rep_part``) times their multiplicities."""
     idx = np.fromiter(rep_part.keys(), dtype=np.int64, count=len(rep_part))
     mult = np.fromiter(rep_part.values(), dtype=np.float64, count=len(rep_part))
-    orig = sum(refined, np.zeros(len(sketch.constraints)))
+    orig = sum(refined, np.zeros(len(sketch.rows)))
     return orig + activity(sketch, idx, mult)
 
 

@@ -2,8 +2,11 @@
 
 Variables are nonnegative integers, one per tuple surviving the base
 predicate; x_i counts how often tuple i appears in the answer package.
-Constraint coefficients are kept as dense float64 vectors aligned with the
-model's variable order (``var_ids`` maps position -> tuple id).
+A model is  max (or min) c.x  s.t.  row_lo <= A x <= row_hi,  0 <= x <= u,
+with A a dense k x n float64 matrix, one row per global predicate, whose
+columns follow the model's variable order (``var_ids`` maps position ->
+tuple id). A '<=' row has only an upper bound, a '>=' row only a lower one
+(the other is infinite), and an '=' row two equal ones.
 """
 
 from __future__ import annotations
@@ -29,29 +32,14 @@ class UnboundedModelError(IlpError):
 
 
 @dataclass(frozen=True)
-class LinearConstraint:
-    coeffs: np.ndarray  # aligned with IlpModel.var_ids
-    op: str             # '<=', '>=', '='
-    rhs: float
-    provenance: str = ""
-
-    def satisfied_by(self, x: np.ndarray, tol: float = FEAS_TOL) -> bool:
-        lhs = float(self.coeffs @ x)
-        if self.op == "<=":
-            return lhs <= self.rhs + tol
-        if self.op == ">=":
-            return lhs >= self.rhs - tol
-        return abs(lhs - self.rhs) <= tol
-
-
-@dataclass(frozen=True)
 class IlpModel:
-    var_ids: np.ndarray          # tuple ids, ascending
-    lower: np.ndarray            # int-valued float64, all zeros today
-    upper: np.ndarray            # float64; np.inf until derive_bounds
-    constraints: tuple[LinearConstraint, ...]
-    objective: np.ndarray        # coefficient per variable
-    maximize: bool = True        # vacuous objective = all-zero maximize
+    var_ids: np.ndarray   # tuple ids, ascending
+    upper: np.ndarray     # float64; np.inf until derive_bounds
+    rows: np.ndarray      # k x n coefficient matrix, C order
+    row_lo: np.ndarray    # per-row lower bound, -inf for none
+    row_hi: np.ndarray    # per-row upper bound, inf for none
+    objective: np.ndarray  # coefficient per variable
+    maximize: bool = True  # vacuous objective = all-zero maximize
 
     @property
     def n_vars(self) -> int:
@@ -147,10 +135,16 @@ def translate(q: paql.PackageQuery, rel: Relation,
     if upper_override is not None:
         upper = np.minimum(upper, upper_override[pool])
 
-    constraints = []
-    for k, g in enumerate(q.global_predicates):
-        coeffs, op, rhs = _predicate_row(g, rel, pool)
-        constraints.append(LinearConstraint(coeffs, op, rhs, provenance=f"global[{k}]"))
+    k = len(q.global_predicates)
+    rows = np.empty((k, n))
+    row_lo = np.full(k, -np.inf)
+    row_hi = np.full(k, np.inf)
+    for i, g in enumerate(q.global_predicates):
+        rows[i], op, rhs = _predicate_row(g, rel, pool)
+        if op != ">=":
+            row_hi[i] = rhs
+        if op != "<=":
+            row_lo[i] = rhs
 
     maximize = True
     if q.objective is not None:
@@ -159,68 +153,53 @@ def translate(q: paql.PackageQuery, rel: Relation,
     else:
         objective = np.zeros(n)
 
-    return IlpModel(pool, np.zeros(n), upper, tuple(constraints), objective, maximize)
-
-
-def constraint_matrix(m: IlpModel) -> np.ndarray:
-    """The k x n coefficient matrix, one row per constraint."""
-    return np.array([c.coeffs for c in m.constraints],
-                    dtype=np.float64).reshape(len(m.constraints), m.n_vars)
+    return IlpModel(pool, upper, rows, row_lo, row_hi, objective, maximize)
 
 
 def activity(m: IlpModel, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Each row's left side over the columns at positions ``cols`` with
     multiplicities ``x`` (one dot product per row)."""
-    return np.array([c.coeffs[cols] @ x for c in m.constraints], dtype=np.float64)
+    return np.array([a[cols] @ x for a in m.rows], dtype=np.float64)
 
 
 def shift_rhs(m: IlpModel, fixed: np.ndarray) -> IlpModel:
-    """The model with each row's right side reduced by ``fixed``, the row
+    """The model with both bounds of each row reduced by ``fixed``, the row
     activity of a package part held outside the model's variables."""
-    return replace(m, constraints=tuple(
-        replace(c, rhs=c.rhs - float(f)) for c, f in zip(m.constraints, fixed)))
+    return replace(m, row_lo=m.row_lo - fixed, row_hi=m.row_hi - fixed)
 
 
 def hstack(left: IlpModel, right: IlpModel, cols: np.ndarray) -> IlpModel:
     """The columns of ``left`` followed by those of ``right`` at positions
-    ``cols``, over the rows of ``left``; variable ids are column positions."""
+    ``cols``, over the row bounds of ``left``; variable ids are column
+    positions."""
     return IlpModel(
         np.arange(left.n_vars + len(cols), dtype=np.int64),
-        np.concatenate([left.lower, right.lower[cols]]),
         np.concatenate([left.upper, right.upper[cols]]),
-        tuple(replace(c, coeffs=np.concatenate([c.coeffs, r.coeffs[cols]]))
-              for c, r in zip(left.constraints, right.constraints)),
+        np.hstack([left.rows, right.rows[:, cols]]), left.row_lo, left.row_hi,
         np.concatenate([left.objective, right.objective[cols]]), left.maximize)
 
 
 def derive_bounds(m: IlpModel) -> IlpModel:
-    """Tighten infinite variable upper bounds from the constraints.
+    """Tighten infinite variable upper bounds from the rows.
 
-    A constraint sum(a_i x_i) <= U with every a_i >= 0 implies
-    x_i <= floor(U / a_i) wherever a_i > 0; '=' constraints imply their
-    '<=' half, and '>=' constraints with nonpositive coefficients are
-    normalized by negation. Fails if any variable stays unbounded.
+    A row sum(a_i x_i) <= U with every a_i >= 0 implies x_i <= floor(U / a_i)
+    wherever a_i > 0; a row sum(a_i x_i) >= L with every a_i <= 0 is the
+    same rule for -a and -L. Fails if any variable stays unbounded.
     """
     upper = m.upper.copy()
     unbounded = ~np.isfinite(upper)
     if not unbounded.any():
         return m
-    for c in m.constraints:
-        coeffs, rhs = c.coeffs, c.rhs
-        if c.op == ">=":
-            coeffs, rhs = -coeffs, -rhs
-        elif c.op not in ("<=", "="):
-            continue
-        if len(coeffs) == 0 or coeffs.min() < 0:
-            continue
-        pos = coeffs > 0
-        if not pos.any():
-            continue
-        # nudge before floor so 2.999...9 float noise does not lose a unit;
-        # erring large keeps the bound valid
-        implied = np.floor(rhs / coeffs[pos] + 1e-9)
-        take = unbounded & pos
-        upper[take] = np.minimum(upper[take], implied[take[pos]])
+    for a, lo, hi in zip(m.rows, m.row_lo, m.row_hi):
+        for coeffs, cap in ((a, hi), (-a, -lo)):
+            if not np.isfinite(cap) or np.any(coeffs < 0):
+                continue
+            pos = coeffs > 0
+            # nudge before floor so 2.999...9 float noise does not lose a
+            # unit; erring large keeps the bound valid
+            implied = np.floor(cap / coeffs[pos] + 1e-9)
+            take = unbounded & pos
+            upper[take] = np.minimum(upper[take], implied[take[pos]])
     if not np.all(np.isfinite(upper)):
         raise UnboundedModelError(
             "unbounded repetition: add REPEAT or a bounding global constraint")
@@ -228,14 +207,15 @@ def derive_bounds(m: IlpModel) -> IlpModel:
 
 
 def feasible(m: IlpModel, x: Sequence[float], tol: float = FEAS_TOL) -> bool:
-    """Whether a multiplicity vector satisfies all bounds and constraints."""
+    """Whether a multiplicity vector satisfies all bounds and rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (m.n_vars,):
         raise IlpError(
             f"multiplicity vector length {x.shape} != variable count {m.n_vars}")
-    if np.any(x < m.lower - tol) or np.any(x > m.upper + tol):
+    if np.any(x < -tol) or np.any(x > m.upper + tol):
         return False
-    return all(c.satisfied_by(x, tol) for c in m.constraints)
+    lhs = m.rows @ x
+    return bool(np.all(lhs <= m.row_hi + tol) and np.all(lhs >= m.row_lo - tol))
 
 
 def package_from_solution(m: IlpModel, x: Sequence[float]) -> dict[int, int]:
@@ -320,12 +300,10 @@ def ilp_to_paql(raw: RawIlp) -> tuple[Relation, paql.PackageQuery]:
 
 def model_from_raw(raw: RawIlp) -> IlpModel:
     """Direct model of a RawIlp, bypassing the query layer (oracle path)."""
-    n = raw.n
-    constraints = tuple(
-        LinearConstraint(
-            np.asarray([raw.b[i][j] for i in range(n)], dtype=np.float64),
-            "<=", float(raw.c[j]), provenance=f"raw[{j}]")
-        for j in range(raw.k))
+    n, k = raw.n, raw.k
+    cols = np.asarray(raw.b, dtype=np.float64).reshape(n, k)
     return IlpModel(
-        np.arange(n, dtype=np.int64), np.zeros(n), np.full(n, np.inf),
-        constraints, np.asarray(raw.a, dtype=np.float64), maximize=True)
+        np.arange(n, dtype=np.int64), np.full(n, np.inf),
+        np.ascontiguousarray(cols.T), np.full(k, -np.inf),
+        np.asarray(raw.c, dtype=np.float64), np.asarray(raw.a, dtype=np.float64),
+        maximize=True)

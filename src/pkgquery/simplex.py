@@ -1,6 +1,8 @@
 """Dense bounded-variable primal simplex, two-phase.
 
-Solves  max c.x  s.t.  A x (<=|>=|=) b,  l <= x <= u  with a full tableau.
+Solves  max c.x  s.t.  row_lo <= A x <= row_hi,  l <= x <= u  with a full
+tableau; each row has one finite bound (a '<=' or '>=' row) or two equal
+ones (an '=' row).
 Variable bounds are handled implicitly (nonbasic variables sit at either
 bound), so branch-and-bound can tighten bounds without growing the tableau.
 Dantzig pricing with a switch to Bland's rule after a degenerate stall.
@@ -168,19 +170,28 @@ def _simplex_loop(T, xB, basis, stat, ub, c, allowed, max_iter):
             continue
 
 
-def lp_solve(obj, rows, ops, rhs, lower, upper, maximize=True) -> LpResult:
+def lp_solve(obj, A, row_lo, row_hi, lower, upper, maximize=True) -> LpResult:
     """Solve the bounded LP; returns structural solution and objective.
 
-    rows: k x n coefficient matrix (k may be 0); ops: list of '<='/'>='/'=';
-    lower/upper: per-variable bounds, upper may be +inf.
+    A: k x n coefficient matrix (k may be 0); row_lo/row_hi: per-row
+    bounds, one of them infinite or both equal; lower/upper: per-variable
+    bounds, upper may be +inf.
     """
     obj = np.asarray(obj, dtype=np.float64)
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
+    row_lo = np.asarray(row_lo, dtype=np.float64)
+    row_hi = np.asarray(row_hi, dtype=np.float64)
     n = len(obj)
-    A = np.asarray(rows, dtype=np.float64).reshape(len(ops), n) if len(ops) else \
-        np.zeros((0, n))
-    b = np.asarray(rhs, dtype=np.float64)
+    m = len(row_lo)
+    A = np.asarray(A, dtype=np.float64).reshape(m, n)
+
+    # each row's op: '<=' has only row_hi, '>=' only row_lo, '=' both equal
+    has_lo, has_hi = np.isfinite(row_lo), np.isfinite(row_hi)
+    eq = has_lo & has_hi
+    if np.any(eq & (row_lo != row_hi)) or np.any(~has_lo & ~has_hi):
+        raise SimplexError("each row needs exactly one finite bound or two equal ones")
+    b = np.where(has_hi, row_hi, row_lo)
 
     if np.any(lower > upper + 1e-12):
         return LpResult(INFEASIBLE, None, None, 0)
@@ -190,52 +201,36 @@ def lp_solve(obj, rows, ops, rhs, lower, upper, maximize=True) -> LpResult:
 
     # shift to zero lower bounds: y = x - l
     span = upper - lower
-    b_shift = b - A @ lower if len(ops) else b
+    b_shift = b - A @ lower
     const = float(c_struct @ lower)
 
-    m = len(ops)
-    flip = np.ones(m)
-    ops2 = list(ops)
-    for i in range(m):
-        if b_shift[i] < 0:
-            flip[i] = -1.0
-            if ops2[i] == "<=":
-                ops2[i] = ">="
-            elif ops2[i] == ">=":
-                ops2[i] = "<="
+    # rows with a negative right side are negated, which swaps '<=' and '>='
+    neg = b_shift < 0
+    flip = np.where(neg, -1.0, 1.0)
+    le = np.where(neg, has_lo, has_hi) & ~eq
     A2 = A * flip[:, None]
     b2 = b_shift * flip
 
-    n_slack = sum(1 for op in ops2 if op != "=")
-    art_rows = [i for i, op in enumerate(ops2) if op != "<="]
-    n_art = len(art_rows)
+    # a slack per inequality row, an artificial per row that is not '<=';
+    # each numbered in row order
+    slack_rows = np.nonzero(~eq)[0]
+    art_rows = np.nonzero(~le)[0]
+    n_slack, n_art = len(slack_rows), len(art_rows)
     n_total = n + n_slack + n_art
 
     T = np.zeros((m, n_total))
     T[:, :n] = A2
+    slack_cols = n + np.arange(n_slack)
+    art_cols = n + n_slack + np.arange(n_art)
+    T[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
+    T[art_rows, art_cols] = 1.0
     ub_all = np.concatenate([span, np.full(n_slack + n_art, np.inf)])
     basis = np.empty(m, dtype=np.int64)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols  # '>=' rows start from their artificial
     stat = np.full(n_total, _LB, dtype=np.int8)
-    xB = b2.copy()
-
-    slack_at = n
-    art_at = n + n_slack
-    for i, op in enumerate(ops2):
-        if op == "<=":
-            T[i, slack_at] = 1.0
-            basis[i] = slack_at
-            slack_at += 1
-        elif op == ">=":
-            T[i, slack_at] = -1.0
-            slack_at += 1
-            T[i, art_at] = 1.0
-            basis[i] = art_at
-            art_at += 1
-        else:
-            T[i, art_at] = 1.0
-            basis[i] = art_at
-            art_at += 1
     stat[basis] = _BASIC
+    xB = b2.copy()
 
     max_iter = 20000 + 10 * (m + n_total)
     total_iters = 0

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ilp import IlpModel, constraint_matrix, feasible
+from .ilp import IlpModel, feasible
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, lp_solve
 
 STATUS_OPTIMAL = "optimal"
@@ -57,8 +57,8 @@ class SolveResult:
 
 
 def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, A: np.ndarray, ops, b: np.ndarray,
-                      c: np.ndarray, tol: float):
+                      hi: np.ndarray, A: np.ndarray, row_lo: np.ndarray,
+                      row_hi: np.ndarray, c: np.ndarray, tol: float):
     """Best feasible floor/ceil rounding of an LP point's fractional support.
 
     A basic LP solution has at most one fractional variable per constraint
@@ -71,9 +71,9 @@ def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
         return None
     base = np.round(x)  # near-integral entries become exactly integral
     base[frac_idx] = np.floor(x[frac_idx])
-    lhs_base = A @ base if len(ops) else np.zeros(0)
+    lhs_base = A @ base
     val_base = float(c @ base)
-    cols = A[:, frac_idx] if len(ops) else np.zeros((0, f))
+    cols = A[:, frac_idx]
     best = None
     for mask in range(1 << f):
         bits = np.array([(mask >> j) & 1 for j in range(f)], dtype=np.float64)
@@ -81,17 +81,7 @@ def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
         if np.any(cand_vals < lo[frac_idx]) or np.any(cand_vals > hi[frac_idx]):
             continue
         lhs = lhs_base + cols @ bits
-        ok = True
-        for i, op in enumerate(ops):
-            if op == "<=" and lhs[i] > b[i] + tol:
-                ok = False
-            elif op == ">=" and lhs[i] < b[i] - tol:
-                ok = False
-            elif op == "=" and abs(lhs[i] - b[i]) > tol:
-                ok = False
-            if not ok:
-                break
-        if not ok:
+        if np.any(lhs > row_hi + tol) or np.any(lhs < row_lo - tol):
             continue
         val = val_base + float(c[frac_idx] @ bits)
         if best is None or val > best[0]:
@@ -101,37 +91,31 @@ def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
     return best
 
 
-def _row_violation(lhs: np.ndarray, ops, b: np.ndarray) -> np.ndarray:
-    """Per-row constraint violation of stacked left-hand sides (rows x ...)."""
-    out = np.zeros_like(lhs)
-    for i, op in enumerate(ops):
-        if op == "<=":
-            out[i] = np.maximum(0.0, lhs[i] - b[i])
-        elif op == ">=":
-            out[i] = np.maximum(0.0, b[i] - lhs[i])
-        else:
-            out[i] = np.abs(lhs[i] - b[i])
-    return out
+def _row_violation(lhs: np.ndarray, row_lo: np.ndarray,
+                   row_hi: np.ndarray) -> np.ndarray:
+    """Per-row bound violation of stacked left-hand sides (rows x ...)."""
+    out = np.empty_like(lhs)
+    for lhs_i, out_i, lo_i, hi_i in zip(lhs, out, row_lo, row_hi):
+        np.maximum(lhs_i - hi_i, lo_i - lhs_i, out=out_i)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _greedy_repair(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   A: np.ndarray, ops, b: np.ndarray, tol: float,
-                   max_steps: int = 80) -> Optional[np.ndarray]:
+                   A: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
+                   tol: float, max_steps: int = 80) -> Optional[np.ndarray]:
     """Walk an integral point toward feasibility one unit move at a time.
 
     Each step applies the +-1 change that shrinks the total violation the
     most (ties to the lowest variable index). Returns a feasible vector or
     None if no move improves."""
-    if len(ops) == 0:
-        return np.clip(x0, lo, hi)
     x = np.clip(x0, lo, hi)
     lhs = A @ x
     for _ in range(max_steps):
-        total = float(_row_violation(lhs[:, None], ops, b).sum())
-        if total <= tol * (len(ops) + 1):
+        total = float(_row_violation(lhs[:, None], row_lo, row_hi).sum())
+        if total <= tol * (len(row_lo) + 1):
             return x
-        v_plus = _row_violation(lhs[:, None] + A, ops, b).sum(axis=0)
-        v_minus = _row_violation(lhs[:, None] - A, ops, b).sum(axis=0)
+        v_plus = _row_violation(lhs[:, None] + A, row_lo, row_hi).sum(axis=0)
+        v_minus = _row_violation(lhs[:, None] - A, row_lo, row_hi).sum(axis=0)
         v_plus[x >= hi] = np.inf
         v_minus[x <= lo] = np.inf
         j_plus = int(np.argmin(v_plus))
@@ -147,30 +131,25 @@ def _greedy_repair(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return None
 
 
-def _feasible_after(lhs: np.ndarray, cols: np.ndarray, ops, b: np.ndarray,
-                    tol: float) -> np.ndarray:
+def _feasible_after(lhs: np.ndarray, cols: np.ndarray, row_lo: np.ndarray,
+                    row_hi: np.ndarray, tol: float) -> np.ndarray:
     """Mask of unit moves (lhs + cols[:, j]) that keep every row feasible."""
     ok = np.ones(cols.shape[1], dtype=bool)
-    for i, op in enumerate(ops):
-        new = lhs[i] + cols[i]
-        if op == "<=":
-            ok &= new <= b[i] + tol
-        elif op == ">=":
-            ok &= new >= b[i] - tol
-        else:
-            ok &= np.abs(new - b[i]) <= tol
+    for lhs_i, a, lo_i, hi_i in zip(lhs, cols, row_lo - tol, row_hi + tol):
+        new = lhs_i + a
+        ok &= (new <= hi_i) & (new >= lo_i)
     return ok
 
 
 def _greedy_improve(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    A: np.ndarray, ops, b: np.ndarray, c: np.ndarray,
-                    tol: float, max_steps: int = 400) -> np.ndarray:
+                    A: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
+                    c: np.ndarray, tol: float, max_steps: int = 400) -> np.ndarray:
     """Climb from a feasible integral point with unit add/drop moves.
 
     Each step applies the single feasibility-preserving +-1 move with the
     best objective gain (maximize sense, ties to the lowest index). Keeps
     the point feasible throughout, so the result can always be offered."""
-    if len(ops) == 0:
+    if len(A) == 0:  # no rows: every variable goes to its better bound
         out = x.copy()
         out[c > 0] = hi[c > 0]
         out[c < 0] = lo[c < 0]
@@ -178,8 +157,8 @@ def _greedy_improve(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     x = x.copy()
     lhs = A @ x
     for _ in range(max_steps):
-        add_ok = (x < hi - 0.5) & (c > 1e-12) & _feasible_after(lhs, A, ops, b, tol)
-        drop_ok = (x > lo + 0.5) & (c < -1e-12) & _feasible_after(lhs, -A, ops, b, tol)
+        add_ok = (x < hi - 0.5) & (c > 1e-12) & _feasible_after(lhs, A, row_lo, row_hi, tol)
+        drop_ok = (x > lo + 0.5) & (c < -1e-12) & _feasible_after(lhs, -A, row_lo, row_hi, tol)
         best_gain = 0.0
         move = None
         if add_ok.any():
@@ -213,15 +192,8 @@ def _objective_grid(c: np.ndarray) -> Optional[float]:
     return 2.0 ** -(24 - min((low & -low).bit_length() - 1, 24))
 
 
-def _constraint_arrays(m: IlpModel):
-    ops = [c.op for c in m.constraints]
-    b = np.asarray([c.rhs for c in m.constraints], dtype=np.float64)
-    return constraint_matrix(m), ops, b
-
-
 def _empty_model_result(m: IlpModel) -> SolveResult:
-    ok = all(c.satisfied_by(np.zeros(0)) for c in m.constraints)
-    if not ok:
+    if not feasible(m, np.zeros(0)):
         return SolveResult(STATUS_INFEASIBLE, None, None)
     return SolveResult(STATUS_OPTIMAL, np.zeros(0), 0.0)
 
@@ -234,8 +206,8 @@ def lp_relax(m: IlpModel) -> LpResult:
                         r.x, r.objective, 0)
     if not np.all(np.isfinite(m.upper)):
         raise SolverError("lp_relax requires finite variable bounds")
-    A, ops, b = _constraint_arrays(m)
-    return lp_solve(m.objective, A, ops, b, m.lower, m.upper, maximize=m.maximize)
+    return lp_solve(m.objective, m.rows, m.row_lo, m.row_hi, np.zeros(m.n_vars),
+                    m.upper, maximize=m.maximize)
 
 
 class _Search:
@@ -244,10 +216,10 @@ class _Search:
     def __init__(self, m: IlpModel, cfg: SolverConfig):
         self.cfg = cfg
         self.t0 = time.perf_counter()
-        self.A, self.ops, self.b = _constraint_arrays(m)
+        self.A, self.row_lo, self.row_hi = m.rows, m.row_lo, m.row_hi
         self.sign = 1.0 if m.maximize else -1.0
         self.c = self.sign * m.objective
-        self.lo0 = m.lower.copy()
+        self.lo0 = np.zeros(m.n_vars)
         self.hi0 = m.upper.copy()
         self.grid = _objective_grid(self.c)
         self.stats = SolveStats()
@@ -281,20 +253,20 @@ class _Search:
 
         def polish(vec):
             self.offer(_greedy_improve(vec, self.lo0, self.hi0, self.A,
-                                       self.ops, self.b, self.c, ftol))
+                                       self.row_lo, self.row_hi, self.c, ftol))
 
         frac = np.abs(x - np.round(x))
         frac_idx = np.nonzero(frac > self.cfg.integrality_tol)[0]
         if len(frac_idx) == 0:
             self.offer(np.round(x))
             return True
-        rounded = _round_candidates(x, frac_idx, lo, hi, self.A, self.ops,
-                                    self.b, self.c, ftol)
+        rounded = _round_candidates(x, frac_idx, lo, hi, self.A, self.row_lo,
+                                    self.row_hi, self.c, ftol)
         if rounded is not None:
             polish(rounded[1])
         if try_repair and self.best_x is None:
             repaired = _greedy_repair(np.round(x), self.lo0, self.hi0, self.A,
-                                      self.ops, self.b, ftol)
+                                      self.row_lo, self.row_hi, ftol)
             if repaired is not None:
                 polish(repaired)
         return False
@@ -327,7 +299,8 @@ class _Search:
             to_ub = fixable & at_ub
             hi[to_lb] = lo[to_lb]
             lo[to_ub] = hi[to_ub]
-            res = lp_solve(self.c, self.A, self.ops, self.b, lo, hi, maximize=True)
+            res = lp_solve(self.c, self.A, self.row_lo, self.row_hi, lo, hi,
+                           maximize=True)
             self.stats.lp_iterations += res.iterations
             if res.status != OPTIMAL:
                 # no solution better than the incumbent survives in the box
@@ -337,29 +310,41 @@ class _Search:
         return lo, hi
 
     def _reduced(self, lo0: np.ndarray, hi0: np.ndarray):
-        """Fold pinned variables into the right-hand sides, keeping the
-        free core; returns (A, b, c, lo, hi, const, embed)."""
+        """Fold pinned variables into the row bounds, keeping the free core;
+        returns (A, row_lo, row_hi, c, lo, hi, const, embed), where
+        ``embed`` is None when nothing is pinned (see ``offer_core``)."""
         free = hi0 > lo0 + 0.5
         if free.all():
-            return self.A, self.b, self.c, lo0, hi0, 0.0, None
+            return (self.A, self.row_lo, self.row_hi, self.c, lo0, hi0, 0.0,
+                    None)
         fixed_x = lo0[~free]
-        const = float(self.c[~free] @ fixed_x)
-        A_r = self.A[:, free].copy() if len(self.ops) else self.A
-        b_r = self.b - (self.A[:, ~free] @ fixed_x if len(self.ops) else 0.0)
-        return (A_r, b_r, self.c[free], lo0[free], hi0[free], const,
-                (lo0.copy(), free))
+        shift = self.A[:, ~free] @ fixed_x
+        return (self.A[:, free].copy(), self.row_lo - shift, self.row_hi - shift,
+                self.c[free], lo0[free], hi0[free],
+                float(self.c[~free] @ fixed_x), (lo0.copy(), free))
+
+    def offer_core(self, vec: np.ndarray, embed) -> None:
+        """Offer a candidate over a reduced core, with the pinned variables
+        put back at their values."""
+        if embed is not None:
+            template, free = embed
+            full = template.copy()
+            full[free] = vec
+            vec = full
+        self.offer(vec)
 
     def dive(self, lo0: np.ndarray, hi0: np.ndarray, max_rounds: int = 60) -> None:
         """LP fix-and-dive: pin near-integral variables at their rounded
         values, round the most fractional one, re-solve; an integral end
         point becomes an incumbent. Pure heuristic, never prunes."""
-        A, b, c, core_lo, core_hi, _const, embed = self._reduced(lo0, hi0)
+        A, row_lo, row_hi, c, core_lo, core_hi, _const, embed = \
+            self._reduced(lo0, hi0)
         if len(core_lo) == 0:
             return
         lo, hi = core_lo.copy(), core_hi.copy()
         itol = self.cfg.integrality_tol
         for _ in range(max_rounds):
-            res = lp_solve(c, A, self.ops, b, lo, hi, maximize=True)
+            res = lp_solve(c, A, row_lo, row_hi, lo, hi, maximize=True)
             self.stats.lp_iterations += res.iterations
             if res.status != OPTIMAL:
                 return
@@ -367,15 +352,9 @@ class _Search:
             frac = np.abs(x - np.round(x))
             near = frac <= itol
             if near.all():
-                vec = _greedy_improve(np.round(x), core_lo, core_hi, A,
-                                      self.ops, b, c, self.cfg.feasibility_tol)
-                if embed is None:
-                    self.offer(vec)
-                else:
-                    template, free = embed
-                    full = template.copy()
-                    full[free] = vec
-                    self.offer(full)
+                self.offer_core(
+                    _greedy_improve(np.round(x), core_lo, core_hi, A, row_lo,
+                                    row_hi, c, self.cfg.feasibility_tol), embed)
                 return
             pinned = np.round(x[near])
             lo[near] = pinned
@@ -385,30 +364,21 @@ class _Search:
             lo[j] = hi[j] = min(max(v, lo[j]), hi[j])
 
     def dfs(self, lo0: np.ndarray, hi0: np.ndarray) -> None:
-        """Depth-first search, round-down child first, most-fractional
-        branching with lowest-index tie-break, incumbent pruning with a
-        1e-9 bound tolerance."""
-        A, b, c, lo, hi, const, embed = self._reduced(lo0, hi0)
-        self._dfs_arrays(A, b, c, lo, hi, const, embed)
-
-    def _dfs_arrays(self, A, b, c, lo0, hi0, const, embed) -> None:
-        if len(lo0) == 0:
+        """Depth-first search over the free core, round-down child first,
+        most-fractional branching with lowest-index tie-break, incumbent
+        pruning with a 1e-9 bound tolerance."""
+        A, row_lo, row_hi, c, core_lo, core_hi, const, embed = \
+            self._reduced(lo0, hi0)
+        if len(core_lo) == 0:
             return
         itol = self.cfg.integrality_tol
         ftol = self.cfg.feasibility_tol
 
-        def offer_local(vec, polish=True):
-            if polish:
-                vec = _greedy_improve(vec, lo0, hi0, A, self.ops, b, c, ftol)
-            if embed is None:
-                self.offer(vec)
-            else:
-                template, free = embed
-                full = template.copy()
-                full[free] = vec
-                self.offer(full)
+        def offer_local(vec):
+            self.offer_core(_greedy_improve(vec, core_lo, core_hi, A, row_lo,
+                                            row_hi, c, ftol), embed)
 
-        stack = [(lo0.copy(), hi0.copy())]
+        stack = [(core_lo.copy(), core_hi.copy())]
         while stack:
             if self.out_of_budget():
                 return
@@ -416,7 +386,7 @@ class _Search:
             self.stats.nodes += 1
             if np.any(lo > hi):
                 continue
-            res = lp_solve(c, A, self.ops, b, lo, hi, maximize=True)
+            res = lp_solve(c, A, row_lo, row_hi, lo, hi, maximize=True)
             self.stats.lp_iterations += res.iterations
             if res.status == INFEASIBLE:
                 continue
@@ -436,15 +406,15 @@ class _Search:
                 offer_local(np.round(x))
                 continue
             frac_idx = np.nonzero(frac > itol)[0]
-            rounded = _round_candidates(x, frac_idx, lo, hi, A, self.ops, b,
-                                        c, self.cfg.feasibility_tol)
+            rounded = _round_candidates(x, frac_idx, lo, hi, A, row_lo, row_hi,
+                                        c, ftol)
             if rounded is not None:
                 offer_local(rounded[1])
                 if node_bound + const <= self.best_val + _BOUND_TOL:
                     continue
             if self.best_x is None and self.stats.nodes % 25 == 0:
-                repaired = _greedy_repair(np.round(x), lo0, hi0, A, self.ops,
-                                          b, self.cfg.feasibility_tol)
+                repaired = _greedy_repair(np.round(x), core_lo, core_hi, A,
+                                          row_lo, row_hi, ftol)
                 if repaired is not None:
                     offer_local(repaired)
                     if node_bound + const <= self.best_val + _BOUND_TOL:
@@ -482,7 +452,7 @@ def solve(m: IlpModel, cfg: SolverConfig = SolverConfig()) -> SolveResult:
                            SolveStats(wall_time_s=time.perf_counter() - t0))
 
     s = _Search(m, cfg)
-    root = lp_solve(s.c, s.A, s.ops, s.b, s.lo0, s.hi0, maximize=True)
+    root = lp_solve(s.c, s.A, s.row_lo, s.row_hi, s.lo0, s.hi0, maximize=True)
     s.stats.nodes += 1
     s.stats.lp_iterations += root.iterations
     if root.status == INFEASIBLE:
@@ -533,12 +503,11 @@ def brute_force(m: IlpModel) -> SolveResult:
         return res
     if not np.all(np.isfinite(m.upper)):
         raise SolverError("brute_force requires finite variable bounds")
-    lo = m.lower.astype(np.int64)
     hi = np.floor(m.upper + 1e-9).astype(np.int64)
-    if np.any(lo > hi):
+    if np.any(hi < 0):
         return SolveResult(STATUS_INFEASIBLE, None, None,
                            SolveStats(wall_time_s=time.perf_counter() - t0))
-    sizes = hi - lo + 1
+    sizes = hi + 1
     space = float(np.prod(sizes.astype(np.float64)))
     if space > _BRUTE_SPACE_LIMIT:
         raise SolverError(
@@ -550,7 +519,6 @@ def brute_force(m: IlpModel) -> SolveResult:
     strides = np.ones(n, dtype=np.int64)
     for j in range(n - 2, -1, -1):
         strides[j] = strides[j + 1] * sizes[j + 1]
-    A, ops, b = _constraint_arrays(m)
     sign = 1.0 if m.maximize else -1.0
 
     best_val = -math.inf
@@ -558,17 +526,11 @@ def brute_force(m: IlpModel) -> SolveResult:
     stats = SolveStats()
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        X = (idx[:, None] // strides[None, :]) % sizes[None, :] + lo[None, :]
-        Xf = X.astype(np.float64)
+        Xf = ((idx[:, None] // strides[None, :]) % sizes[None, :]).astype(np.float64)
         ok = np.ones(len(idx), dtype=bool)
-        for i, op in enumerate(ops):
-            lhs = Xf @ A[i]
-            if op == "<=":
-                ok &= lhs <= b[i] + 1e-9
-            elif op == ">=":
-                ok &= lhs >= b[i] - 1e-9
-            else:
-                ok &= np.abs(lhs - b[i]) <= 1e-9
+        for a, row_lo, row_hi in zip(m.rows, m.row_lo, m.row_hi):
+            lhs = Xf @ a
+            ok &= (lhs <= row_hi + 1e-9) & (lhs >= row_lo - 1e-9)
         if not ok.any():
             continue
         vals = sign * (Xf[ok] @ m.objective)

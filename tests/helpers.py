@@ -2,7 +2,8 @@
 
 Everything here evaluates queries by direct aggregation with exact
 rational arithmetic, deliberately bypassing the translation and solver
-machinery it is used to check.
+machinery it is used to check; ``highs_optimum`` solves a translated model
+with scipy's HiGHS instead of the engine's solver.
 """
 
 from fractions import Fraction
@@ -131,3 +132,19 @@ def dyadic(rng: np.random.Generator, lo: float, hi: float, size=None,
     """Uniform values snapped to the 1/denom grid: exact in float64."""
     raw = rng.uniform(lo, hi, size=size)
     return np.round(raw * denom) / denom
+
+
+def highs_optimum(m) -> tuple:
+    """("optimal", objective) or ("infeasible", None) of an ``IlpModel``
+    with finite upper bounds, by scipy's HiGHS MILP with no gap allowed."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    sign = 1.0 if m.maximize else -1.0
+    res = milp(-sign * m.objective, integrality=np.ones(m.n_vars),
+               bounds=Bounds(0.0, m.upper),
+               constraints=LinearConstraint(m.rows, m.row_lo, m.row_hi),
+               options={"mip_rel_gap": 0.0})
+    if res.status == 2:
+        return "infeasible", None
+    assert res.status == 0, f"reference solver status {res.status}: {res.message}"
+    return "optimal", sign * -res.fun

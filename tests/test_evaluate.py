@@ -22,7 +22,6 @@ from pkgquery.evaluate import _verify_package as verify_package
 from pkgquery.ilp import (
     UnboundedModelError,
     activity,
-    constraint_matrix,
     feasible,
     shift_rhs,
     translate,
@@ -133,7 +132,7 @@ class TestSketchQuery:
                      f"(SELECT COUNT(*) FROM P WHERE P.x > {bound}) >= 1", rel)
             rep_rel, sketch_q, caps, _ = build_sketch_query(q, p, rel)
             sketch = translate(sketch_q, rep_rel, upper_override=caps)
-            assert sketch.constraints[0].coeffs.tolist() == [expected]
+            assert sketch.rows[0].tolist() == [expected]
 
     def test_representatives_are_group_means(self):
         rel, q, p = self.make(" R REPEAT 0")
@@ -179,15 +178,13 @@ class TestRefineQuery:
     def test_count_shift(self, recipes, meal_query):
         # partial package already supplies 2 tuples: refine needs exactly 1
         m = self.refine(meal_query, recipes, {0: 1, 1: 1}, [2, 3, 4])
-        count_row = m.constraints[0]
-        assert count_row.op == "="
-        assert count_row.rhs == pytest.approx(1.0)  # 3 - 2
+        assert m.row_lo[0] == m.row_hi[0]  # still an '=' row
+        assert m.row_hi[0] == pytest.approx(1.0)  # 3 - 2
 
     def test_sum_window_shift(self, recipes, meal_query):
         m = self.refine(meal_query, recipes, {0: 1}, [1, 2, 3, 4])  # kcal 0.9
-        lo_row, hi_row = m.constraints[1], m.constraints[2]
-        assert lo_row.rhs == pytest.approx(2.0 - 0.9)
-        assert hi_row.rhs == pytest.approx(2.5 - 0.9)
+        assert m.row_lo[1] == pytest.approx(2.0 - 0.9)
+        assert m.row_hi[2] == pytest.approx(2.5 - 0.9)
 
     def test_avg_shift_uses_linearized_form(self):
         rel = from_columns("R", {"x": [0.25, 0.75, 1.25, 2.0]})
@@ -195,10 +192,9 @@ class TestRefineQuery:
                  "AND COUNT(P.*) >= 1", rel)
         # {3: 1} contributes (2.0 - 1.0) to the linearized AVG row
         m = self.refine(q, rel, {3: 1}, [0, 1, 2])
-        avg_row = m.constraints[0]
-        assert avg_row.rhs == pytest.approx(-1.0)
+        assert m.row_hi[0] == pytest.approx(-1.0)
         # combined package {0.25, 2.0} has avg 1.125 > 1: infeasible
-        assert not avg_row.satisfied_by(np.array([1.0, 0.0, 0.0]))
+        assert m.rows[0] @ np.array([1.0, 0.0, 0.0]) > m.row_hi[0]
         # combined {0.25, 0.75, 2.0} has avg exactly 1: feasible
         assert feasible(m, [1.0, 1.0, 0.0])
 
@@ -477,12 +473,11 @@ class TestHybrid:
             for g, members in enumerate(p.groups):
                 group = translate(q, rel, ids=members)
                 others = [h for h in range(p.m) if h != g]
-                expected = np.hstack([constraint_matrix(group),
-                                      constraint_matrix(sketch)[:, others]])
+                expected = np.hstack([group.rows, sketch.rows[:, others]])
                 objective = np.concatenate([group.objective, sketch.objective[others]])
                 matches.append(
-                    constraint_matrix(model).shape == expected.shape
-                    and np.array_equal(constraint_matrix(model), expected)
+                    model.rows.shape == expected.shape
+                    and np.array_equal(model.rows, expected)
                     and np.array_equal(model.objective, objective)
                     and np.array_equal(model.upper[:group.n_vars], group.upper))
             assert sum(matches) == 1

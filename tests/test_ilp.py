@@ -28,32 +28,37 @@ def q_of(text, rel):
     return paql.validate(paql.parse(text), rel.schema)
 
 
+def only_row(m):
+    """The single row of a one-row model: (coefficients, lower, upper)."""
+    assert m.rows.shape == (1, m.n_vars)
+    return m.rows[0], m.row_lo[0], m.row_hi[0]
+
+
 class TestTranslate:
     def test_count_constraint(self):
         rel = from_columns("T", {"x": [1.0, 2.0, 3.0, 4.0, 5.0]})
         m = translate(q_of("SELECT PACKAGE(R) AS P FROM T R SUCH THAT COUNT(P.*) = 3", rel), rel)
         assert m.n_vars == 5
-        (c,) = m.constraints
-        assert c.coeffs.tolist() == [1.0] * 5
-        assert (c.op, c.rhs) == ("=", 3.0)
+        coeffs, lo, hi = only_row(m)
+        assert coeffs.tolist() == [1.0] * 5
+        assert (lo, hi) == (3.0, 3.0)
 
     def test_avg_constraint_coefficients(self):
         rel = from_columns("T", {"kcal": [0.3, 0.9]})
         m = translate(q_of("SELECT PACKAGE(R) AS P FROM T R SUCH THAT AVG(P.kcal) <= 0.5", rel), rel)
-        (c,) = m.constraints
-        np.testing.assert_allclose(c.coeffs, [-0.2, 0.4])
-        assert (c.op, c.rhs) == ("<=", 0.0)
+        coeffs, lo, hi = only_row(m)
+        np.testing.assert_allclose(coeffs, [-0.2, 0.4])
+        assert (lo, hi) == (-np.inf, 0.0)
 
     def test_avg_ge_mirror(self):
         rel = from_columns("T", {"kcal": [0.3, 0.9]})
         m = translate(q_of("SELECT PACKAGE(R) AS P FROM T R SUCH THAT AVG(P.kcal) >= 0.5", rel), rel)
-        (c,) = m.constraints
-        np.testing.assert_allclose(c.coeffs, [-0.2, 0.4])
-        assert (c.op, c.rhs) == (">=", 0.0)
+        coeffs, lo, hi = only_row(m)
+        np.testing.assert_allclose(coeffs, [-0.2, 0.4])
+        assert (lo, hi) == (0.0, np.inf)
 
     def test_repeat_zero_binary_domain(self, recipes, meal_query):
         m = translate(meal_query, recipes)
-        assert m.lower.tolist() == [0.0] * 5
         assert m.upper.tolist() == [1.0] * 5
 
     def test_base_predicate_drops_variables(self):
@@ -71,19 +76,19 @@ class TestTranslate:
             (SELECT COUNT(*) FROM P WHERE P.carbs > 0) >=
             (SELECT COUNT(*) FROM P WHERE P.protein <= 5)
         """, rel), rel)
-        (c,) = m.constraints
+        coeffs, lo, hi = only_row(m)
         # indicators: carbs>0 -> (1,0,1); protein<=5 -> (1,1,0)
-        assert c.coeffs.tolist() == [0.0, -1.0, 1.0]
-        assert (c.op, c.rhs) == (">=", 0.0)
+        assert coeffs.tolist() == [0.0, -1.0, 1.0]
+        assert (lo, hi) == (0.0, np.inf)
 
     def test_filtered_count_vs_constant(self):
         rel = from_columns("T", {"carbs": [1.0, -1.0, 2.0]})
         m = translate(q_of(
             "SELECT PACKAGE(R) AS P FROM T R SUCH THAT "
             "(SELECT COUNT(*) FROM P WHERE P.carbs > 0) <= 2", rel), rel)
-        (c,) = m.constraints
-        assert c.coeffs.tolist() == [1.0, 0.0, 1.0]
-        assert (c.op, c.rhs) == ("<=", 2.0)
+        coeffs, lo, hi = only_row(m)
+        assert coeffs.tolist() == [1.0, 0.0, 1.0]
+        assert (lo, hi) == (-np.inf, 2.0)
 
     def test_vacuous_objective(self):
         rel = from_columns("T", {"x": [1.0]})
@@ -131,6 +136,13 @@ class TestDeriveBounds:
             "SELECT PACKAGE(R) AS P FROM T R SUCH THAT SUM(P.x) >= -4", rel), rel))
         assert m.upper.tolist() == [4.0, 2.0]
 
+    def test_equality_with_nonpositive_coefficients_is_a_cap(self):
+        # the '>=' side of an '=' row caps its columns like a '>=' row
+        rel = from_columns("T", {"x": [-1.0, -2.0]})
+        m = derive_bounds(translate(q_of(
+            "SELECT PACKAGE(R) AS P FROM T R SUCH THAT SUM(P.x) = -4", rel), rel))
+        assert m.upper.tolist() == [4.0, 2.0]
+
     def test_repeat_already_finite(self, recipes, meal_query):
         m = derive_bounds(translate(meal_query, recipes))
         assert m.upper.max() == 1.0
@@ -158,7 +170,8 @@ class TestPackageFromSolution:
     def test_near_integral_and_half_way_values(self):
         ids = np.array([3, 5, 8, 13, 21, 34, 55], dtype=np.int64)
         n = len(ids)
-        m = IlpModel(ids, np.zeros(n), np.full(n, 3.0), (), np.zeros(n))
+        m = IlpModel(ids, np.full(n, 3.0), np.zeros((0, n)), np.zeros(0),
+                     np.zeros(0), np.zeros(n))
         x = [2.9999999, 1e-9, 0.5, 2.5, 1.0000001, 1.5, -1e-9]
         pkg = package_from_solution(m, x)
         # round half to even, like Python's round
@@ -170,8 +183,8 @@ class TestPackageFromSolution:
         assert json.loads(json.dumps(pkg)) == {str(k): v for k, v in pkg.items()}
 
     def test_empty_solution(self):
-        m = IlpModel(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), (),
-                     np.zeros(0))
+        m = IlpModel(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, 0)),
+                     np.zeros(0), np.zeros(0), np.zeros(0))
         assert package_from_solution(m, np.zeros(0)) == {}
 
 
@@ -205,7 +218,7 @@ class TestReduction:
         raw = RawIlp(a=(1.0,), b=((),), c=())
         rel, q = ilp_to_paql(raw)
         m = translate(q, rel)
-        assert m.n_vars == 1 and m.constraints == ()
+        assert m.n_vars == 1 and m.rows.shape == (0, 1)
         with pytest.raises(UnboundedModelError, match="unbounded"):
             derive_bounds(m)
 
@@ -225,10 +238,10 @@ class TestReduction:
             direct = model_from_raw(raw)
             assert translated.n_vars == direct.n_vars
             np.testing.assert_allclose(translated.objective, direct.objective)
-            assert len(translated.constraints) == len(direct.constraints)
-            for tc, dc in zip(translated.constraints, direct.constraints):
-                np.testing.assert_allclose(tc.coeffs, dc.coeffs)
-                assert tc.op == dc.op and tc.rhs == dc.rhs
+            assert translated.rows.shape == direct.rows.shape
+            np.testing.assert_allclose(translated.rows, direct.rows)
+            assert np.array_equal(translated.row_lo, direct.row_lo)
+            assert np.array_equal(translated.row_hi, direct.row_hi)
 
     def test_json_io(self, tmp_path):
         raw = RawIlp(a=(1.0, -2.0), b=((1.0, 3.0), (1.0, -1.0)), c=(2.0, 4.0))
@@ -288,9 +301,9 @@ def test_avg_sign_property(seed, op):
             paql.AggregateExpr(paql.AVG, attr="x"), op, v),),
     ), rel.schema)
     m = translate(q, rel)
-    (c,) = m.constraints
-    np.testing.assert_allclose(c.coeffs, rel.column("x") - v)
-    assert c.rhs == 0.0
+    coeffs, lo, hi = only_row(m)
+    np.testing.assert_allclose(coeffs, rel.column("x") - v)
+    assert (lo, hi) == ((-np.inf, 0.0) if op == "<=" else (0.0, np.inf))
     assert feasible(m, np.zeros(n))  # empty package satisfies the linear form
     for vec in enumerate_vectors([2] * n):
         x = np.asarray(vec, dtype=float)

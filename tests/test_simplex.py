@@ -4,12 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkgquery import simplex
-from pkgquery.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve
+from pkgquery.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexError, lp_solve
+
+
+def row_bounds(ops, rhs):
+    """(row_lo, row_hi) of rows written as '<='/'>='/'=' against rhs."""
+    rhs = np.asarray(rhs, float)
+    ops = np.asarray(ops, dtype=str)
+    return (np.where(ops == "<=", -np.inf, rhs),
+            np.where(ops == ">=", np.inf, rhs))
 
 
 def solve(c, rows, ops, rhs, lo, hi, maximize=True):
     return lp_solve(np.asarray(c, float), np.asarray(rows, float).reshape(len(ops), len(c)),
-                    ops, np.asarray(rhs, float), np.asarray(lo, float),
+                    *row_bounds(ops, rhs), np.asarray(lo, float),
                     np.asarray(hi, float), maximize=maximize)
 
 
@@ -62,6 +70,14 @@ class TestBasics:
         res = solve([-1.0], [[-1.0]], ["<="], [-2.0], [0.0], [10.0], maximize=True)
         # -x <= -2 means x >= 2; maximize -x picks x = 2
         assert res.objective == pytest.approx(-2.0)
+
+    def test_ranged_row_rejected(self):
+        with pytest.raises(SimplexError, match="finite bound"):
+            lp_solve([1.0], [[1.0]], [1.0], [2.0], [0.0], [5.0])
+
+    def test_free_row_rejected(self):
+        with pytest.raises(SimplexError, match="finite bound"):
+            lp_solve([1.0], [[1.0]], [-np.inf], [np.inf], [0.0], [5.0])
 
     def test_reduced_costs_exposed(self):
         res = solve([1.0, 3.0], [[1.0, 1.0]], ["<="], [1.0], [0, 0], [5, 5])
@@ -166,7 +182,8 @@ def _flip_heavy_lp(seed):
     row_sums = A.sum(axis=1)
     b = np.where(np.array(ops) == "<=", 0.4, 0.1) * row_sums
     hi = rng.integers(1, 4, size=n).astype(float)
-    return c, A, ops, b, np.zeros(n), hi, bool(rng.integers(0, 2))
+    return (c, A, *row_bounds(ops, b), np.zeros(n), hi,
+            bool(rng.integers(0, 2)))
 
 
 class TestLazyPricingPath:

@@ -115,11 +115,11 @@ class TestBruteForce:
 
 class TestLpRelax:
     def test_simple_bound(self):
-        from pkgquery.ilp import IlpModel, LinearConstraint
+        from pkgquery.ilp import IlpModel
 
         m = IlpModel(
-            var_ids=np.array([0]), lower=np.zeros(1), upper=np.array([10.0]),
-            constraints=(LinearConstraint(np.array([1.0]), "<=", 2.5),),
+            var_ids=np.array([0]), upper=np.array([10.0]), rows=np.array([[1.0]]),
+            row_lo=np.array([-np.inf]), row_hi=np.array([2.5]),
             objective=np.array([1.0]), maximize=True)
         res = lp_relax(m)
         assert res.objective == pytest.approx(2.5)

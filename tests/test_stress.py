@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dyadic
+from helpers import dyadic, highs_optimum
 from pkgquery import paql
 from pkgquery.evaluate import (
     FEASIBLE,
@@ -19,6 +19,7 @@ from pkgquery.evaluate import (
     eval_direct,
     eval_sketchrefine,
 )
+from pkgquery.generate import gen_dataset, gen_workload
 from pkgquery.ilp import derive_bounds, translate
 from pkgquery.partitioning import PartitionParams, Partitioning, partition
 from pkgquery.relation import from_columns
@@ -27,37 +28,6 @@ from pkgquery.solver import SolverConfig, solve
 
 def q_of(text, rel):
     return paql.validate(paql.parse(text), rel.schema)
-
-
-def _highs_optimum(m):
-    """Independent integer optimum via scipy's HiGHS MILP."""
-    from scipy.optimize import linprog
-
-    rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
-    for c in m.constraints:
-        if c.op == "<=":
-            rows_ub.append(c.coeffs)
-            rhs_ub.append(c.rhs)
-        elif c.op == ">=":
-            rows_ub.append(-c.coeffs)
-            rhs_ub.append(-c.rhs)
-        else:
-            rows_eq.append(c.coeffs)
-            rhs_eq.append(c.rhs)
-    sign = 1.0 if m.maximize else -1.0
-    res = linprog(
-        -sign * m.objective,
-        A_ub=np.vstack(rows_ub) if rows_ub else None,
-        b_ub=np.asarray(rhs_ub) if rows_ub else None,
-        A_eq=np.vstack(rows_eq) if rows_eq else None,
-        b_eq=np.asarray(rhs_eq) if rows_eq else None,
-        bounds=list(zip(m.lower, m.upper)),
-        method="highs", integrality=np.ones(m.n_vars),
-        options={"mip_rel_gap": 0.0})
-    if res.status == 2:
-        return "infeasible", None
-    assert res.status == 0, f"reference solver status {res.status}"
-    return "optimal", sign * -res.fun
 
 
 def _midsize_case(seed):
@@ -101,10 +71,25 @@ def test_solver_matches_reference_milp(seed):
     rel, q = _midsize_case(seed)
     m = derive_bounds(translate(q, rel))
     mine = solve(m, SolverConfig(time_limit=60))
-    ref_status, ref_obj = _highs_optimum(m)
+    ref_status, ref_obj = highs_optimum(m)
     assert mine.status == {"optimal": "optimal", "infeasible": "infeasible"}[ref_status]
     if ref_status == "optimal":
         assert mine.objective == pytest.approx(ref_obj, abs=1e-6), f"seed {seed}"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_solver_matches_reference_milp_at_package_scale(seed):
+    # the regime the engine runs in: a few rows over a thousand columns of
+    # unquantized data, where the B&B search really branches
+    rel = gen_dataset(1000, 4, seed, low=0.5, high=2.0)
+    for i, q in enumerate(gen_workload(rel, 5, seed + 1, expected_size=8)):
+        m = derive_bounds(translate(q, rel))
+        mine = solve(m, SolverConfig(time_limit=60))
+        ref_status, ref_obj = highs_optimum(m)
+        assert mine.status == ref_status, f"seed {seed} query {i}"
+        if ref_status == "optimal":
+            assert mine.objective == pytest.approx(ref_obj, rel=1e-6), \
+                f"seed {seed} query {i}"
 
 
 def _exact_sum_trap():
@@ -190,6 +175,6 @@ class TestDegenerateSimplex:
                  "AND AVG(P.x) >= 0.5 MINIMIZE SUM(P.y)", rel)
         m = derive_bounds(translate(q, rel))
         mine = solve(m, SolverConfig(time_limit=30))
-        ref_status, ref_obj = _highs_optimum(m)
+        ref_status, ref_obj = highs_optimum(m)
         assert mine.status == "optimal" and ref_status == "optimal"
         assert mine.objective == pytest.approx(ref_obj, abs=1e-6)
