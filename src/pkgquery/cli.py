@@ -37,7 +37,7 @@ from .partitioning import (
 from .relation import load_csv, save_csv
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _eval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--time-limit-s", type=float, default=3600.0)
     parser.add_argument("--backtrack-limit", type=int, default=None)
@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="derive the radius limit from this approximation target")
     p_part.add_argument("--direction", choices=["min", "max"], default=None)
     p_part.add_argument("--out", required=True)
-    _common_flags(p_part)
     p_part.set_defaults(func=cmd_partition)
 
     p_run = sub.add_parser("run", help="evaluate one query")
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--query", required=True, help=".paql file")
     p_run.add_argument("--input", required=True, help="dataset CSV")
     p_run.add_argument("--partitioning", default=None)
-    _common_flags(p_run)
+    _eval_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="timed method comparison")
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repetitions", type=int, default=10)
     p_bench.add_argument("--out-json", default=None)
     p_bench.add_argument("--out-csv", default=None)
-    _common_flags(p_bench)
+    _eval_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="synthetic data / workloads / ILP pairs")
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--from-ilp", default=None,
                        help="raw ILP JSON to convert into a (csv, paql) pair")
     p_gen.add_argument("--out-query", default=None)
-    _common_flags(p_gen)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen)
 
     return parser

@@ -55,6 +55,7 @@ TIME_LIMIT = "time_limit"
 SolverFn = Callable[[IlpModel, SolverConfig], SolveResult]
 
 MAX_RECURSION_DEPTH = 3  # sketches of sketches, at most this deep
+VERIFY_TOL = 1e-8  # row slack allowed when a returned package is checked
 
 
 class EvalError(Exception):
@@ -72,15 +73,9 @@ class EvalConfig:
     backtrack_limit: Optional[int] = None      # None -> 10 * group count
     recursion_threshold: Optional[int] = None  # None -> partitioning tau
     hybrid_sketch: bool = True
-    integrality_tol: float = 1e-6
-    feasibility_tol: float = 1e-9
 
     def solver_config(self, remaining: float) -> SolverConfig:
-        return SolverConfig(
-            time_limit=max(remaining, 0.0),
-            integrality_tol=self.integrality_tol,
-            feasibility_tol=self.feasibility_tol,
-        )
+        return SolverConfig(time_limit=max(remaining, 0.0))
 
 
 @dataclass
@@ -146,7 +141,8 @@ class _BudgetExceeded(Exception):
 def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfig(),
                 solver_fn: SolverFn = solve,
                 ids: Optional[Sequence[int]] = None) -> EvalReport:
-    """Translate the whole query to one ILP and solve it exactly."""
+    """Translate the whole query to one ILP, solve it exactly and verify
+    the package against the query."""
     if not q.validated:
         raise EvalError("query must be validated")
     t_translate = _Timer()
@@ -166,6 +162,7 @@ def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfi
         raise EvalError(f"unexpected solver status {res.status!r}")
 
     entries = package_from_solution(model, res.x)
+    _verify_package(q, rel, entries, None)
     objective = package_objective(q, rel, entries)
     if abs(objective - res.objective) > 1e-6 * max(1.0, abs(objective)):
         raise EvalError(
@@ -199,6 +196,11 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
     """
     if q.base_predicate is not None:
         raise EvalError("sketch queries operate on pre-filtered relations")
+    categorical = sorted(q.attrs_used() - set(rel.numeric_attrs()))
+    if categorical:
+        raise EvalError(
+            f"cannot sketch categorical attribute(s) {categorical}: a group "
+            f"representative holds means; use the direct method")
     flags: tuple[str, ...] = ()
     needed = sorted(set(p.attrs) | q.attrs_used())
     uncovered = sorted(q.attrs_used() - set(p.attrs))
@@ -428,7 +430,7 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
             timings_ms=dict(timings), backtracks=ctx.backtracks,
             subproblems={"sketch": ctx.sketch_solves, "refine": ctx.refine_solves,
                          "hybrid": ctx.hybrid_solves},
-            flags=tuple(flags))
+            flags=tuple(dict.fromkeys(flags)))
 
     if work_p.m == 0:
         # nothing survives the base predicate; only constant constraints remain
@@ -470,15 +472,14 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
     entries: dict[int, int] = {}
     for sol, _ in refined.values():
         entries.update(sol)
-    _verify_package(q, rel, entries, _upper_override, cfg.feasibility_tol * 10)
+    _verify_package(q, rel, entries, _upper_override)
     objective = package_objective(q, rel, entries)
     return report(FEASIBLE, Package(entries, objective), objective)
 
 
 def _verify_package(q: paql.PackageQuery, rel: Relation,
                     entries: Mapping[int, int],
-                    upper_override: Optional[np.ndarray],
-                    tol: float) -> None:
+                    upper_override: Optional[np.ndarray]) -> None:
     """Check a package against the query's ILP over the package's own
     tuples; the rest of the relation has multiplicity zero and adds nothing
     to any constraint, so this agrees with checking the whole model."""
@@ -492,8 +493,8 @@ def _verify_package(q: paql.PackageQuery, rel: Relation,
         raise EvalError(
             "internal error: package holds a tuple the base predicate drops")
     x = mult[np.argsort(ids)]  # ids are distinct
-    if not feasible(model, x, tol=tol):
-        raise EvalError("internal error: refined package violates the query")
+    if not feasible(model, x, tol=VERIFY_TOL):
+        raise EvalError("internal error: package violates the query")
 
 
 def _solve_sketch(level: _Level, cfg: EvalConfig, ctx: _Context,
@@ -517,6 +518,8 @@ def _solve_sketch(level: _Level, cfg: EvalConfig, ctx: _Context,
         ctx.sketch_solves += sub.subproblems.get("sketch", 0)
         ctx.refine_solves += sub.subproblems.get("refine", 0)
         ctx.hybrid_solves += sub.subproblems.get("hybrid", 0)
+        ctx.backtracks += sub.backtracks
+        flags.extend(sub.flags)
         if sub.status == TIME_LIMIT:
             raise _TimeExceeded()
         if sub.status == FEASIBLE:

@@ -63,8 +63,8 @@ def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
 
     A basic LP solution has at most one fractional variable per constraint
     row, so the 2^f combinations stay tiny; deltas are evaluated against
-    the all-floor base instead of re-scoring full vectors. Returns
-    (value, vector) in the caller's objective sense or None.
+    the all-floor base instead of re-scoring full vectors. Returns the
+    best vector in the caller's objective sense, or None.
     """
     f = len(frac_idx)
     if f > 12:
@@ -88,47 +88,7 @@ def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
             vec = base.copy()
             vec[frac_idx] = cand_vals
             best = (val, vec)
-    return best
-
-
-def _row_violation(lhs: np.ndarray, row_lo: np.ndarray,
-                   row_hi: np.ndarray) -> np.ndarray:
-    """Per-row bound violation of stacked left-hand sides (rows x ...)."""
-    out = np.empty_like(lhs)
-    for lhs_i, out_i, lo_i, hi_i in zip(lhs, out, row_lo, row_hi):
-        np.maximum(lhs_i - hi_i, lo_i - lhs_i, out=out_i)
-    return np.maximum(out, 0.0, out=out)
-
-
-def _greedy_repair(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   A: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
-                   tol: float, max_steps: int = 80) -> Optional[np.ndarray]:
-    """Walk an integral point toward feasibility one unit move at a time.
-
-    Each step applies the +-1 change that shrinks the total violation the
-    most (ties to the lowest variable index). Returns a feasible vector or
-    None if no move improves."""
-    x = np.clip(x0, lo, hi)
-    lhs = A @ x
-    for _ in range(max_steps):
-        total = float(_row_violation(lhs[:, None], row_lo, row_hi).sum())
-        if total <= tol * (len(row_lo) + 1):
-            return x
-        v_plus = _row_violation(lhs[:, None] + A, row_lo, row_hi).sum(axis=0)
-        v_minus = _row_violation(lhs[:, None] - A, row_lo, row_hi).sum(axis=0)
-        v_plus[x >= hi] = np.inf
-        v_minus[x <= lo] = np.inf
-        j_plus = int(np.argmin(v_plus))
-        j_minus = int(np.argmin(v_minus))
-        if v_plus[j_plus] <= v_minus[j_minus]:
-            best, j, step = v_plus[j_plus], j_plus, 1.0
-        else:
-            best, j, step = v_minus[j_minus], j_minus, -1.0
-        if not best < total - 1e-12:
-            return None
-        x[j] += step
-        lhs += step * A[:, j]
-    return None
+    return None if best is None else best[1]
 
 
 def _feasible_after(lhs: np.ndarray, cols: np.ndarray, row_lo: np.ndarray,
@@ -246,29 +206,19 @@ class _Search:
             self.best_val = val
             self.best_x = vec.copy()
 
-    def node_heuristics(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                        try_repair: bool) -> bool:
-        """Harvest incumbents from an LP point; True if it was integral."""
-        ftol = self.cfg.feasibility_tol
-
-        def polish(vec):
-            self.offer(_greedy_improve(vec, self.lo0, self.hi0, self.A,
-                                       self.row_lo, self.row_hi, self.c, ftol))
-
+    def node_heuristics(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+        """Harvest an incumbent from an LP point; True if it was integral."""
         frac = np.abs(x - np.round(x))
         frac_idx = np.nonzero(frac > self.cfg.integrality_tol)[0]
         if len(frac_idx) == 0:
             self.offer(np.round(x))
             return True
+        ftol = self.cfg.feasibility_tol
         rounded = _round_candidates(x, frac_idx, lo, hi, self.A, self.row_lo,
                                     self.row_hi, self.c, ftol)
         if rounded is not None:
-            polish(rounded[1])
-        if try_repair and self.best_x is None:
-            repaired = _greedy_repair(np.round(x), self.lo0, self.hi0, self.A,
-                                      self.row_lo, self.row_hi, ftol)
-            if repaired is not None:
-                polish(repaired)
+            self.offer(_greedy_improve(rounded, self.lo0, self.hi0, self.A,
+                                       self.row_lo, self.row_hi, self.c, ftol))
         return False
 
     def fix_variables(self, res) -> tuple[np.ndarray, np.ndarray]:
@@ -306,79 +256,34 @@ class _Search:
                 # no solution better than the incumbent survives in the box
                 hi[:] = lo
                 break
-            self.node_heuristics(res.x, lo, hi, try_repair=False)
+            self.node_heuristics(res.x, lo, hi)
         return lo, hi
-
-    def _reduced(self, lo0: np.ndarray, hi0: np.ndarray):
-        """Fold pinned variables into the row bounds, keeping the free core;
-        returns (A, row_lo, row_hi, c, lo, hi, const, embed), where
-        ``embed`` is None when nothing is pinned (see ``offer_core``)."""
-        free = hi0 > lo0 + 0.5
-        if free.all():
-            return (self.A, self.row_lo, self.row_hi, self.c, lo0, hi0, 0.0,
-                    None)
-        fixed_x = lo0[~free]
-        shift = self.A[:, ~free] @ fixed_x
-        return (self.A[:, free].copy(), self.row_lo - shift, self.row_hi - shift,
-                self.c[free], lo0[free], hi0[free],
-                float(self.c[~free] @ fixed_x), (lo0.copy(), free))
-
-    def offer_core(self, vec: np.ndarray, embed) -> None:
-        """Offer a candidate over a reduced core, with the pinned variables
-        put back at their values."""
-        if embed is not None:
-            template, free = embed
-            full = template.copy()
-            full[free] = vec
-            vec = full
-        self.offer(vec)
-
-    def dive(self, lo0: np.ndarray, hi0: np.ndarray, max_rounds: int = 60) -> None:
-        """LP fix-and-dive: pin near-integral variables at their rounded
-        values, round the most fractional one, re-solve; an integral end
-        point becomes an incumbent. Pure heuristic, never prunes."""
-        A, row_lo, row_hi, c, core_lo, core_hi, _const, embed = \
-            self._reduced(lo0, hi0)
-        if len(core_lo) == 0:
-            return
-        lo, hi = core_lo.copy(), core_hi.copy()
-        itol = self.cfg.integrality_tol
-        for _ in range(max_rounds):
-            res = lp_solve(c, A, row_lo, row_hi, lo, hi, maximize=True)
-            self.stats.lp_iterations += res.iterations
-            if res.status != OPTIMAL:
-                return
-            x = res.x
-            frac = np.abs(x - np.round(x))
-            near = frac <= itol
-            if near.all():
-                self.offer_core(
-                    _greedy_improve(np.round(x), core_lo, core_hi, A, row_lo,
-                                    row_hi, c, self.cfg.feasibility_tol), embed)
-                return
-            pinned = np.round(x[near])
-            lo[near] = pinned
-            hi[near] = pinned
-            j = int(np.argmax(np.where(near, -1.0, frac)))
-            v = float(np.round(x[j]))
-            lo[j] = hi[j] = min(max(v, lo[j]), hi[j])
 
     def dfs(self, lo0: np.ndarray, hi0: np.ndarray) -> None:
         """Depth-first search over the free core, round-down child first,
         most-fractional branching with lowest-index tie-break, incumbent
-        pruning with a 1e-9 bound tolerance."""
-        A, row_lo, row_hi, c, core_lo, core_hi, const, embed = \
-            self._reduced(lo0, hi0)
-        if len(core_lo) == 0:
+        pruning with a 1e-9 bound tolerance. Pinned variables are folded
+        into the row bounds and put back at their values in each candidate."""
+        free = hi0 > lo0 + 0.5
+        if not free.any():
             return
+        pinned = lo0[~free]
+        shift = self.A[:, ~free] @ pinned
+        A = self.A[:, free].copy()
+        row_lo, row_hi = self.row_lo - shift, self.row_hi - shift
+        c = self.c[free]
+        const = float(self.c[~free] @ pinned)
+        core_lo, core_hi = lo0[free], hi0[free]
+        full = lo0.copy()
         itol = self.cfg.integrality_tol
         ftol = self.cfg.feasibility_tol
 
         def offer_local(vec):
-            self.offer_core(_greedy_improve(vec, core_lo, core_hi, A, row_lo,
-                                            row_hi, c, ftol), embed)
+            full[free] = _greedy_improve(vec, core_lo, core_hi, A, row_lo,
+                                         row_hi, c, ftol)
+            self.offer(full)
 
-        stack = [(core_lo.copy(), core_hi.copy())]
+        stack = [(core_lo, core_hi)]
         while stack:
             if self.out_of_budget():
                 return
@@ -409,16 +314,9 @@ class _Search:
             rounded = _round_candidates(x, frac_idx, lo, hi, A, row_lo, row_hi,
                                         c, ftol)
             if rounded is not None:
-                offer_local(rounded[1])
+                offer_local(rounded)
                 if node_bound + const <= self.best_val + _BOUND_TOL:
                     continue
-            if self.best_x is None and self.stats.nodes % 25 == 0:
-                repaired = _greedy_repair(np.round(x), core_lo, core_hi, A,
-                                          row_lo, row_hi, ftol)
-                if repaired is not None:
-                    offer_local(repaired)
-                    if node_bound + const <= self.best_val + _BOUND_TOL:
-                        continue
             # branch on the variable closest to half-integrality
             dist = np.minimum(x - np.floor(x), np.ceil(x) - x)
             dist[frac <= itol] = -1.0
@@ -434,10 +332,12 @@ class _Search:
 def solve(m: IlpModel, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Exact branch-and-bound over the LP relaxation.
 
-    Solves the root, harvests incumbents by rounding/repair, pins variables
-    that reduced costs prove cannot move (shrinking the branching core),
-    then runs depth-first search. Deterministic for a fixed config; the
-    reported objective is exact to 1e-6 absolute / 1e-9 relative.
+    Solves the root LP and rounds its fractional support into an
+    incumbent, climbing from it with feasible unit moves; the same
+    rounding runs at every node. Then pins the variables that reduced costs
+    prove cannot move (shrinking the branching core) and runs depth-first
+    search. Deterministic for a fixed config; the reported objective is
+    exact to 1e-6 absolute / 1e-9 relative.
     """
     t0 = time.perf_counter()
     if m.n_vars == 0:
@@ -462,19 +362,13 @@ def solve(m: IlpModel, cfg: SolverConfig = SolverConfig()) -> SolveResult:
         s.stats.wall_time_s = time.perf_counter() - t0
         return SolveResult(STATUS_UNBOUNDED, None, None, s.stats)
 
-    integral = s.node_heuristics(root.x, s.lo0, s.hi0, try_repair=True)
+    integral = s.node_heuristics(root.x, s.lo0, s.hi0)
     root_bound = s.snap(root.objective)
     if integral or (s.best_x is not None and root_bound <= s.best_val + _BOUND_TOL):
         s.stats.wall_time_s = time.perf_counter() - t0
         return SolveResult(STATUS_OPTIMAL, s.best_x, s.sign * s.best_val, s.stats)
 
-    lo, hi = s.fix_variables(root)
-    before = s.best_val
-    s.dive(lo, hi)
-    if s.best_val > before:
-        # a stronger incumbent pins more variables; re-fix from the root
-        lo, hi = s.fix_variables(root)
-    s.dfs(lo, hi)
+    s.dfs(*s.fix_variables(root))
 
     s.stats.wall_time_s = time.perf_counter() - t0
     if s.best_x is not None:

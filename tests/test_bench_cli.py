@@ -97,6 +97,21 @@ class TestCli:
         assert rc == 0
         assert math.isinf(load_partitioning(out, rel).omega)
 
+    @pytest.mark.parametrize("command, flag", [
+        ("partition", ["--hybrid-sketch", "off"]),
+        ("partition", ["--seed", "3"]),
+        ("gen", ["--time-limit-s", "5"]),
+    ])
+    def test_evaluation_flags_only_where_read(self, dataset, capsys, command, flag):
+        root, rel, csv_path, *_ = dataset
+        args = {"partition": ["partition", "--input", str(csv_path), "--attrs", "a0",
+                              "--tau", "40", "--out", str(root / "unused.json")],
+                "gen": ["gen", "--rows", "4", "--out", str(root / "unused.csv")]}
+        with pytest.raises(SystemExit) as exc:
+            main(args[command] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_gen_dataset_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["gen", "--rows", "40", "--cols", "2", "--seed", "7", "--out", str(a)])

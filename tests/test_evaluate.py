@@ -28,7 +28,7 @@ from pkgquery.ilp import (
 )
 from pkgquery.partitioning import PartitionParams, partition, partition_with_epsilon
 from pkgquery.relation import from_columns
-from pkgquery.solver import STATUS_OPTIMAL, brute_force, solve
+from pkgquery.solver import STATUS_OPTIMAL, SolveResult, brute_force, solve
 
 
 def q_of(text, rel):
@@ -81,6 +81,20 @@ class TestDirect:
         report = eval_direct(meal_query, recipes, EvalConfig(time_limit=0.0))
         assert report.status == TIME_LIMIT
 
+    def test_forged_package_raises(self):
+        # a solver whose vector breaks the count but whose objective agrees
+        # with it: only the package check can tell
+        rel = from_columns("R", {"x": [1.0, 2.0]})
+        q = q_of("SELECT PACKAGE(R) AS P FROM R REPEAT 0 "
+                 "SUCH THAT COUNT(P.*) = 1 MAXIMIZE SUM(P.x)", rel)
+
+        def forging_solver(model, cfg):
+            return SolveResult(STATUS_OPTIMAL, np.ones(2), 3.0)
+
+        assert eval_direct(q, rel).objective == 2.0
+        with pytest.raises(EvalError, match="violates the query"):
+            eval_direct(q, rel, solver_fn=forging_solver)
+
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestSketchQuery:
@@ -119,6 +133,22 @@ class TestSketchQuery:
         upper[0] = 9.0  # total 12 is above 2 x 4
         _, _, caps, _ = build_sketch_query(q, p, rel, upper)
         assert caps.tolist() == [8.0, 2.0]
+
+    def test_categorical_filtered_count_is_rejected(self):
+        # group means of a categorical attribute do not exist; Direct
+        # answers the query, SketchRefine names the attribute before solving
+        rel = from_columns("R", {"x": [1.0, 2.0, 3.0, 4.0],
+                                 "c": ["a", "b", "a", "b"]},
+                           kinds={"c": "categorical"})
+        q = q_of("SELECT PACKAGE(R) AS P FROM R SUCH THAT "
+                 "(SELECT COUNT(*) FROM P WHERE P.c = 'a') >= 1 "
+                 "AND COUNT(P.*) <= 2 MAXIMIZE SUM(P.x)", rel)
+        p = partition(rel, PartitionParams(("x",), 2))
+        assert eval_direct(q, rel).objective == 7.0
+        with pytest.raises(EvalError, match="'c'"):
+            build_sketch_query(q, p, rel)
+        with pytest.raises(EvalError, match="'c'"):
+            eval_sketchrefine(q, rel, p, solver_fn=None)  # fails before any solve
 
     def test_filtered_count_uses_indicator_of_the_mean(self):
         # one group {0.0, 2.0} with mean 1.0: the representative counts as
@@ -335,6 +365,24 @@ class TestSketchRefine:
         assert p.m > 8
         report = eval_sketchrefine(q, rel, p, EvalConfig(recursion_threshold=8))
         assert report.status == FEASIBLE
+        sr_feasibility_check(q, rel, report)
+
+    def test_recursive_levels_report_backtracks_and_flags(self):
+        # the inner sketch levels backtrack three times and fall back to
+        # their hybrid; the top level's report carries both
+        x = [1.625, 0.875, 1, 1.75, 0.875, 1.375, 1, 0.5, 5.125, 0.875, 1.5,
+             1.875, 1.625, 0.625]
+        y = [1, 1.75, 1.25, 1.625, 1.125, 1.125, 1.25, 1.125, 0.625, 1.25, 1.5,
+             1.625, 1.25, 1.125]
+        rel = from_columns("R", {"x": x, "y": y})
+        q = q_of("SELECT PACKAGE(R) AS P FROM R SUCH THAT COUNT(P.*) = 3 "
+                 "AND SUM(P.x) BETWEEN 4.25 AND 4.5 MAXIMIZE SUM(P.y)", rel)
+        p = partition(rel, PartitionParams(("x", "y"), 2))
+        report = eval_sketchrefine(q, rel, p, EvalConfig(seed=0, recursion_threshold=3))
+        assert report.status == FEASIBLE
+        assert report.backtracks == 3
+        assert "hybrid_used" in report.flags
+        assert len(set(report.flags)) == len(report.flags)
         sr_feasibility_check(q, rel, report)
 
     def test_repeat_multiplicity_end_to_end(self):
@@ -621,7 +669,7 @@ class TestPackageCheck:
                 x[index[t]] = mult
             expected = feasible(full, x, tol=1e-8)
             try:
-                verify_package(q, rel, entries, override, 1e-8)
+                verify_package(q, rel, entries, override)
                 got = True
             except EvalError as err:
                 assert "violates" in str(err)
@@ -636,14 +684,14 @@ class TestPackageCheck:
         q = q_of(self.QUERIES[0], rel)
         dropped = int(np.nonzero(rel.column("x") < 0.75)[0][0])
         with pytest.raises(EvalError, match="base predicate"):
-            verify_package(q, rel, {dropped: 1}, None, 1e-8)
+            verify_package(q, rel, {dropped: 1}, None)
 
     def test_out_of_range_id_raises(self):
         rel = self.relation(3)
         q = q_of(self.QUERIES[2], rel)
         for bad in (rel.n, -1):
             with pytest.raises(EvalError, match="outside the relation"):
-                verify_package(q, rel, {bad: 1}, None, 1e-8)
+                verify_package(q, rel, {bad: 1}, None)
 
     def test_forged_refine_package_raises(self):
         # a solver that slips a tuple the base predicate drops into the

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dyadic
-from pkgquery import paql
-from pkgquery.ilp import derive_bounds, package_from_solution, translate
+from pkgquery import paql, solver
+from pkgquery.ilp import IlpModel, derive_bounds, package_from_solution, translate
 from pkgquery.relation import from_columns
 from pkgquery.solver import (
     SolverConfig,
@@ -76,6 +76,28 @@ class TestSolveExamples:
     def test_bad_tolerances_rejected(self):
         with pytest.raises(SolverError, match="positive"):
             SolverConfig(integrality_tol=0.0)
+
+    def test_equality_row_that_rounding_never_meets(self, monkeypatch):
+        # maximize x1 subject to 3 x1 + 2 x2 = 7, 0 <= x <= 3: no floor/ceil
+        # rounding of any LP point meets the equality, so the search alone
+        # finds (1, 2); depth-first, that takes 8 nodes
+        m = IlpModel(np.arange(2), np.array([3.0, 3.0]), np.array([[3.0, 2.0]]),
+                     np.array([7.0]), np.array([7.0]), np.array([1.0, 0.0]), True)
+        rounded = []
+        real = solver._round_candidates
+
+        def recording(*args):
+            rounded.append(real(*args))
+            return rounded[-1]
+
+        monkeypatch.setattr(solver, "_round_candidates", recording)
+        res = solve(m)
+        oracle = brute_force(m)
+        assert rounded and all(r is None for r in rounded)
+        assert res.status == oracle.status == "optimal"
+        assert res.x.tolist() == oracle.x.tolist() == [1.0, 2.0]
+        assert res.objective == oracle.objective == 1.0
+        assert res.stats.nodes == 8
 
 
 class TestBruteForce:
