@@ -32,7 +32,6 @@ from .partitioning import (
     partition_with_epsilon,
     radius_limit_from_epsilon,
     save_partitioning,
-    shrink_for_scaling,
 )
 from .evaluate import (
     EvalConfig,

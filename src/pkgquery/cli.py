@@ -1,4 +1,4 @@
-"""Command-line interface: partition | run | bench | gen.
+"""Command-line interface: partition | run | gen.
 
 Exit codes for ``run``: 0 feasible, 2 infeasible, 3 time limit.
 All randomness flows from --seed; identical invocations produce identical
@@ -10,12 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
 from . import generate, paql
-from .bench import bench_coverage, bench_scales, bench_tau
 from .evaluate import (
     FEASIBLE,
     INFEASIBLE,
@@ -23,11 +21,13 @@ from .evaluate import (
     METHOD_SKETCHREFINE,
     TIME_LIMIT,
     EvalConfig,
+    EvalError,
     eval_direct,
     eval_sketchrefine,
 )
 from .ilp import ilp_to_paql, load_raw_ilp
 from .partitioning import (
+    PartitionError,
     PartitionParams,
     load_partitioning,
     partition,
@@ -55,37 +55,25 @@ def _eval_config(args) -> EvalConfig:
     )
 
 
-def _parse_omega(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("omega must be >= 0 or 'inf'")
-    return value
-
-
 def _csv_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(t) for t in _csv_list(text)]
 
 
 def cmd_partition(args) -> int:
     rel = load_csv(args.input)
     attrs = tuple(_csv_list(args.attrs))
-    if args.tau < 1:
-        print("error: --tau must be >= 1", file=sys.stderr)
+    if args.epsilon is not None and args.direction is None:
+        print("error: --epsilon needs --direction min|max", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    if args.epsilon is not None:
-        if args.direction is None:
-            print("error: --epsilon needs --direction min|max", file=sys.stderr)
-            return 2
-        p = partition_with_epsilon(rel, attrs, args.tau, args.epsilon, args.direction)
-    else:
-        p = partition(rel, PartitionParams(attrs, args.tau, args.omega))
+    try:
+        if args.epsilon is not None:
+            p = partition_with_epsilon(rel, attrs, args.tau, args.epsilon, args.direction)
+        else:
+            p = partition(rel, PartitionParams(attrs, args.tau, args.omega))
+    except PartitionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     partition_ms = (time.perf_counter() - t0) * 1000.0
     save_partitioning(p, args.out)
     print(json.dumps({
@@ -99,9 +87,13 @@ def cmd_partition(args) -> int:
 
 
 def cmd_run(args) -> int:
+    try:
+        cfg = _eval_config(args)
+    except EvalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rel = load_csv(args.input)
     q = paql.validate(paql.load_query(args.query), rel.schema)
-    cfg = _eval_config(args)
     if args.method == METHOD_DIRECT:
         report = eval_direct(q, rel, cfg)
     else:
@@ -113,46 +105,6 @@ def cmd_run(args) -> int:
         report = eval_sketchrefine(q, rel, p, cfg)
     print(json.dumps(report.to_json_dict(), indent=2))
     return {FEASIBLE: 0, INFEASIBLE: 2, TIME_LIMIT: 3}[report.status]
-
-
-def cmd_bench(args) -> int:
-    rel = load_csv(args.input)
-    queries = []
-    for path in args.queries:
-        name = os.path.splitext(os.path.basename(path))[0]
-        queries.append((name, paql.validate(paql.load_query(path), rel.schema)))
-    methods = _csv_list(args.methods)
-    cfg = _eval_config(args)
-
-    if args.sweep == "scale":
-        if args.partitioning:
-            p = load_partitioning(args.partitioning, rel)
-        elif args.attrs:
-            p = partition(rel, PartitionParams(
-                tuple(_csv_list(args.attrs)), args.tau or max(1, rel.n // 10),
-                args.omega))
-        elif METHOD_SKETCHREFINE in methods:
-            print("error: bench needs --partitioning or --attrs", file=sys.stderr)
-            return 2
-        else:
-            p = partition(rel, PartitionParams(rel.numeric_attrs(), max(1, rel.n)))
-        report = bench_scales(rel, queries, p, methods, args.scales,
-                              args.repetitions, cfg, seed=args.seed)
-    elif args.sweep == "tau":
-        attrs = _csv_list(args.attrs) if args.attrs else list(rel.numeric_attrs())
-        report = bench_tau(rel, queries, attrs, args.tau_fractions,
-                           args.repetitions, cfg,
-                           include_direct=METHOD_DIRECT in methods)
-    else:
-        report = bench_coverage(rel, queries, args.coverages,
-                                args.tau_fraction, args.repetitions, cfg)
-
-    if args.out_json:
-        report.write_json(args.out_json)
-    if args.out_csv:
-        report.write_csv(args.out_csv)
-    print(json.dumps(report.to_json_dict()["ratios"], indent=2))
-    return 0
 
 
 def cmd_gen(args) -> int:
@@ -207,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated numeric attributes")
     p_part.add_argument("--tau", type=int, required=True,
                         help="max tuples per group")
-    p_part.add_argument("--omega", type=_parse_omega, default=math.inf,
+    p_part.add_argument("--omega", type=float, default=math.inf,
                         help="radius limit (number or 'inf')")
     p_part.add_argument("--epsilon", type=float, default=None,
                         help="derive the radius limit from this approximation target")
@@ -223,28 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--partitioning", default=None)
     _eval_flags(p_run)
     p_run.set_defaults(func=cmd_run)
-
-    p_bench = sub.add_parser("bench", help="timed method comparison")
-    p_bench.add_argument("--input", required=True)
-    p_bench.add_argument("--queries", nargs="+", required=True)
-    p_bench.add_argument("--methods", default="direct,sketchrefine")
-    p_bench.add_argument("--partitioning", default=None)
-    p_bench.add_argument("--attrs", default=None)
-    p_bench.add_argument("--tau", type=int, default=None)
-    p_bench.add_argument("--omega", type=_parse_omega, default=math.inf)
-    p_bench.add_argument("--sweep", choices=["scale", "tau", "coverage"],
-                         default="scale")
-    p_bench.add_argument("--scales", type=_float_list, default=[1.0])
-    p_bench.add_argument("--tau-fractions", type=_float_list,
-                         default=[0.01, 0.1, 0.5])
-    p_bench.add_argument("--coverages", type=_float_list, default=[0.5, 1.0, 1.5])
-    p_bench.add_argument("--tau-fraction", type=float, default=0.1,
-                         help="group-size fraction for the coverage sweep")
-    p_bench.add_argument("--repetitions", type=int, default=10)
-    p_bench.add_argument("--out-json", default=None)
-    p_bench.add_argument("--out-csv", default=None)
-    _eval_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="synthetic data / workloads / ILP pairs")
     p_gen.add_argument("--rows", type=int, default=None)

@@ -74,6 +74,14 @@ class EvalConfig:
     recursion_threshold: Optional[int] = None  # None -> partitioning tau
     hybrid_sketch: bool = True
 
+    def __post_init__(self):
+        if not self.time_limit >= 0:  # NaN included: it would never expire
+            raise EvalError(f"time limit must be >= 0 seconds, got {self.time_limit}")
+        for name in ("backtrack_limit", "recursion_threshold"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise EvalError(f"{name} must be >= 0, got {value}")
+
     def solver_config(self, remaining: float) -> SolverConfig:
         return SolverConfig(time_limit=max(remaining, 0.0))
 
@@ -118,14 +126,6 @@ def package_objective(q: paql.PackageQuery, rel: Relation,
     return aggregate_value(q.objective.expr, rel, entries)
 
 
-class _Timer:
-    def __init__(self):
-        self.t0 = time.perf_counter()
-
-    def ms(self) -> float:
-        return (time.perf_counter() - self.t0) * 1000.0
-
-
 class _TimeExceeded(Exception):
     pass
 
@@ -145,15 +145,13 @@ def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfi
     the package against the query."""
     if not q.validated:
         raise EvalError("query must be validated")
-    t_translate = _Timer()
+    t0 = time.perf_counter()
     model = derive_bounds(translate(q, rel, ids=ids))
-    translate_ms = t_translate.ms()
-
-    t_solve = _Timer()
+    t1 = time.perf_counter()
     res = solver_fn(model, cfg.solver_config(cfg.time_limit))
-    solve_ms = t_solve.ms()
-    timings = {"translate_ms": translate_ms, "solve_ms": solve_ms,
-               "total_ms": translate_ms + solve_ms}
+    t2 = time.perf_counter()
+    timings = {"translate_ms": (t1 - t0) * 1000.0, "solve_ms": (t2 - t1) * 1000.0}
+    timings["total_ms"] = timings["translate_ms"] + timings["solve_ms"]
 
     if res.status in (STATUS_TIME_LIMIT, STATUS_INFEASIBLE):
         status = TIME_LIMIT if res.status == STATUS_TIME_LIMIT else INFEASIBLE
@@ -419,15 +417,15 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
         q_work = replace(q, base_predicate=None)
 
     ctx = _Context(cfg, work_p.m)
-    timings = {"sketch_ms": 0.0, "refine_ms": 0.0, "total_ms": 0.0}
+    timings = {"sketch_ms": 0.0, "refine_ms": 0.0}  # each written once, on phase exit
     if work_p.degenerate:
         flags.append("degenerate_groups")
 
     def report(status, package=None, objective=None):
-        timings["total_ms"] = timings["sketch_ms"] + timings["refine_ms"]
         return EvalReport(
             METHOD_SKETCHREFINE, status, package=package, objective=objective,
-            timings_ms=dict(timings), backtracks=ctx.backtracks,
+            timings_ms={**timings, "total_ms": timings["sketch_ms"] + timings["refine_ms"]},
+            backtracks=ctx.backtracks,
             subproblems={"sketch": ctx.sketch_solves, "refine": ctx.refine_solves,
                          "hybrid": ctx.hybrid_solves},
             flags=tuple(dict.fromkeys(flags)))
@@ -437,34 +435,31 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
         direct = eval_direct(q_work, rel, cfg, solver_fn, ids=[])
         return report(direct.status, direct.package, direct.objective)
 
-    t_sketch = _Timer()
-    rep_rel, sketch_q, caps, sketch_flags = build_sketch_query(
-        q_work, work_p, rel, _upper_override)
-    flags.extend(sketch_flags)
-    level = _Level(q_work, rel, work_p, _upper_override, sketch_q, rep_rel,
-                   translate(sketch_q, rep_rel, upper_override=caps))
-
     try:
-        rep_part, orig_part = _solve_sketch(level, cfg, ctx, solver_fn, _depth, flags)
-    except _TimeExceeded:
-        timings["sketch_ms"] = t_sketch.ms()
-        return report(TIME_LIMIT)
-    timings["sketch_ms"] = t_sketch.ms()
-    if rep_part is None:
-        flags.append("sketch_infeasible")
-        return report(INFEASIBLE)
+        t0 = time.perf_counter()
+        try:
+            rep_rel, sketch_q, caps, sketch_flags = build_sketch_query(
+                q_work, work_p, rel, _upper_override)
+            flags.extend(sketch_flags)
+            level = _Level(q_work, rel, work_p, _upper_override, sketch_q, rep_rel,
+                           translate(sketch_q, rep_rel, upper_override=caps))
+            rep_part, orig_part = _solve_sketch(level, cfg, ctx, solver_fn, _depth, flags)
+        finally:
+            timings["sketch_ms"] = (time.perf_counter() - t0) * 1000.0
+        if rep_part is None:
+            flags.append("sketch_infeasible")
+            return report(INFEASIBLE)
 
-    t_refine = _Timer()
-    try:
-        refined = _Refiner(level, ctx, solver_fn).run(rep_part, orig_part)
+        t0 = time.perf_counter()
+        try:
+            refined = _Refiner(level, ctx, solver_fn).run(rep_part, orig_part)
+        finally:
+            timings["refine_ms"] = (time.perf_counter() - t0) * 1000.0
     except _TimeExceeded:
-        timings["refine_ms"] = t_refine.ms()
         return report(TIME_LIMIT)
-    except _BudgetExceeded:
-        timings["refine_ms"] = t_refine.ms()
+    except _BudgetExceeded:  # only the refine phase lets it escape
         flags.append("backtrack_limit_exceeded")
         return report(INFEASIBLE)
-    timings["refine_ms"] = t_refine.ms()
     if refined is None:
         flags.append("refine_exhausted")
         return report(INFEASIBLE)

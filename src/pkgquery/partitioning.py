@@ -44,7 +44,7 @@ class PartitionParams:
             raise PartitionError("need at least one partitioning attribute")
         if self.tau < 1:
             raise PartitionError(f"size threshold must be >= 1, got {self.tau}")
-        if self.omega < 0:
+        if not self.omega >= 0:  # NaN included
             raise PartitionError(f"radius limit must be >= 0, got {self.omega}")
 
 
@@ -68,7 +68,6 @@ class Partitioning:
     representatives: np.ndarray  # m x k
     degenerate: frozenset[int]   # 0-based group indices violating conditions
     points: np.ndarray = field(repr=False)  # n x k source matrix over attrs
-    origin_ids: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
@@ -164,7 +163,7 @@ def radius_limit_from_epsilon(representatives: np.ndarray, epsilon: float,
                 f"maximization needs 0 <= epsilon < 1, got {epsilon}")
         gamma = epsilon
     elif direction == MINIMIZE_DIRECTION:
-        if epsilon < 0:
+        if not epsilon >= 0:  # NaN included
             raise PartitionError(f"minimization needs epsilon >= 0, got {epsilon}")
         gamma = epsilon / (1.0 + epsilon)
     else:
@@ -204,33 +203,6 @@ def partition_with_epsilon(rel: Relation, attrs: Sequence[str], tau: int,
     return p
 
 
-def _rebuild(p: Partitioning, member_lists: list[np.ndarray],
-             points: np.ndarray, n: int,
-             origin_ids: Optional[np.ndarray]) -> Partitioning:
-    """Recompute stats for new member lists; drop empty groups, renumber."""
-    gid = np.zeros(n, dtype=np.int64)
-    groups, sizes, radii, reps, degenerate = [], [], [], [], set()
-    for members in member_lists:
-        if len(members) == 0:
-            continue
-        g = len(groups)
-        centroid, radius = _group_stats(points, members)
-        gid[members] = g + 1
-        groups.append(members)
-        sizes.append(len(members))
-        radii.append(radius)
-        reps.append(centroid)
-        if len(members) > p.tau or radius > p.omega * (1 + 1e-12):
-            degenerate.add(g)
-    k = len(p.attrs)
-    return Partitioning(
-        attrs=p.attrs, tau=p.tau, omega=p.omega, gid=gid,
-        groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
-        radii=np.asarray(radii), degenerate=frozenset(degenerate),
-        representatives=np.asarray(reps).reshape(len(groups), k),
-        points=points, origin_ids=origin_ids)
-
-
 def restrict_to_ids(p: Partitioning, keep_ids: Sequence[int]) -> Partitioning:
     """Partitioning over a tuple subset, keeping the original id space.
 
@@ -240,31 +212,27 @@ def restrict_to_ids(p: Partitioning, keep_ids: Sequence[int]) -> Partitioning:
     centroid may move when members are removed)."""
     keep = np.zeros(len(p.gid), dtype=bool)
     keep[np.asarray(keep_ids, dtype=np.int64)] = True
-    member_lists = [members[keep[members]] for members in p.groups]
-    return _rebuild(p, member_lists, p.points, len(p.gid), p.origin_ids)
-
-
-def shrink_for_scaling(p: Partitioning, keep_fraction: float,
-                       seed: int) -> Partitioning:
-    """Uniformly drop tuples, re-indexing survivors to a compact id space.
-
-    Survivor selection is deterministic for a fixed seed. ``origin_ids``
-    maps new ids back to the source relation, ascending; group memberships
-    are preserved for survivors, so group sizes can only shrink."""
-    if not 0 < keep_fraction <= 1:
-        raise PartitionError(
-            f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    n = len(p.gid)
-    rng = np.random.default_rng(seed)
-    survive = rng.random(n) < keep_fraction if keep_fraction < 1 else np.ones(n, bool)
-    origin = np.nonzero(survive)[0].astype(np.int64)
-    new_id = np.full(n, -1, dtype=np.int64)
-    new_id[origin] = np.arange(len(origin))
-    member_lists = []
+    gid = np.zeros(len(p.gid), dtype=np.int64)
+    groups, sizes, radii, reps, degenerate = [], [], [], [], set()
     for members in p.groups:
-        kept = members[survive[members]]
-        member_lists.append(new_id[kept])
-    return _rebuild(p, member_lists, p.points[origin], len(origin), origin)
+        members = members[keep[members]]
+        if len(members) == 0:
+            continue
+        g = len(groups)
+        centroid, radius = _group_stats(p.points, members)
+        gid[members] = g + 1
+        groups.append(members)
+        sizes.append(len(members))
+        radii.append(radius)
+        reps.append(centroid)
+        if len(members) > p.tau or radius > p.omega * (1 + 1e-12):
+            degenerate.add(g)
+    return Partitioning(
+        attrs=p.attrs, tau=p.tau, omega=p.omega, gid=gid,
+        groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
+        radii=np.asarray(radii), degenerate=frozenset(degenerate),
+        representatives=np.asarray(reps).reshape(len(groups), len(p.attrs)),
+        points=p.points)
 
 
 def group_means(p: Partitioning, rel: Relation,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -95,19 +95,6 @@ class Relation:
 
     def numeric_attrs(self) -> tuple[str, ...]:
         return tuple(a for a, k in self.schema.attributes if k == NUMERIC)
-
-    def take(self, ids: Sequence[int], name: Optional[str] = None) -> "Relation":
-        """New relation containing the given rows, re-indexed to 0..len(ids)-1."""
-        ids = np.asarray(ids, dtype=np.int64)
-        cols = {}
-        for attr, kind in self.schema.attributes:
-            if kind == NUMERIC:
-                cols[attr] = self.columns[attr][ids]
-            else:
-                src = self.columns[attr]
-                cols[attr] = [src[i] for i in ids]
-        schema = Schema(name or self.schema.name, self.schema.attributes)
-        return Relation(schema, cols, len(ids))
 
 
 def from_columns(name: str, columns: dict, kinds: Optional[dict] = None) -> Relation:

@@ -1,21 +1,18 @@
-import csv
 import json
 import math
 
 import pytest
 
 from pkgquery import paql
-from pkgquery.bench import bench_coverage, bench_scales, bench_tau
 from pkgquery.cli import main
-from pkgquery.evaluate import EvalConfig
 from pkgquery.generate import gen_dataset, gen_workload, queries_to_files
-from pkgquery.partitioning import PartitionParams, load_partitioning, partition
+from pkgquery.partitioning import load_partitioning
 from pkgquery.relation import load_csv, save_csv
 
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
-    root = tmp_path_factory.mktemp("bench")
+    root = tmp_path_factory.mktemp("cli")
     rel = gen_dataset(300, 3, seed=21, low=0.5, high=2.0, grid=1 / 64)
     csv_path = root / "d.csv"
     save_csv(rel, csv_path)
@@ -112,6 +109,43 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--omega", "nan"],
+        ["--omega", "-1"],
+        ["--epsilon", "nan", "--direction", "min"],
+        ["--epsilon", "nan", "--direction", "max"],
+    ])
+    def test_partition_bad_radius_limit_usage_error(self, dataset, capsys, flags):
+        root, rel, csv_path, *_ = dataset
+        out = root / "bad.json"
+        rc = main(["partition", "--input", str(csv_path), "--attrs", "a0",
+                   "--tau", "40", *flags, "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--time-limit-s", "nan"],
+        ["--time-limit-s", "-1"],
+        ["--backtrack-limit", "-1"],
+        ["--recursion-threshold", "-1"],
+    ])
+    def test_run_bad_bound_usage_error(self, dataset, capsys, flags):
+        root, rel, csv_path, queries, qpaths = dataset
+        rc = main(["run", "--method", "direct", "--query", qpaths[0],
+                   "--input", str(csv_path), *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "must be >= 0" in captured.err
+        assert captured.out == ""
+
+    def test_bench_command_removed(self, dataset, capsys):
+        root, rel, csv_path, queries, qpaths = dataset
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--input", str(csv_path), "--queries", qpaths[0]])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_gen_dataset_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["gen", "--rows", "40", "--cols", "2", "--seed", "7", "--out", str(a)])
@@ -143,86 +177,3 @@ class TestCli:
 
     def test_gen_needs_some_mode(self, capsys):
         assert main(["gen"]) == 2
-
-
-class TestBench:
-    def test_scales_report_and_ratio_rule(self, dataset, tmp_path):
-        root, rel, csv_path, queries, qpaths = dataset
-        p = partition(rel, PartitionParams(("a0", "a1", "a2"), 60))
-        named = [(f"q{i}", q) for i, q in enumerate(queries)]
-        report = bench_scales(rel, named, p, ["direct", "sketchrefine"],
-                              scales=[0.5, 1.0], repetitions=2,
-                              cfg=EvalConfig(time_limit=30), seed=3)
-        assert {pt.method for pt in report.points} == {"direct", "sketchrefine"}
-        by_key = {}
-        for pt in report.points:
-            by_key.setdefault((pt.query, pt.scale), {})[pt.method] = pt
-        for query, summary in report.ratios.items():
-            # a ratio may exist only where both methods succeeded somewhere
-            pairs = [k for k in by_key if k[0] == query]
-            assert any(
-                by_key[k]["direct"].status == "feasible"
-                and by_key[k]["sketchrefine"].status == "feasible"
-                for k in pairs)
-            assert len(summary["values"]) <= len(pairs)
-
-        json_path, csv_path2 = tmp_path / "r.json", tmp_path / "r.csv"
-        report.write_json(json_path)
-        report.write_csv(csv_path2)
-        with open(csv_path2) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["query", "method", "scale", "mean_ms", "median_ms",
-                           "mean_ratio", "median_ratio", "failures"]
-        assert len(rows) == 1 + len(report.points)
-        json.loads(json_path.read_text())
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_failures_counted_not_raised(self, dataset):
-        root, rel, csv_path, queries, qpaths = dataset
-        named = [("q0", queries[0])]
-        # a zero time budget fails every run; the harness keeps going
-        report = bench_scales(rel, named,
-                              partition(rel, PartitionParams(("a0",), 300)),
-                              ["sketchrefine"], scales=[1.0], repetitions=1,
-                              cfg=EvalConfig(time_limit=0.0))
-        assert report.points[0].failures >= 1
-
-    def test_tau_sweep_shape(self, dataset):
-        root, rel, csv_path, queries, qpaths = dataset
-        named = [(f"q{i}", q) for i, q in enumerate(queries[:2])]
-        report = bench_tau(rel, named, ("a0", "a1", "a2"),
-                           tau_fractions=[0.05, 0.3], repetitions=1,
-                           cfg=EvalConfig(time_limit=30))
-        methods = {(pt.method, pt.scale) for pt in report.points}
-        assert ("direct", 1.0) in methods
-        assert ("sketchrefine", 0.05) in methods and ("sketchrefine", 0.3) in methods
-        for pt in report.points:
-            if pt.method == "sketchrefine":
-                assert pt.extra["tau"] == max(1, round(pt.scale * rel.n))
-
-    def test_coverage_sweep_ratio(self, dataset):
-        root, rel, csv_path, queries, qpaths = dataset
-        two_attr = [q for q in queries if len(q.attrs_used()) >= 2][0]
-        named = [("q", two_attr)]
-        with pytest.warns(UserWarning):
-            report = bench_coverage(rel, named, coverages=[0.5, 1.0, 1.5],
-                                    tau_fraction=0.2, repetitions=1,
-                                    cfg=EvalConfig(time_limit=30))
-        cov1 = [pt for pt in report.points if abs(pt.scale - 1.0) < 1e-9]
-        assert cov1
-        assert any("time_ratio_vs_cov1" in pt.extra for pt in report.points)
-
-    def test_bench_cli_end_to_end(self, dataset, tmp_path, capsys):
-        root, rel, csv_path, queries, qpaths = dataset
-        out_json = tmp_path / "b.json"
-        out_csv = tmp_path / "b.csv"
-        rc = main(["bench", "--input", str(csv_path), "--queries", *qpaths[:2],
-                   "--methods", "direct,sketchrefine", "--attrs", "a0,a1,a2",
-                   "--tau", "60", "--scales", "1.0", "--repetitions", "1",
-                   "--out-json", str(out_json), "--out-csv", str(out_csv)])
-        assert rc == 0
-        capsys.readouterr()
-        assert out_json.exists() and out_csv.exists()
-        payload = json.loads(out_json.read_text())
-        assert payload["sweep"] == "scale"
-        assert payload["points"]

@@ -28,7 +28,7 @@ from pkgquery.ilp import (
 )
 from pkgquery.partitioning import PartitionParams, partition, partition_with_epsilon
 from pkgquery.relation import from_columns
-from pkgquery.solver import STATUS_OPTIMAL, SolveResult, brute_force, solve
+from pkgquery.solver import STATUS_OPTIMAL, STATUS_TIME_LIMIT, SolveResult, brute_force, solve
 
 
 def q_of(text, rel):
@@ -562,6 +562,92 @@ class TestHybrid:
             report = eval_sketchrefine(q, rel, p, EvalConfig(seed=seed))
             assert report.status == INFEASIBLE
             assert report.subproblems["hybrid"] > 0
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("time_limit", float("nan")),  # never expires: no bound at all
+        ("time_limit", -1.0),
+        ("backtrack_limit", -1),
+        ("recursion_threshold", -1),
+    ])
+    def test_bad_bound_rejected(self, name, value):
+        with pytest.raises(EvalError, match="must be >= 0"):
+            EvalConfig(**{name: value})
+
+    def test_zero_bounds_are_legal(self):
+        EvalConfig(time_limit=0.0, backtrack_limit=0, recursion_threshold=0)
+
+
+def _small(text):
+    rel = from_columns("R", {"x": [1.0, 2.0, 3.0, 4.0]})
+    return q_of(text, rel), rel, partition(rel, PartitionParams(("x",), 2))
+
+
+PICK_TWO = "SELECT PACKAGE(R) AS P FROM R REPEAT 0 SUCH THAT COUNT(P.*) = 2 MINIMIZE SUM(P.x)"
+UNREACHABLE = ("SELECT PACKAGE(R) AS P FROM R REPEAT 0 "
+               "SUCH THAT COUNT(P.*) = 1 AND SUM(P.x) >= 100")
+FILTERED_OUT = ("SELECT PACKAGE(R) AS P FROM R REPEAT 0 WHERE R.x >= 100 "
+                "SUCH THAT COUNT(P.*) = 2")
+
+
+def _refine_times_out():
+    """A solver whose first solve (the sketch) succeeds and whose later
+    solves all hit their time limit."""
+    calls = []
+
+    def solver_fn(model, cfg):
+        calls.append(model)
+        if len(calls) == 1:
+            return solve(model, cfg)
+        return SolveResult(STATUS_TIME_LIMIT, None, None)
+    return solver_fn
+
+
+def _direct(text):
+    q, rel, _ = _small(text)
+    return eval_direct(q, rel)
+
+
+def _sr(text, cfg=EvalConfig(), solver_fn=solve):
+    q, rel, p = _small(text)
+    return eval_sketchrefine(q, rel, p, cfg, solver_fn=solver_fn)
+
+
+class TestTimings:
+    """Every exit path reports its method's phase keys, each measured once:
+    ``total_ms`` is the sum of the two phases."""
+
+    @pytest.mark.parametrize("run, status, flag", [
+        pytest.param(lambda r, mq: eval_direct(mq, r), FEASIBLE, None,
+                     id="direct-feasible"),
+        pytest.param(lambda r, mq: _direct(UNREACHABLE), INFEASIBLE, None,
+                     id="direct-infeasible"),
+        pytest.param(lambda r, mq: eval_direct(mq, r, EvalConfig(time_limit=0.0)),
+                     TIME_LIMIT, None, id="direct-time_limit"),
+        pytest.param(lambda r, mq: _sr(PICK_TWO), FEASIBLE, None,
+                     id="sketchrefine-feasible"),
+        pytest.param(lambda r, mq: _sr(UNREACHABLE), INFEASIBLE, "sketch_infeasible",
+                     id="sketchrefine-sketch_infeasible"),
+        pytest.param(lambda r, mq: _sr(PICK_TWO, EvalConfig(time_limit=0.0)),
+                     TIME_LIMIT, None, id="sketchrefine-time_limit-sketch"),
+        pytest.param(lambda r, mq: _sr(PICK_TWO, solver_fn=_refine_times_out()),
+                     TIME_LIMIT, None, id="sketchrefine-time_limit-refine"),
+        pytest.param(lambda r, mq: _sr(PICK_TWO, EvalConfig(backtrack_limit=0)),
+                     INFEASIBLE, "backtrack_limit_exceeded",
+                     id="sketchrefine-backtrack_limit_exceeded"),
+        pytest.param(lambda r, mq: _sr(FILTERED_OUT), INFEASIBLE, None,
+                     id="sketchrefine-no_group_survives"),
+    ])
+    def test_phase_keys_on_every_exit(self, recipes, meal_query, run, status, flag):
+        report = run(recipes, meal_query)
+        assert report.status == status
+        assert flag is None or flag in report.flags
+        phases = {"direct": ("translate_ms", "solve_ms"),
+                  "sketchrefine": ("sketch_ms", "refine_ms")}[report.method]
+        assert set(report.timings_ms) == {*phases, "total_ms"}
+        assert all(v >= 0 for v in report.timings_ms.values())
+        assert report.timings_ms["total_ms"] == sum(report.timings_ms[k] for k in phases)
 
 
 class TestApproximationRatio:

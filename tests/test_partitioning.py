@@ -16,7 +16,6 @@ from pkgquery.partitioning import (
     radius_limit_from_epsilon,
     restrict_to_ids,
     save_partitioning,
-    shrink_for_scaling,
 )
 from pkgquery.relation import from_columns
 
@@ -77,6 +76,13 @@ class TestPartition:
         with pytest.raises(PartitionError, match=">= 1"):
             PartitionParams(("x",), 0)
 
+    @pytest.mark.parametrize("omega", [-0.5, math.nan])
+    def test_bad_radius_limit_rejected(self, omega):
+        # a NaN limit is never met: partition would split down to identical
+        # points and flag every group degenerate
+        with pytest.raises(PartitionError, match="radius limit"):
+            PartitionParams(("x",), 2, omega)
+
     def test_radius_limit_drives_splitting(self):
         rel = grid_rel(400, 2, seed=3)
         p = partition(rel, PartitionParams(("a0", "a1"), 400, omega=0.2))
@@ -118,6 +124,14 @@ class TestRadiusLimit:
         with pytest.raises(PartitionError):
             radius_limit_from_epsilon(np.array([[1.0]]), 0.1, "sideways")
 
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    def test_nan_epsilon_rejected(self, direction):
+        with pytest.raises(PartitionError, match="epsilon"):
+            radius_limit_from_epsilon(np.array([[1.0]]), math.nan, direction)
+        rel = grid_rel(50, 2, seed=2)
+        with pytest.raises(PartitionError, match="epsilon"):
+            partition_with_epsilon(rel, ("a0", "a1"), 10, math.nan, direction)
+
     @pytest.mark.parametrize("eps,direction", [(0.05, "max"), (0.1, "max"),
                                                (0.25, "max"), (0.5, "min")])
     def test_group_closeness_after_fixed_point(self, eps, direction):
@@ -137,39 +151,12 @@ class TestRadiusLimit:
 
 
 class TestShrink:
-    def test_keep_all_is_identity(self):
-        rel = grid_rel(200, 2, seed=5)
-        p = partition(rel, PartitionParams(("a0", "a1"), 30))
-        p2 = shrink_for_scaling(p, 1.0, seed=1)
-        assert p2.m == p.m
-        np.testing.assert_allclose(p2.representatives, p.representatives, atol=1e-12)
-        assert p2.origin_ids.tolist() == list(range(200))
-
-    def test_half_is_deterministic_and_smaller(self):
-        rel = grid_rel(1000, 2, seed=6)
-        p = partition(rel, PartitionParams(("a0", "a1"), 100))
-        a = shrink_for_scaling(p, 0.5, seed=42)
-        b = shrink_for_scaling(p, 0.5, seed=42)
-        assert a.origin_ids.tolist() == b.origin_ids.tolist()
-        assert 300 < len(a.origin_ids) < 700
-        # memberships preserved: each new group is a subset of an old one
-        back = {tuple(np.sort(p.gid[a.origin_ids[members]])) for members in a.groups}
-        assert all(len(set(t)) == 1 for t in back)
-        assert all(sa <= p.sizes[p.gid[a.origin_ids[members[0]]] - 1]
-                   for sa, members in zip(a.sizes, a.groups))
-
     def test_empty_groups_dropped(self):
         rel = from_columns("T", {"x": [0.0, 0.0, 10.0, 10.0]})
         p = partition(rel, PartitionParams(("x",), 2))
         p2 = restrict_to_ids(p, [0, 1])
         assert p2.m == 1
         assert p2.sizes.tolist() == [2]
-
-    def test_bad_fraction(self):
-        rel = grid_rel(10, 1, seed=0)
-        p = partition(rel, PartitionParams(("a0",), 10))
-        with pytest.raises(PartitionError, match="keep_fraction"):
-            shrink_for_scaling(p, 0.0, seed=0)
 
 
 class TestIo:

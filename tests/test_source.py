@@ -33,3 +33,30 @@ def test_benchmark_reads_resolve(monkeypatch):
     for q in generate.gen_workload(rel, 10, seed=5,
                                    expected_size=workloads.EXPECTED_SIZE):
         check.spec_of(q)  # raises ValueError on a query it cannot check
+
+
+def _local_imports(path: Path) -> set[str]:
+    """Names of the package modules a module imports (the engine imports
+    its own modules relatively)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # ``from .ilp import x`` or ``from . import generate, paql``
+            found.update([node.module] if node.module else
+                         [alias.name for alias in node.names])
+    return found
+
+
+def test_every_module_is_reachable():
+    # an engine module that neither the package nor the CLI imports,
+    # directly or through another module, is dead code
+    modules = {path.stem for path in SRC.glob("*.py")}
+    reached, todo = set(), ["__init__", "cli"]
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in modules:
+            continue
+        reached.add(name)
+        todo += _local_imports(SRC / f"{name}.py")
+    assert sorted(modules - reached) == []
