@@ -1,6 +1,8 @@
 """Command-line interface: partition | run | gen.
 
-Exit codes for ``run``: 0 feasible, 2 infeasible, 3 time limit.
+Exit codes for ``run``: 0 feasible, 1 bad input (a query that does not
+parse or validate, a malformed CSV, a partitioning of another relation),
+2 infeasible or a usage error, 3 time limit.
 All randomness flows from --seed; identical invocations produce identical
 status/objective output.
 """
@@ -34,7 +36,7 @@ from .partitioning import (
     partition_with_epsilon,
     save_partitioning,
 )
-from .relation import load_csv, save_csv
+from .relation import RelationError, load_csv, save_csv
 
 
 def _eval_flags(parser: argparse.ArgumentParser) -> None:
@@ -92,16 +94,21 @@ def cmd_run(args) -> int:
     except EvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rel = load_csv(args.input)
-    q = paql.validate(paql.load_query(args.query), rel.schema)
+    if args.method == METHOD_SKETCHREFINE and not args.partitioning:
+        print("error: --method sketchrefine requires --partitioning",
+              file=sys.stderr)
+        return 2
+    try:
+        rel = load_csv(args.input)
+        q = paql.validate(paql.load_query(args.query), rel.schema)
+        if args.method == METHOD_SKETCHREFINE:
+            p = load_partitioning(args.partitioning, rel)
+    except (paql.PaqlError, RelationError, PartitionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.method == METHOD_DIRECT:
         report = eval_direct(q, rel, cfg)
     else:
-        if not args.partitioning:
-            print("error: --method sketchrefine requires --partitioning",
-                  file=sys.stderr)
-            return 2
-        p = load_partitioning(args.partitioning, rel)
         report = eval_sketchrefine(q, rel, p, cfg)
     print(json.dumps(report.to_json_dict(), indent=2))
     return {FEASIBLE: 0, INFEASIBLE: 2, TIME_LIMIT: 3}[report.status]

@@ -7,8 +7,14 @@ representatives with original tuples, with greedy backtracking over
 refinement orders. Each level translates its sketch once; a group's refine
 model is the query's ILP over the group's tuples with each row's bounds
 reduced by the fixed part's activity, and a hybrid model stacks the group's
-columns beside the sketch columns of the other groups. Every package
-returned here is verified feasible for the original query before it leaves.
+columns beside the sketch columns of the other groups. A sketch with too
+many groups is itself partitioned and solved by the same method, one level
+deeper. All levels of one evaluation share a context: the solver, the
+deadline, the solve counters and the report flags. Each level keeps its own
+budget, rng and phase timings; since the levels below a level run before
+its refine phase, its budget also counts their refine and hybrid solves.
+Every package returned here is verified feasible for the original query
+before it leaves.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import random
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -82,9 +88,6 @@ class EvalConfig:
             if value is not None and value < 0:
                 raise EvalError(f"{name} must be >= 0, got {value}")
 
-    def solver_config(self, remaining: float) -> SolverConfig:
-        return SolverConfig(time_limit=max(remaining, 0.0))
-
 
 @dataclass
 class Package:
@@ -139,16 +142,15 @@ class _BudgetExceeded(Exception):
 
 
 def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfig(),
-                solver_fn: SolverFn = solve,
-                ids: Optional[Sequence[int]] = None) -> EvalReport:
+                solver_fn: SolverFn = solve) -> EvalReport:
     """Translate the whole query to one ILP, solve it exactly and verify
     the package against the query."""
     if not q.validated:
         raise EvalError("query must be validated")
     t0 = time.perf_counter()
-    model = derive_bounds(translate(q, rel, ids=ids))
+    model = derive_bounds(translate(q, rel))
     t1 = time.perf_counter()
-    res = solver_fn(model, cfg.solver_config(cfg.time_limit))
+    res = solver_fn(model, SolverConfig(time_limit=cfg.time_limit))
     t2 = time.perf_counter()
     timings = {"translate_ms": (t1 - t0) * 1000.0, "solve_ms": (t2 - t1) * 1000.0}
     timings["total_ms"] = timings["translate_ms"] + timings["solve_ms"]
@@ -223,7 +225,8 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
 @dataclass(frozen=True)
 class _Level:
     """One SketchRefine level, from which its refine and hybrid models are
-    built: the query over a relation's groups and its sketch, translated once."""
+    built: the query over a relation's groups and its sketch, translated
+    once, with the level's own budget and rng."""
 
     q: paql.PackageQuery  # no base predicate: the groups are pre-filtered
     rel: Relation
@@ -232,6 +235,9 @@ class _Level:
     sketch_q: paql.PackageQuery
     rep_rel: Relation
     sketch: IlpModel  # before derive_bounds; its upper bounds are the capacities
+    depth: int
+    budget: int  # refine and hybrid solves, this level's and those below it
+    rng: random.Random
 
     def group_model(self, g: int) -> IlpModel:
         """The query's ILP over group g's tuples."""
@@ -262,27 +268,35 @@ def _solved_part(model: IlpModel, x: np.ndarray) -> tuple[dict[int, int], np.nda
 
 
 class _Context:
-    """Mutable evaluation state: deadline, budget, counters, rng."""
+    """State every level of one evaluation shares: the solver, the
+    deadline, the solve counters and the report flags."""
 
-    def __init__(self, cfg: EvalConfig, m: int):
+    def __init__(self, cfg: EvalConfig, solver_fn: SolverFn):
         self.cfg = cfg
+        self.solver_fn = solver_fn
         self.deadline = time.perf_counter() + cfg.time_limit
-        self.budget = cfg.backtrack_limit if cfg.backtrack_limit is not None else 10 * max(m, 1)
-        self.rng = random.Random(cfg.seed)
-        self.refine_solves = 0
         self.sketch_solves = 0
+        self.refine_solves = 0
         self.hybrid_solves = 0
         self.backtracks = 0
+        self.flags: list[str] = []
+        self.timings: list[dict] = []  # one per level, the top level first
 
-    def remaining(self) -> float:
+    def solve(self, model: IlpModel) -> SolveResult:
+        """Solve within what is left of the deadline."""
         left = self.deadline - time.perf_counter()
         if left <= 0:
             raise _TimeExceeded()
-        return left
+        res = self.solver_fn(model, SolverConfig(time_limit=left))
+        if res.status == STATUS_TIME_LIMIT:
+            raise _TimeExceeded()
+        return res
 
-    def charge(self, hybrid: bool = False) -> None:
-        """Count one refine (or hybrid) solve against the budget."""
-        if self.refine_solves + self.hybrid_solves >= self.budget:
+    def charge(self, level: _Level, hybrid: bool = False) -> None:
+        """Count one refine (or hybrid) solve against the level's budget.
+        The counters also hold the solves of the levels below it: they all
+        ran before this level's first charge."""
+        if self.refine_solves + self.hybrid_solves >= level.budget:
             raise _BudgetExceeded()
         if hybrid:
             self.hybrid_solves += 1
@@ -290,37 +304,29 @@ class _Context:
             self.refine_solves += 1
 
 
-def _solve_submodel(model: IlpModel, ctx: _Context, solver_fn: SolverFn) -> SolveResult:
-    res = solver_fn(model, ctx.cfg.solver_config(ctx.remaining()))
-    if res.status == STATUS_TIME_LIMIT:
-        raise _TimeExceeded()
-    return res
-
-
 class _Refiner:
     """Greedy backtracking over group refinement orders (depth-first).
 
     Failure of a non-root refine propagates the failed group upward; the
     parent then prioritizes failed groups (most recent failure first) and
-    retries. Refine solves count against the budget. A refined group is
-    kept as (package entries, row activity).
+    retries. Refine solves count against the level's budget. A refined
+    group is kept as (package entries, row activity).
     """
 
-    def __init__(self, level: _Level, ctx: _Context, solver_fn: SolverFn):
+    def __init__(self, level: _Level, ctx: _Context):
         self.level = level
         self.ctx = ctx
-        self.solver_fn = solver_fn
 
     # ``perfbench`` wraps this method by name to count refine solves
     def _refine_group(self, g: int, rep_part: dict, orig_part: dict
                       ) -> Optional[tuple[dict[int, int], np.ndarray]]:
         """Solve the refine model for group g; None when infeasible."""
-        self.ctx.charge()
+        self.ctx.charge(self.level)
         others = {h: mult for h, mult in rep_part.items() if h != g}
         fixed = fixed_activity((act for _, act in orig_part.values()),
                                self.level.sketch, others)
         model = derive_bounds(shift_rhs(self.level.group_model(g), fixed))
-        res = _solve_submodel(model, self.ctx, self.solver_fn)
+        res = self.ctx.solve(model)
         if res.status != STATUS_OPTIMAL:
             return None
         return _solved_part(model, res.x)
@@ -337,7 +343,7 @@ class _Refiner:
         if not rep_part:
             return True, orig_part
         queue = sorted(rep_part)
-        self.ctx.rng.shuffle(queue)
+        self.level.rng.shuffle(queue)
         failed: list[int] = []
         while queue:
             g = queue.pop(0)
@@ -364,7 +370,7 @@ class _Refiner:
 # Hybrid sketch fallback
 
 
-def hybrid_sketch(level: _Level, ctx: _Context, solver_fn: SolverFn
+def hybrid_sketch(level: _Level, ctx: _Context
                   ) -> Optional[tuple[dict[int, int], dict[int, tuple]]]:
     """Try merging the sketch with one group's refine problem: for each
     group in seeded-random order, solve its translated columns beside the
@@ -372,13 +378,13 @@ def hybrid_sketch(level: _Level, ctx: _Context, solver_fn: SolverFn
     the budget. The first feasible solve wins; returns (rep_part, orig_part)
     as ``_solve_sketch`` does."""
     order = list(range(level.p.m))
-    ctx.rng.shuffle(order)
+    level.rng.shuffle(order)
     for g in order:
-        ctx.charge(hybrid=True)
+        ctx.charge(level, hybrid=True)
         group = level.group_model(g)
         others = np.delete(np.arange(level.p.m), g)
         model = derive_bounds(hstack(group, level.sketch, others))
-        res = _solve_submodel(model, ctx, solver_fn)
+        res = ctx.solve(model)
         if res.status != STATUS_OPTIMAL:
             continue
         n = group.n_vars
@@ -393,9 +399,7 @@ def hybrid_sketch(level: _Level, ctx: _Context, solver_fn: SolverFn
 
 
 def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
-                      cfg: EvalConfig = EvalConfig(), solver_fn: SolverFn = solve,
-                      _depth: int = 0,
-                      _upper_override: Optional[np.ndarray] = None
+                      cfg: EvalConfig = EvalConfig(), solver_fn: SolverFn = solve
                       ) -> EvalReport:
     """Sketch over representatives, then refine group by group.
 
@@ -403,73 +407,83 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
     feasible for the query's own ILP before being returned. Sketch or
     refinement failure yields an infeasible report (which may be a false
     negative); the hybrid fallback is tried when the plain sketch fails.
-    ``_upper_override`` holds the per-tuple caps of an enclosing sketch.
     """
     if not q.validated:
         raise EvalError("query must be validated")
-    flags: list[str] = []
-
-    q_work = q
-    work_p = p
     if q.base_predicate is not None:
-        survivors = apply_base_predicate(rel, q.base_predicate)
-        work_p = restrict_to_ids(p, survivors)
-        q_work = replace(q, base_predicate=None)
-
-    ctx = _Context(cfg, work_p.m)
-    timings = {"sketch_ms": 0.0, "refine_ms": 0.0}  # each written once, on phase exit
-    if work_p.degenerate:
-        flags.append("degenerate_groups")
-
-    def report(status, package=None, objective=None):
-        return EvalReport(
-            METHOD_SKETCHREFINE, status, package=package, objective=objective,
-            timings_ms={**timings, "total_ms": timings["sketch_ms"] + timings["refine_ms"]},
-            backtracks=ctx.backtracks,
-            subproblems={"sketch": ctx.sketch_solves, "refine": ctx.refine_solves,
-                         "hybrid": ctx.hybrid_solves},
-            flags=tuple(dict.fromkeys(flags)))
-
-    if work_p.m == 0:
+        p = restrict_to_ids(p, apply_base_predicate(rel, q.base_predicate))
+    ctx = _Context(cfg, solver_fn)
+    status, package = INFEASIBLE, None
+    if p.m == 0:
         # nothing survives the base predicate; only constant constraints remain
-        direct = eval_direct(q_work, rel, cfg, solver_fn, ids=[])
-        return report(direct.status, direct.package, direct.objective)
+        direct = eval_direct(q, rel, cfg, solver_fn)
+        status, package = direct.status, direct.package
+    else:
+        try:
+            entries = _sketch_refine(q, rel, p, None, ctx, 0)
+        except _TimeExceeded:
+            status = TIME_LIMIT
+        else:
+            if entries is not None:
+                status = FEASIBLE
+                package = Package(entries, package_objective(q, rel, entries))
+    timings = ctx.timings[0] if ctx.timings else {"sketch_ms": 0.0, "refine_ms": 0.0}
+    return EvalReport(
+        METHOD_SKETCHREFINE, status, package=package,
+        objective=package.objective_value if package else None,
+        timings_ms={**timings, "total_ms": timings["sketch_ms"] + timings["refine_ms"]},
+        backtracks=ctx.backtracks,
+        subproblems={"sketch": ctx.sketch_solves, "refine": ctx.refine_solves,
+                     "hybrid": ctx.hybrid_solves},
+        flags=tuple(dict.fromkeys(ctx.flags)))
 
+
+def _sketch_refine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
+                   upper: Optional[np.ndarray], ctx: _Context, depth: int
+                   ) -> Optional[dict[int, int]]:
+    """One SketchRefine level: sketch the groups of ``p``, which hold only
+    tuples that pass q's base predicate, refine them into tuples of ``rel``
+    and check the package against ``q`` under ``upper``, the per-tuple caps
+    of an enclosing sketch. Returns the package entries, or None after
+    adding a flag that says why; raises ``_TimeExceeded`` at the deadline."""
+    timings = {"sketch_ms": 0.0, "refine_ms": 0.0}  # each written once, on phase exit
+    ctx.timings.append(timings)
+    if p.degenerate:
+        ctx.flags.append("degenerate_groups")
+    cfg = ctx.cfg
+    level_q = replace(q, base_predicate=None)
+    budget = cfg.backtrack_limit if cfg.backtrack_limit is not None else 10 * p.m
+    t0 = time.perf_counter()
     try:
-        t0 = time.perf_counter()
-        try:
-            rep_rel, sketch_q, caps, sketch_flags = build_sketch_query(
-                q_work, work_p, rel, _upper_override)
-            flags.extend(sketch_flags)
-            level = _Level(q_work, rel, work_p, _upper_override, sketch_q, rep_rel,
-                           translate(sketch_q, rep_rel, upper_override=caps))
-            rep_part, orig_part = _solve_sketch(level, cfg, ctx, solver_fn, _depth, flags)
-        finally:
-            timings["sketch_ms"] = (time.perf_counter() - t0) * 1000.0
-        if rep_part is None:
-            flags.append("sketch_infeasible")
-            return report(INFEASIBLE)
+        rep_rel, sketch_q, caps, sketch_flags = build_sketch_query(level_q, p, rel, upper)
+        ctx.flags.extend(sketch_flags)
+        level = _Level(level_q, rel, p, upper, sketch_q, rep_rel,
+                       translate(sketch_q, rep_rel, upper_override=caps),
+                       depth, budget, random.Random(cfg.seed))
+        rep_part, orig_part = _solve_sketch(level, ctx)
+    finally:
+        timings["sketch_ms"] = (time.perf_counter() - t0) * 1000.0
+    if rep_part is None:
+        ctx.flags.append("sketch_infeasible")
+        return None
 
-        t0 = time.perf_counter()
-        try:
-            refined = _Refiner(level, ctx, solver_fn).run(rep_part, orig_part)
-        finally:
-            timings["refine_ms"] = (time.perf_counter() - t0) * 1000.0
-    except _TimeExceeded:
-        return report(TIME_LIMIT)
-    except _BudgetExceeded:  # only the refine phase lets it escape
-        flags.append("backtrack_limit_exceeded")
-        return report(INFEASIBLE)
+    t0 = time.perf_counter()
+    try:
+        refined = _Refiner(level, ctx).run(rep_part, orig_part)
+    except _BudgetExceeded:
+        ctx.flags.append("backtrack_limit_exceeded")
+        return None
+    finally:
+        timings["refine_ms"] = (time.perf_counter() - t0) * 1000.0
     if refined is None:
-        flags.append("refine_exhausted")
-        return report(INFEASIBLE)
+        ctx.flags.append("refine_exhausted")
+        return None
 
     entries: dict[int, int] = {}
     for sol, _ in refined.values():
         entries.update(sol)
-    _verify_package(q, rel, entries, _upper_override)
-    objective = package_objective(q, rel, entries)
-    return report(FEASIBLE, Package(entries, objective), objective)
+    _verify_package(q, rel, entries, upper)
+    return entries
 
 
 def _verify_package(q: paql.PackageQuery, rel: Relation,
@@ -492,50 +506,40 @@ def _verify_package(q: paql.PackageQuery, rel: Relation,
         raise EvalError("internal error: package violates the query")
 
 
-def _solve_sketch(level: _Level, cfg: EvalConfig, ctx: _Context,
-                  solver_fn: SolverFn, depth: int, flags: list[str]):
-    """Solve the sketch (recursively when it is itself too large).
+def _solve_sketch(level: _Level, ctx: _Context):
+    """Solve the sketch, as a SketchRefine level one deeper when it has too
+    many groups.
 
     Returns (rep_part, orig_part): representative multiplicities per group,
     plus the refined part of one group when the hybrid fallback ran.
     """
-    p = level.p
+    cfg, p = ctx.cfg, level.p
     threshold = cfg.recursion_threshold if cfg.recursion_threshold is not None \
         else p.tau
-    if p.m > threshold and depth < MAX_RECURSION_DEPTH:
+    if p.m > threshold and level.depth < MAX_RECURSION_DEPTH:
         sub_tau = min(p.tau, level.rep_rel.n)
         sub_p = partition(level.rep_rel, PartitionParams(p.attrs, sub_tau, p.omega))
-        # the recursion inherits whatever is left of the global time budget
-        sub_cfg = replace(cfg, time_limit=ctx.remaining())
-        sub = eval_sketchrefine(level.sketch_q, level.rep_rel, sub_p, sub_cfg,
-                                solver_fn, _depth=depth + 1,
-                                _upper_override=level.sketch.upper)
-        ctx.sketch_solves += sub.subproblems.get("sketch", 0)
-        ctx.refine_solves += sub.subproblems.get("refine", 0)
-        ctx.hybrid_solves += sub.subproblems.get("hybrid", 0)
-        ctx.backtracks += sub.backtracks
-        flags.extend(sub.flags)
-        if sub.status == TIME_LIMIT:
-            raise _TimeExceeded()
-        if sub.status == FEASIBLE:
-            return dict(sub.package.entries), {}
+        entries = _sketch_refine(level.sketch_q, level.rep_rel, sub_p,
+                                 level.sketch.upper, ctx, level.depth + 1)
+        if entries is not None:
+            return entries, {}
         res_status = STATUS_INFEASIBLE
     else:
         ctx.sketch_solves += 1
         model = derive_bounds(level.sketch)
-        res = _solve_submodel(model, ctx, solver_fn)
+        res = ctx.solve(model)
         if res.status == STATUS_OPTIMAL:
             return package_from_solution(model, res.x), {}
         res_status = res.status
 
     if res_status == STATUS_INFEASIBLE and cfg.hybrid_sketch:
         try:
-            hybrid = hybrid_sketch(level, ctx, solver_fn)
+            hybrid = hybrid_sketch(level, ctx)
         except _BudgetExceeded:
-            flags.append("backtrack_limit_exceeded")
+            ctx.flags.append("backtrack_limit_exceeded")
             return None, {}
         if hybrid is not None:
-            flags.append("hybrid_used")
+            ctx.flags.append("hybrid_used")
             return hybrid
     return None, {}
 

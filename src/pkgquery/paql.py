@@ -218,6 +218,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        # relation name, alias and package name; parsed before any attribute
+        self.qualifiers: set[str] = set()
 
     @property
     def cur(self) -> _Token:
@@ -268,6 +270,7 @@ class _Parser:
             relation_alias = self.expect("ident").value
         elif self.cur.kind == "ident":
             relation_alias = self.advance().value
+        self.qualifiers = {relation_name, relation_alias, package_name}
         repeat = None
         if self.accept("kw", "REPEAT"):
             tok = self.expect("number")
@@ -297,7 +300,7 @@ class _Parser:
         if self.cur.kind != "eof":
             self.error(f"unexpected trailing input {self.cur.value!r}")
 
-        return _normalize_refs(PackageQuery(
+        return PackageQuery(
             relation_name=relation_name,
             relation_alias=relation_alias,
             package_name=package_name,
@@ -306,7 +309,7 @@ class _Parser:
             global_predicates=tuple(global_predicates),
             objective=objective,
             extra_package_aliases=tuple(aliases[1:]),
-        ))
+        )
 
     def parse_base_predicate(self) -> BasePredicate:
         conjuncts = [self.parse_comparison()]
@@ -329,11 +332,15 @@ class _Parser:
         return Comparison(attr, op_tok.value, value)
 
     def parse_attr_ref(self) -> str:
-        """Attribute reference, optionally qualified: attr, alias.attr."""
+        """Attribute reference, optionally qualified: attr, alias.attr. A
+        known qualifier is dropped, so that shorthand aggregates and their
+        subquery forms parse to the same AST; an unknown one is kept for
+        validation to reject."""
         first = self.expect("ident").value
-        if self.accept("op", "."):
-            return f"{first}.{self.expect('ident').value}"
-        return first
+        if not self.accept("op", "."):
+            return first
+        attr = self.expect("ident").value
+        return attr if first in self.qualifiers else f"{first}.{attr}"
 
     def parse_number(self) -> float:
         sign = 1.0
@@ -419,49 +426,6 @@ class _Parser:
         if kind == COUNT and filt is not None:
             return AggregateExpr(FILTERED_COUNT, filter=filt)
         return AggregateExpr(kind, attr=attr)
-
-
-def _normalize_refs(q: PackageQuery) -> PackageQuery:
-    """Strip known alias/package qualifiers so that shorthand aggregates and
-    their subquery forms produce identical ASTs. Unknown qualifiers are kept
-    for validation to reject."""
-    known = {q.relation_alias, q.relation_name, q.package_name}
-
-    def fix_attr(ref: str) -> str:
-        if "." in ref:
-            qual, attr = ref.split(".", 1)
-            if qual in known:
-                return attr
-        return ref
-
-    def fix_base(pred: Optional[BasePredicate]) -> Optional[BasePredicate]:
-        if pred is None:
-            return None
-        return BasePredicate(tuple(
-            Comparison(fix_attr(c.attr), c.op, c.value) for c in pred.conjuncts))
-
-    def fix_agg(expr: AggregateExpr) -> AggregateExpr:
-        if expr.kind == FILTERED_COUNT:
-            return AggregateExpr(FILTERED_COUNT, filter=fix_base(expr.filter))
-        if expr.attr:
-            return AggregateExpr(expr.kind, attr=fix_attr(expr.attr))
-        return expr
-
-    globals_out = tuple(
-        GlobalPredicate(
-            fix_agg(g.lhs), g.op,
-            fix_agg(g.rhs) if isinstance(g.rhs, AggregateExpr) else g.rhs,
-            g.linear_shift)
-        for g in q.global_predicates)
-    objective = None
-    if q.objective is not None:
-        objective = Objective(q.objective.direction, fix_agg(q.objective.expr))
-    return replace(
-        q,
-        base_predicate=fix_base(q.base_predicate),
-        global_predicates=globals_out,
-        objective=objective,
-    )
 
 
 def parse(text: str) -> PackageQuery:

@@ -24,6 +24,8 @@ STATUS_UNBOUNDED = "unbounded"
 STATUS_TIME_LIMIT = "time_limit"
 
 _BOUND_TOL = 1e-9
+_INTEGRALITY_TOL = 1e-6  # an LP value this close to an integer is integral
+_FEASIBILITY_TOL = 1e-9  # row slack allowed in a rounded candidate
 
 
 class SolverError(Exception):
@@ -33,19 +35,16 @@ class SolverError(Exception):
 @dataclass(frozen=True)
 class SolverConfig:
     time_limit: float = 3600.0
-    integrality_tol: float = 1e-6
-    feasibility_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.integrality_tol <= 0 or self.feasibility_tol <= 0:
-            raise SolverError("tolerances must be positive")
+        if not self.time_limit >= 0:  # NaN included: it would never expire
+            raise SolverError(f"time limit must be >= 0 seconds, got {self.time_limit}")
 
 
 @dataclass
 class SolveStats:
     nodes: int = 0
     lp_iterations: int = 0
-    wall_time_s: float = 0.0
 
 
 @dataclass
@@ -209,16 +208,15 @@ class _Search:
     def node_heuristics(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
         """Harvest an incumbent from an LP point; True if it was integral."""
         frac = np.abs(x - np.round(x))
-        frac_idx = np.nonzero(frac > self.cfg.integrality_tol)[0]
+        frac_idx = np.nonzero(frac > _INTEGRALITY_TOL)[0]
         if len(frac_idx) == 0:
             self.offer(np.round(x))
             return True
-        ftol = self.cfg.feasibility_tol
         rounded = _round_candidates(x, frac_idx, lo, hi, self.A, self.row_lo,
-                                    self.row_hi, self.c, ftol)
+                                    self.row_hi, self.c, _FEASIBILITY_TOL)
         if rounded is not None:
-            self.offer(_greedy_improve(rounded, self.lo0, self.hi0, self.A,
-                                       self.row_lo, self.row_hi, self.c, ftol))
+            self.offer(_greedy_improve(rounded, self.lo0, self.hi0, self.A, self.row_lo,
+                                       self.row_hi, self.c, _FEASIBILITY_TOL))
         return False
 
     def fix_variables(self, res) -> tuple[np.ndarray, np.ndarray]:
@@ -275,12 +273,10 @@ class _Search:
         const = float(self.c[~free] @ pinned)
         core_lo, core_hi = lo0[free], hi0[free]
         full = lo0.copy()
-        itol = self.cfg.integrality_tol
-        ftol = self.cfg.feasibility_tol
 
         def offer_local(vec):
             full[free] = _greedy_improve(vec, core_lo, core_hi, A, row_lo,
-                                         row_hi, c, ftol)
+                                         row_hi, c, _FEASIBILITY_TOL)
             self.offer(full)
 
         stack = [(core_lo, core_hi)]
@@ -303,23 +299,23 @@ class _Search:
                 continue
             x = res.x
             frac = np.abs(x - np.round(x))
-            if np.all(frac <= itol):
+            if np.all(frac <= _INTEGRALITY_TOL):
                 # integral solutions beneath a node never beat its bound
                 if float(c @ np.round(x)) > node_bound + 1e-6:
                     raise SolverError(
                         "integral LP point exceeds its node bound")
                 offer_local(np.round(x))
                 continue
-            frac_idx = np.nonzero(frac > itol)[0]
+            frac_idx = np.nonzero(frac > _INTEGRALITY_TOL)[0]
             rounded = _round_candidates(x, frac_idx, lo, hi, A, row_lo, row_hi,
-                                        c, ftol)
+                                        c, _FEASIBILITY_TOL)
             if rounded is not None:
                 offer_local(rounded)
                 if node_bound + const <= self.best_val + _BOUND_TOL:
                     continue
             # branch on the variable closest to half-integrality
             dist = np.minimum(x - np.floor(x), np.ceil(x) - x)
-            dist[frac <= itol] = -1.0
+            dist[frac <= _INTEGRALITY_TOL] = -1.0
             j = int(np.argmax(dist))  # argmax keeps the lowest index on ties
             down_hi = hi.copy()
             down_hi[j] = math.floor(x[j])
@@ -341,36 +337,28 @@ def solve(m: IlpModel, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """
     t0 = time.perf_counter()
     if m.n_vars == 0:
-        res = _empty_model_result(m)
-        res.stats.wall_time_s = time.perf_counter() - t0
-        return res
+        return _empty_model_result(m)
     if not np.all(np.isfinite(m.upper)):
         raise SolverError("solve requires finite variable bounds; run derive_bounds")
 
     if time.perf_counter() - t0 > cfg.time_limit:
-        return SolveResult(STATUS_TIME_LIMIT, None, None,
-                           SolveStats(wall_time_s=time.perf_counter() - t0))
+        return SolveResult(STATUS_TIME_LIMIT, None, None)
 
     s = _Search(m, cfg)
     root = lp_solve(s.c, s.A, s.row_lo, s.row_hi, s.lo0, s.hi0, maximize=True)
     s.stats.nodes += 1
     s.stats.lp_iterations += root.iterations
     if root.status == INFEASIBLE:
-        s.stats.wall_time_s = time.perf_counter() - t0
         return SolveResult(STATUS_INFEASIBLE, None, None, s.stats)
     if root.status == UNBOUNDED:
-        s.stats.wall_time_s = time.perf_counter() - t0
         return SolveResult(STATUS_UNBOUNDED, None, None, s.stats)
 
     integral = s.node_heuristics(root.x, s.lo0, s.hi0)
     root_bound = s.snap(root.objective)
     if integral or (s.best_x is not None and root_bound <= s.best_val + _BOUND_TOL):
-        s.stats.wall_time_s = time.perf_counter() - t0
         return SolveResult(STATUS_OPTIMAL, s.best_x, s.sign * s.best_val, s.stats)
 
     s.dfs(*s.fix_variables(root))
-
-    s.stats.wall_time_s = time.perf_counter() - t0
     if s.best_x is not None:
         status = STATUS_TIME_LIMIT if s.hit_limit else STATUS_OPTIMAL
         return SolveResult(status, s.best_x, s.sign * s.best_val, s.stats)
@@ -390,17 +378,13 @@ def brute_force(m: IlpModel) -> SolveResult:
     most 10^7 vectors. Ties keep the enumeration-first vector (all-zeros
     first), matching the solver's vacuous-objective behavior.
     """
-    t0 = time.perf_counter()
     if m.n_vars == 0:
-        res = _empty_model_result(m)
-        res.stats.wall_time_s = time.perf_counter() - t0
-        return res
+        return _empty_model_result(m)
     if not np.all(np.isfinite(m.upper)):
         raise SolverError("brute_force requires finite variable bounds")
     hi = np.floor(m.upper + 1e-9).astype(np.int64)
     if np.any(hi < 0):
-        return SolveResult(STATUS_INFEASIBLE, None, None,
-                           SolveStats(wall_time_s=time.perf_counter() - t0))
+        return SolveResult(STATUS_INFEASIBLE, None, None)
     sizes = hi + 1
     space = float(np.prod(sizes.astype(np.float64)))
     if space > _BRUTE_SPACE_LIMIT:
@@ -433,7 +417,6 @@ def brute_force(m: IlpModel) -> SolveResult:
             best_val = float(vals[k])
             best_x = Xf[ok][k]
     stats.nodes = total
-    stats.wall_time_s = time.perf_counter() - t0
     if best_x is None:
         return SolveResult(STATUS_INFEASIBLE, None, None, stats)
     return SolveResult(STATUS_OPTIMAL, best_x, sign * best_val, stats)

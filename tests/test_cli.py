@@ -139,6 +139,48 @@ class TestCli:
         assert "must be >= 0" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text, message", [
+        ("SELECT PACKAGE(R) AS P FROM R SUCH THAT", "1:40:"),  # does not parse
+        ("SELECT PACKAGE(R) AS P FROM R MAXIMIZE SUM(P.nope)",
+         "unknown attribute 'nope'"),  # does not validate
+    ])
+    def test_run_bad_query_exits_1(self, dataset, capsys, tmp_path, text, message):
+        root, rel, csv_path, *_ = dataset
+        query = tmp_path / "bad.paql"
+        query.write_text(text)
+        rc = main(["run", "--method", "direct", "--query", str(query),
+                   "--input", str(csv_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+    def test_run_malformed_csv_exits_1(self, dataset, capsys, tmp_path):
+        root, rel, csv_path, queries, qpaths = dataset
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a0,a1,a2\n1,2,3\n4,5\n")
+        rc = main(["run", "--method", "direct", "--query", qpaths[0],
+                   "--input", str(bad)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "expected 3 fields" in captured.err
+        assert captured.out == ""
+
+    def test_run_partitioning_of_another_relation_exits_1(self, dataset, capsys, tmp_path):
+        root, rel, csv_path, queries, qpaths = dataset
+        other = tmp_path / "other.csv"
+        other.write_text("a0,a1,a2\n1,2,3\n4,5,6\n")
+        part = tmp_path / "other.json"
+        assert main(["partition", "--input", str(other), "--attrs", "a0",
+                     "--tau", "2", "--out", str(part)]) == 0
+        capsys.readouterr()
+        rc = main(["run", "--method", "sketchrefine", "--query", qpaths[0],
+                   "--input", str(csv_path), "--partitioning", str(part)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "covers 2 tuples" in captured.err
+        assert captured.out == ""
+
     def test_bench_command_removed(self, dataset, capsys):
         root, rel, csv_path, queries, qpaths = dataset
         with pytest.raises(SystemExit) as exc:

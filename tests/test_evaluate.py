@@ -289,6 +289,19 @@ class TestRefineQuery:
         assert all(seen == {True, False} for seen in outcomes.values())
 
 
+def _recursive_fixture():
+    """14 tuples in 10 groups: with ``recursion_threshold=3`` the sketch
+    recurses three levels deep."""
+    x = [1.625, 0.875, 1, 1.75, 0.875, 1.375, 1, 0.5, 5.125, 0.875, 1.5,
+         1.875, 1.625, 0.625]
+    y = [1, 1.75, 1.25, 1.625, 1.125, 1.125, 1.25, 1.125, 0.625, 1.25, 1.5,
+         1.625, 1.25, 1.125]
+    rel = from_columns("R", {"x": x, "y": y})
+    q = q_of("SELECT PACKAGE(R) AS P FROM R SUCH THAT COUNT(P.*) = 3 "
+             "AND SUM(P.x) BETWEEN 4.25 AND 4.5 MAXIMIZE SUM(P.y)", rel)
+    return q, rel, partition(rel, PartitionParams(("x", "y"), 2))
+
+
 class TestSketchRefine:
     def test_meal_planner_two_groups(self, recipes, meal_query):
         p = partition(recipes, PartitionParams(("kcal", "saturated_fat"), 3))
@@ -370,20 +383,46 @@ class TestSketchRefine:
     def test_recursive_levels_report_backtracks_and_flags(self):
         # the inner sketch levels backtrack three times and fall back to
         # their hybrid; the top level's report carries both
-        x = [1.625, 0.875, 1, 1.75, 0.875, 1.375, 1, 0.5, 5.125, 0.875, 1.5,
-             1.875, 1.625, 0.625]
-        y = [1, 1.75, 1.25, 1.625, 1.125, 1.125, 1.25, 1.125, 0.625, 1.25, 1.5,
-             1.625, 1.25, 1.125]
-        rel = from_columns("R", {"x": x, "y": y})
-        q = q_of("SELECT PACKAGE(R) AS P FROM R SUCH THAT COUNT(P.*) = 3 "
-                 "AND SUM(P.x) BETWEEN 4.25 AND 4.5 MAXIMIZE SUM(P.y)", rel)
-        p = partition(rel, PartitionParams(("x", "y"), 2))
+        q, rel, p = _recursive_fixture()
         report = eval_sketchrefine(q, rel, p, EvalConfig(seed=0, recursion_threshold=3))
         assert report.status == FEASIBLE
         assert report.backtracks == 3
         assert "hybrid_used" in report.flags
         assert len(set(report.flags)) == len(report.flags)
         sr_feasibility_check(q, rel, report)
+
+    def test_inner_levels_use_up_the_outer_budget(self):
+        # a level's budget also counts the refine and hybrid solves of the
+        # levels below it: the innermost level spends both solves, so every
+        # level above finds its budget used up before its hybrid runs (with
+        # a budget of its own solves only, the hybrids would find a package)
+        q, rel, p = _recursive_fixture()
+        report = eval_sketchrefine(
+            q, rel, p, EvalConfig(seed=0, recursion_threshold=3, backtrack_limit=2))
+        assert report.status == INFEASIBLE
+        assert report.subproblems == {"sketch": 1, "refine": 2, "hybrid": 0}
+        assert report.flags == ("backtrack_limit_exceeded", "sketch_infeasible")
+
+    def test_time_limit_inside_an_inner_level(self):
+        # the twelfth solve is the hybrid of the level below the top, after
+        # the levels below it refined ten groups and backtracked three times
+        q, rel, p = _recursive_fixture()
+        calls = []
+
+        def solver_fn(model, cfg):
+            calls.append(model)
+            if len(calls) == 12:
+                return SolveResult(STATUS_TIME_LIMIT, None, None)
+            return solve(model, cfg)
+        report = eval_sketchrefine(
+            q, rel, p, EvalConfig(seed=0, recursion_threshold=3), solver_fn)
+        assert report.status == TIME_LIMIT
+        assert report.package is None and report.objective is None
+        assert report.subproblems == {"sketch": 1, "refine": 10, "hybrid": 1}
+        assert report.backtracks == 3
+        assert report.flags == ("refine_exhausted",)
+        assert set(report.timings_ms) == {"sketch_ms", "refine_ms", "total_ms"}
+        assert report.timings_ms["refine_ms"] == 0.0  # the top never refined
 
     def test_repeat_multiplicity_end_to_end(self):
         # cheapest package repeats the cheap tuple twice under REPEAT 1

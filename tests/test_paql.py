@@ -216,8 +216,20 @@ class TestValidate:
 
     def test_unknown_qualifier(self):
         q = parse("SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT SUM(Z.kcal) <= 2")
+        assert q.global_predicates[0].lhs.attr == "Z.kcal"  # kept for validate
         with pytest.raises(ValidationError, match="qualifier"):
             validate(q, SCHEMA)
+
+    def test_qualifiers_of_an_ast_built_in_code(self):
+        # the parser drops known qualifiers; validate does it for other ASTs
+        def query(attr):
+            return paql.PackageQuery(
+                "Recipes", "R", "P", objective=paql.Objective(
+                    MAXIMIZE, paql.AggregateExpr(SUM, attr=attr)))
+        for attr in ("kcal", "R.kcal", "P.kcal", "Recipes.kcal"):
+            assert validate(query(attr), SCHEMA).objective.expr.attr == "kcal"
+        with pytest.raises(ValidationError, match="unknown qualifier 'Z'"):
+            validate(query("Z.kcal"), SCHEMA)
 
     def test_multi_alias_package_rejected(self):
         q = parse("SELECT PACKAGE(A, B) AS P FROM Recipes A")

@@ -73,9 +73,11 @@ class TestSolveExamples:
         res = solve(m, SolverConfig(time_limit=0.0))
         assert res.status == "time_limit"
 
-    def test_bad_tolerances_rejected(self):
-        with pytest.raises(SolverError, match="positive"):
-            SolverConfig(integrality_tol=0.0)
+    def test_bad_time_limit_rejected(self):
+        for limit in (float("nan"), -1.0):  # a NaN limit would never expire
+            with pytest.raises(SolverError, match="must be >= 0"):
+                SolverConfig(time_limit=limit)
+        SolverConfig(time_limit=0.0)
 
     def test_equality_row_that_rounding_never_meets(self, monkeypatch):
         # maximize x1 subject to 3 x1 + 2 x2 = 7, 0 <= x <= 3: no floor/ceil

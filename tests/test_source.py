@@ -60,3 +60,30 @@ def test_every_module_is_reachable():
         reached.add(name)
         todo += _local_imports(SRC / f"{name}.py")
     assert sorted(modules - reached) == []
+
+
+
+def _public_functions(tree: ast.Module):
+    """(name, node) of the module-level functions, and of the methods of
+    module-level classes, whose names do not start with an underscore."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def test_public_functions_take_no_private_parameters():
+    # a caller of the public API should not see parameters meant for the
+    # engine's own use
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, fn in _public_functions(tree):
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            found += [f"{path.stem}.{name}({a.arg})" for a in params
+                      if a.arg.startswith("_")]
+    assert found == []
