@@ -1,8 +1,10 @@
 """Command-line interface: partition | run | gen.
 
-Exit codes for ``run``: 0 feasible, 1 bad input (a query that does not
-parse or validate, a malformed CSV, a partitioning of another relation),
-2 infeasible or a usage error, 3 time limit.
+Exit codes for ``run``: 0 feasible, 1 bad input (a missing file, a query
+that does not parse or validate, has unbounded repetition or cannot be
+sketched, a malformed CSV or partitioning file, a partitioning of another
+relation), 2 infeasible or a usage error, 3 time limit. ``partition``
+exits 2 on any bad input.
 All randomness flows from --seed; identical invocations produce identical
 status/objective output.
 """
@@ -24,10 +26,11 @@ from .evaluate import (
     TIME_LIMIT,
     EvalConfig,
     EvalError,
+    UnsketchableQueryError,
     eval_direct,
     eval_sketchrefine,
 )
-from .ilp import ilp_to_paql, load_raw_ilp
+from .ilp import UnboundedModelError, ilp_to_paql, load_raw_ilp
 from .partitioning import (
     PartitionError,
     PartitionParams,
@@ -62,18 +65,18 @@ def _csv_list(text: str) -> list[str]:
 
 
 def cmd_partition(args) -> int:
-    rel = load_csv(args.input)
     attrs = tuple(_csv_list(args.attrs))
     if args.epsilon is not None and args.direction is None:
         print("error: --epsilon needs --direction min|max", file=sys.stderr)
         return 2
-    t0 = time.perf_counter()
     try:
+        rel = load_csv(args.input)
+        t0 = time.perf_counter()
         if args.epsilon is not None:
             p = partition_with_epsilon(rel, attrs, args.tau, args.epsilon, args.direction)
         else:
             p = partition(rel, PartitionParams(attrs, args.tau, args.omega))
-    except PartitionError as exc:
+    except (OSError, RelationError, PartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     partition_ms = (time.perf_counter() - t0) * 1000.0
@@ -101,15 +104,15 @@ def cmd_run(args) -> int:
     try:
         rel = load_csv(args.input)
         q = paql.validate(paql.load_query(args.query), rel.schema)
-        if args.method == METHOD_SKETCHREFINE:
+        if args.method == METHOD_DIRECT:
+            report = eval_direct(q, rel, cfg)
+        else:
             p = load_partitioning(args.partitioning, rel)
-    except (paql.PaqlError, RelationError, PartitionError) as exc:
+            report = eval_sketchrefine(q, rel, p, cfg)
+    except (OSError, paql.PaqlError, RelationError, PartitionError,
+            UnboundedModelError, UnsketchableQueryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.method == METHOD_DIRECT:
-        report = eval_direct(q, rel, cfg)
-    else:
-        report = eval_sketchrefine(q, rel, p, cfg)
     print(json.dumps(report.to_json_dict(), indent=2))
     return {FEASIBLE: 0, INFEASIBLE: 2, TIME_LIMIT: 3}[report.status]
 

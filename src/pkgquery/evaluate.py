@@ -72,6 +72,10 @@ class RatioUndefinedError(EvalError):
     """Approximation ratio with a zero denominator."""
 
 
+class UnsketchableQueryError(EvalError):
+    """A query SketchRefine cannot evaluate; the direct method can."""
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     seed: int = 0
@@ -198,7 +202,7 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
         raise EvalError("sketch queries operate on pre-filtered relations")
     categorical = sorted(q.attrs_used() - set(rel.numeric_attrs()))
     if categorical:
-        raise EvalError(
+        raise UnsketchableQueryError(
             f"cannot sketch categorical attribute(s) {categorical}: a group "
             f"representative holds means; use the direct method")
     flags: tuple[str, ...] = ()

@@ -27,6 +27,7 @@ from .relation import NUMERIC, Relation
 
 MAXIMIZE_DIRECTION = "max"
 MINIMIZE_DIRECTION = "min"
+_EPSILON_ROUNDS = 3  # re-partitions partition_with_epsilon tries for a fixed point
 
 
 class PartitionError(Exception):
@@ -172,14 +173,13 @@ def radius_limit_from_epsilon(representatives: np.ndarray, epsilon: float,
 
 
 def partition_with_epsilon(rel: Relation, attrs: Sequence[str], tau: int,
-                           epsilon: float, direction: str,
-                           max_rounds: int = 3) -> Partitioning:
+                           epsilon: float, direction: str) -> Partitioning:
     """Partition with a radius limit derived from the target epsilon.
 
     The limit depends on the representatives, which depend on the
     partitioning; iterate: partition, recompute the implied limit from the
     new representatives, and re-partition while the enforced limit exceeds
-    the implied one (at most ``max_rounds`` re-partitions). If the fixed
+    the implied one (at most ``_EPSILON_ROUNDS`` re-partitions). If the fixed
     point is not reached and all attribute values are positive, fall back
     to the limit implied by the raw values, which every subsequent
     representative is guaranteed to satisfy.
@@ -189,7 +189,7 @@ def partition_with_epsilon(rel: Relation, attrs: Sequence[str], tau: int,
     if epsilon == 0:
         return partition(rel, PartitionParams(attrs, tau, 0.0))
     omega = radius_limit_from_epsilon(p.representatives, epsilon, direction)
-    for _ in range(max_rounds):
+    for _ in range(_EPSILON_ROUNDS):
         p = partition(rel, PartitionParams(attrs, tau, omega))
         required = radius_limit_from_epsilon(p.representatives, epsilon, direction)
         if omega <= required * (1 + 1e-12) + 1e-300:
@@ -268,16 +268,27 @@ def save_partitioning(p: Partitioning, path) -> None:
 
 def load_partitioning(path, rel: Relation) -> Partitioning:
     """Re-attach a saved partitioning to its relation."""
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    attrs = tuple(d["attrs"])
-    gid = np.asarray(d["gids"], dtype=np.int64)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+        attrs = tuple(d["attrs"])
+        gid = np.asarray(d["gids"], dtype=np.int64)
+        sizes = np.asarray(d["sizes"], dtype=np.int64)
+        m = len(sizes)
+        radii = np.asarray(d["radii"], dtype=np.float64).reshape(m)
+        reps = np.asarray(d["representatives"], dtype=np.float64).reshape(m, len(attrs))
+        omega = math.inf if d["omega"] == "inf" else float(d["omega"])
+        tau = int(d["tau"])
+        degenerate = frozenset(int(g) - 1 for g in d["degenerate"])
+    except (KeyError, TypeError, ValueError) as exc:  # a JSON syntax error is a ValueError
+        raise PartitionError(
+            f"{path}: malformed partitioning file ({type(exc).__name__}: {exc})") from None
+    if gid.ndim != 1 or sizes.ndim != 1:
+        raise PartitionError(f"{path}: gids and sizes must be flat lists")
     if len(gid) != rel.n:
         raise PartitionError(
             f"{path}: gid column covers {len(gid)} tuples, relation has {rel.n}")
     points = _attr_matrix(rel, attrs)
-    m = len(d["sizes"])
-    sizes = np.asarray(d["sizes"], dtype=np.int64)
     # one stable sort keeps each group's members in ascending id order
     # (numpy sorts keys of at most 16 bits by radix); gids outside 1..m
     # (0 = not covered) join no group
@@ -289,11 +300,6 @@ def load_partitioning(path, rel: Relation) -> Partitioning:
     key = gid[order].astype(np.min_scalar_type(m))
     order = order[np.argsort(key, kind="stable")]
     groups = tuple(np.split(order, np.cumsum(counts)[:-1])) if m else ()
-    omega = math.inf if d["omega"] == "inf" else float(d["omega"])
     return Partitioning(
-        attrs=attrs, tau=int(d["tau"]), omega=omega, gid=gid, groups=groups,
-        sizes=sizes, radii=np.asarray(d["radii"], dtype=np.float64),
-        representatives=np.asarray(d["representatives"], dtype=np.float64
-                                   ).reshape(m, len(attrs)),
-        degenerate=frozenset(int(g) - 1 for g in d["degenerate"]),
-        points=points)
+        attrs=attrs, tau=tau, omega=omega, gid=gid, groups=groups, sizes=sizes,
+        radii=radii, representatives=reps, degenerate=degenerate, points=points)

@@ -16,16 +16,16 @@ from typing import Optional
 import numpy as np
 
 from .ilp import IlpModel, feasible
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, lp_solve
+from .simplex import INFEASIBLE, OPTIMAL, LpResult, lp_solve
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
-STATUS_UNBOUNDED = "unbounded"
 STATUS_TIME_LIMIT = "time_limit"
 
 _BOUND_TOL = 1e-9
 _INTEGRALITY_TOL = 1e-6  # an LP value this close to an integer is integral
 _FEASIBILITY_TOL = 1e-9  # row slack allowed in a rounded candidate
+_CLIMB_STEPS = 400  # unit moves one climb may take
 
 
 class SolverError(Exception):
@@ -57,7 +57,7 @@ class SolveResult:
 
 def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
                       hi: np.ndarray, A: np.ndarray, row_lo: np.ndarray,
-                      row_hi: np.ndarray, c: np.ndarray, tol: float):
+                      row_hi: np.ndarray, c: np.ndarray):
     """Best feasible floor/ceil rounding of an LP point's fractional support.
 
     A basic LP solution has at most one fractional variable per constraint
@@ -80,7 +80,7 @@ def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
         if np.any(cand_vals < lo[frac_idx]) or np.any(cand_vals > hi[frac_idx]):
             continue
         lhs = lhs_base + cols @ bits
-        if np.any(lhs > row_hi + tol) or np.any(lhs < row_lo - tol):
+        if np.any(lhs > row_hi + _FEASIBILITY_TOL) or np.any(lhs < row_lo - _FEASIBILITY_TOL):
             continue
         val = val_base + float(c[frac_idx] @ bits)
         if best is None or val > best[0]:
@@ -91,10 +91,11 @@ def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
 
 
 def _feasible_after(lhs: np.ndarray, cols: np.ndarray, row_lo: np.ndarray,
-                    row_hi: np.ndarray, tol: float) -> np.ndarray:
+                    row_hi: np.ndarray) -> np.ndarray:
     """Mask of unit moves (lhs + cols[:, j]) that keep every row feasible."""
     ok = np.ones(cols.shape[1], dtype=bool)
-    for lhs_i, a, lo_i, hi_i in zip(lhs, cols, row_lo - tol, row_hi + tol):
+    for lhs_i, a, lo_i, hi_i in zip(lhs, cols, row_lo - _FEASIBILITY_TOL,
+                                    row_hi + _FEASIBILITY_TOL):
         new = lhs_i + a
         ok &= (new <= hi_i) & (new >= lo_i)
     return ok
@@ -102,12 +103,13 @@ def _feasible_after(lhs: np.ndarray, cols: np.ndarray, row_lo: np.ndarray,
 
 def _greedy_improve(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     A: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
-                    c: np.ndarray, tol: float, max_steps: int = 400) -> np.ndarray:
+                    c: np.ndarray) -> np.ndarray:
     """Climb from a feasible integral point with unit add/drop moves.
 
     Each step applies the single feasibility-preserving +-1 move with the
-    best objective gain (maximize sense, ties to the lowest index). Keeps
-    the point feasible throughout, so the result can always be offered."""
+    best objective gain (maximize sense, ties to the lowest index), for at
+    most ``_CLIMB_STEPS`` steps. Keeps the point feasible throughout, so
+    the result can always be offered."""
     if len(A) == 0:  # no rows: every variable goes to its better bound
         out = x.copy()
         out[c > 0] = hi[c > 0]
@@ -115,11 +117,10 @@ def _greedy_improve(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         return out
     x = x.copy()
     lhs = A @ x
-    for _ in range(max_steps):
-        add_ok = (x < hi - 0.5) & (c > 1e-12) & _feasible_after(lhs, A, row_lo, row_hi, tol)
-        drop_ok = (x > lo + 0.5) & (c < -1e-12) & _feasible_after(lhs, -A, row_lo, row_hi, tol)
-        best_gain = 0.0
-        move = None
+    for _ in range(_CLIMB_STEPS):
+        add_ok = (x < hi - 0.5) & (c > 1e-12) & _feasible_after(lhs, A, row_lo, row_hi)
+        drop_ok = (x > lo + 0.5) & (c < -1e-12) & _feasible_after(lhs, -A, row_lo, row_hi)
+        best_gain, move = 0.0, None
         if add_ok.any():
             j = int(np.argmax(np.where(add_ok, c, -np.inf)))
             best_gain, move = c[j], (j, 1.0)
@@ -170,201 +171,176 @@ def lp_relax(m: IlpModel) -> LpResult:
 
 
 class _Search:
-    """Shared branch-and-bound state in maximize space."""
+    """Branch-and-bound state in maximize space.
+
+    Every LP is solved by ``node``, over the free core of the current box:
+    the variables that reduced-cost fixing has not pinned. Pinned variables
+    are folded into the row bounds and put back at their values in each
+    candidate; while nothing is pinned, the core is the model's own arrays.
+    """
 
     def __init__(self, m: IlpModel, cfg: SolverConfig):
-        self.cfg = cfg
-        self.t0 = time.perf_counter()
-        self.A, self.row_lo, self.row_hi = m.rows, m.row_lo, m.row_hi
+        self.deadline = time.perf_counter() + cfg.time_limit
+        self.m = m
         self.sign = 1.0 if m.maximize else -1.0
-        self.c = self.sign * m.objective
-        self.lo0 = np.zeros(m.n_vars)
-        self.hi0 = m.upper.copy()
-        self.grid = _objective_grid(self.c)
+        self.c_model = self.sign * m.objective
+        self.grid = _objective_grid(self.c_model)
         self.stats = SolveStats()
         self.best_val = -math.inf
         self.best_x: Optional[np.ndarray] = None
         self.hit_limit = False
+        self.set_box(np.zeros(m.n_vars), m.upper.copy())
 
-    def snap(self, v: float) -> float:
-        # integral solutions live on the objective-coefficient grid, so a
-        # dual bound rounds down to it without losing any solution
+    def set_box(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Make [lo, hi] (model coordinates) the box and build its core."""
+        m, free = self.m, hi > lo + 0.5
+        if free.all():
+            self.free, self.const = None, 0.0
+            self.A, self.row_lo, self.row_hi = m.rows, m.row_lo, m.row_hi
+            self.c, self.lo, self.hi = self.c_model, lo, hi
+            return
+        self.free, self.box_lo = free, lo
+        pinned = lo[~free]
+        shift = m.rows[:, ~free] @ pinned
+        self.A = m.rows[:, free].copy()
+        self.row_lo, self.row_hi = m.row_lo - shift, m.row_hi - shift
+        self.c = self.c_model[free]
+        self.const = float(self.c_model[~free] @ pinned)
+        self.lo, self.hi = lo[free], hi[free]
+
+    def embed(self, vec: np.ndarray) -> np.ndarray:
+        """A core vector in model coordinates, pinned variables at their values."""
+        if self.free is None:
+            return vec
+        full = self.box_lo.copy()
+        full[self.free] = vec
+        return full
+
+    def snap(self, v):
+        # integral solutions live on the objective-coefficient grid, so dual
+        # bounds (scalar or array) round down to it without losing any
         if self.grid is None:
             return v
-        return math.floor(v / self.grid + 1e-6) * self.grid
-
-    def out_of_budget(self) -> bool:
-        if time.perf_counter() - self.t0 > self.cfg.time_limit:
-            self.hit_limit = True
-        return self.hit_limit
+        return np.floor(v / self.grid + 1e-6) * self.grid
 
     def offer(self, vec: np.ndarray) -> None:
-        """Record a feasible integral candidate (root-box coordinates)."""
-        val = float(self.c @ vec)
+        """Record a feasible integral candidate (core coordinates)."""
+        full = self.embed(vec)
+        val = float(self.c_model @ full)
         if val > self.best_val:
             self.best_val = val
-            self.best_x = vec.copy()
+            self.best_x = full.copy()
 
-    def node_heuristics(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-        """Harvest an incumbent from an LP point; True if it was integral."""
-        frac = np.abs(x - np.round(x))
-        frac_idx = np.nonzero(frac > _INTEGRALITY_TOL)[0]
+    def node(self, lo: np.ndarray, hi: np.ndarray) -> Optional[LpResult]:
+        """Solve the node [lo, hi] of the core and harvest an incumbent.
+
+        Checks the time limit, solves the LP, prunes by bound, and offers an
+        integral LP point as it is or a fractional one rounded and climbed.
+        Returns the LP if the node is still open, else None."""
+        if time.perf_counter() > self.deadline:
+            self.hit_limit = True
+            return None
+        self.stats.nodes += 1
+        if np.any(lo > hi):
+            return None
+        res = lp_solve(self.c, self.A, self.row_lo, self.row_hi, lo, hi,
+                       maximize=True)
+        self.stats.lp_iterations += res.iterations
+        if res.status == INFEASIBLE:
+            return None
+        if res.status != OPTIMAL:
+            raise SolverError("unbounded relaxation under finite bounds")
+        # const is a grid multiple, so snapping commutes with the shift
+        bound = self.snap(res.objective + self.const)
+        if bound <= self.best_val + _BOUND_TOL:
+            return None
+        x = res.x
+        frac_idx = np.nonzero(np.abs(x - np.round(x)) > _INTEGRALITY_TOL)[0]
         if len(frac_idx) == 0:
-            self.offer(np.round(x))
-            return True
+            vec = np.round(x)
+            # integral solutions beneath a node never beat its bound
+            if float(self.c @ vec) + self.const > bound + 1e-6:
+                raise SolverError("integral LP point exceeds its node bound")
+            self.offer(vec)
+            return None
         rounded = _round_candidates(x, frac_idx, lo, hi, self.A, self.row_lo,
-                                    self.row_hi, self.c, _FEASIBILITY_TOL)
+                                    self.row_hi, self.c)
         if rounded is not None:
-            self.offer(_greedy_improve(rounded, self.lo0, self.hi0, self.A, self.row_lo,
-                                       self.row_hi, self.c, _FEASIBILITY_TOL))
-        return False
+            self.offer(_greedy_improve(rounded, self.lo, self.hi, self.A,
+                                       self.row_lo, self.row_hi, self.c))
+            if bound <= self.best_val + _BOUND_TOL:
+                return None
+        return res
 
-    def fix_variables(self, res) -> tuple[np.ndarray, np.ndarray]:
-        """Root reduced-cost fixing: variables whose move away from their
-        bound provably cannot beat the incumbent get pinned there.
+    def fix_by_reduced_costs(self, res: LpResult) -> bool:
+        """Pin the core variables whose move off their LP bound provably
+        cannot beat the incumbent (which stays recorded), and make the rest
+        the new core. False if nothing was pinned."""
+        d, at_ub = res.reduced_costs, res.at_upper
+        margin = 1e-9 * max(1.0, abs(self.best_val))
+        worse = self.snap(res.objective + self.const + np.where(at_ub, -d, d))
+        fixable = (worse <= self.best_val + margin) & (np.abs(d) > 1e-12)
+        if not fixable.any():
+            return False
+        lo, hi = self.lo.copy(), self.hi.copy()
+        hi[fixable & ~at_ub] = lo[fixable & ~at_ub]
+        lo[fixable & at_ub] = hi[fixable & at_ub]
+        self.set_box(self.embed(lo), self.embed(hi))
+        return True
 
-        Iterates because each re-solve tightens the bound. Only removes
-        solutions no better than the incumbent, which stays recorded, so
-        the final answer is unaffected."""
-        lo, hi = self.lo0.copy(), self.hi0.copy()
-        for _ in range(4):
-            if self.best_x is None or res.reduced_costs is None:
-                break
-            bound = res.objective
-            if self.snap(bound) <= self.best_val + _BOUND_TOL:
-                break  # incumbent already optimal for this box
-            d = res.reduced_costs
-            at_ub = res.at_upper
-            margin = 1e-9 * max(1.0, abs(self.best_val))
-            open_ = hi > lo + 0.5
-            worse = bound + np.where(at_ub, -d, d)
-            if self.grid is not None:
-                worse = np.floor(worse / self.grid + 1e-6) * self.grid
-            fixable = open_ & (worse <= self.best_val + margin) & (np.abs(d) > 1e-12)
-            if not fixable.any():
-                break
-            to_lb = fixable & ~at_ub
-            to_ub = fixable & at_ub
-            hi[to_lb] = lo[to_lb]
-            lo[to_ub] = hi[to_ub]
-            res = lp_solve(self.c, self.A, self.row_lo, self.row_hi, lo, hi,
-                           maximize=True)
-            self.stats.lp_iterations += res.iterations
-            if res.status != OPTIMAL:
-                # no solution better than the incumbent survives in the box
-                hi[:] = lo
-                break
-            self.node_heuristics(res.x, lo, hi)
-        return lo, hi
-
-    def dfs(self, lo0: np.ndarray, hi0: np.ndarray) -> None:
-        """Depth-first search over the free core, round-down child first,
-        most-fractional branching with lowest-index tie-break, incumbent
-        pruning with a 1e-9 bound tolerance. Pinned variables are folded
-        into the row bounds and put back at their values in each candidate."""
-        free = hi0 > lo0 + 0.5
-        if not free.any():
-            return
-        pinned = lo0[~free]
-        shift = self.A[:, ~free] @ pinned
-        A = self.A[:, free].copy()
-        row_lo, row_hi = self.row_lo - shift, self.row_hi - shift
-        c = self.c[free]
-        const = float(self.c[~free] @ pinned)
-        core_lo, core_hi = lo0[free], hi0[free]
-        full = lo0.copy()
-
-        def offer_local(vec):
-            full[free] = _greedy_improve(vec, core_lo, core_hi, A, row_lo,
-                                         row_hi, c, _FEASIBILITY_TOL)
-            self.offer(full)
-
-        stack = [(core_lo, core_hi)]
-        while stack:
-            if self.out_of_budget():
+    def dfs(self, res: LpResult) -> None:
+        """Depth-first search below the open root ``res`` of the core,
+        round-down child first, most-fractional branching with lowest-index
+        tie-break."""
+        lo, hi = self.lo, self.hi
+        stack = []
+        while True:
+            if res is not None:
+                x = res.x
+                frac = np.abs(x - np.round(x))
+                frac[frac <= _INTEGRALITY_TOL] = -1.0
+                j = int(np.argmax(frac))  # argmax keeps the lowest index on ties
+                down_hi = hi.copy()
+                down_hi[j] = math.floor(x[j])
+                up_lo = lo.copy()
+                up_lo[j] = math.ceil(x[j])
+                stack.append((up_lo, hi))
+                stack.append((lo, down_hi))  # LIFO: round-down child first
+            if not stack or self.hit_limit:
                 return
             lo, hi = stack.pop()
-            self.stats.nodes += 1
-            if np.any(lo > hi):
-                continue
-            res = lp_solve(c, A, row_lo, row_hi, lo, hi, maximize=True)
-            self.stats.lp_iterations += res.iterations
-            if res.status == INFEASIBLE:
-                continue
-            if res.status == UNBOUNDED:
-                raise SolverError("unbounded relaxation under finite bounds")
-            # const is a grid multiple, so snapping commutes with the shift
-            node_bound = self.snap(res.objective + const) - const
-            if node_bound + const <= self.best_val + _BOUND_TOL:
-                continue
-            x = res.x
-            frac = np.abs(x - np.round(x))
-            if np.all(frac <= _INTEGRALITY_TOL):
-                # integral solutions beneath a node never beat its bound
-                if float(c @ np.round(x)) > node_bound + 1e-6:
-                    raise SolverError(
-                        "integral LP point exceeds its node bound")
-                offer_local(np.round(x))
-                continue
-            frac_idx = np.nonzero(frac > _INTEGRALITY_TOL)[0]
-            rounded = _round_candidates(x, frac_idx, lo, hi, A, row_lo, row_hi,
-                                        c, _FEASIBILITY_TOL)
-            if rounded is not None:
-                offer_local(rounded)
-                if node_bound + const <= self.best_val + _BOUND_TOL:
-                    continue
-            # branch on the variable closest to half-integrality
-            dist = np.minimum(x - np.floor(x), np.ceil(x) - x)
-            dist[frac <= _INTEGRALITY_TOL] = -1.0
-            j = int(np.argmax(dist))  # argmax keeps the lowest index on ties
-            down_hi = hi.copy()
-            down_hi[j] = math.floor(x[j])
-            up_lo = lo.copy()
-            up_lo[j] = math.ceil(x[j])
-            stack.append((up_lo, hi))
-            stack.append((lo, down_hi))  # LIFO: round-down child first
+            res = self.node(lo, hi)
 
 
 def solve(m: IlpModel, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Exact branch-and-bound over the LP relaxation.
 
-    Solves the root LP and rounds its fractional support into an
-    incumbent, climbing from it with feasible unit moves; the same
-    rounding runs at every node. Then pins the variables that reduced costs
-    prove cannot move (shrinking the branching core) and runs depth-first
-    search. Deterministic for a fixed config; the reported objective is
-    exact to 1e-6 absolute / 1e-9 relative.
+    The root is the first node; every node rounds its fractional LP point
+    into an incumbent and climbs from it with feasible unit moves. Up to
+    four rounds of reduced-cost fixing then pin the variables that cannot
+    move, each followed by one more node over the smaller core, and
+    depth-first search branches from the last open node. Deterministic for
+    a fixed config; the reported objective is exact to 1e-6 absolute /
+    1e-9 relative.
     """
-    t0 = time.perf_counter()
     if m.n_vars == 0:
         return _empty_model_result(m)
     if not np.all(np.isfinite(m.upper)):
         raise SolverError("solve requires finite variable bounds; run derive_bounds")
 
-    if time.perf_counter() - t0 > cfg.time_limit:
-        return SolveResult(STATUS_TIME_LIMIT, None, None)
-
     s = _Search(m, cfg)
-    root = lp_solve(s.c, s.A, s.row_lo, s.row_hi, s.lo0, s.hi0, maximize=True)
-    s.stats.nodes += 1
-    s.stats.lp_iterations += root.iterations
-    if root.status == INFEASIBLE:
-        return SolveResult(STATUS_INFEASIBLE, None, None, s.stats)
-    if root.status == UNBOUNDED:
-        return SolveResult(STATUS_UNBOUNDED, None, None, s.stats)
-
-    integral = s.node_heuristics(root.x, s.lo0, s.hi0)
-    root_bound = s.snap(root.objective)
-    if integral or (s.best_x is not None and root_bound <= s.best_val + _BOUND_TOL):
-        return SolveResult(STATUS_OPTIMAL, s.best_x, s.sign * s.best_val, s.stats)
-
-    s.dfs(*s.fix_variables(root))
-    if s.best_x is not None:
-        status = STATUS_TIME_LIMIT if s.hit_limit else STATUS_OPTIMAL
-        return SolveResult(status, s.best_x, s.sign * s.best_val, s.stats)
-    if s.hit_limit:
-        return SolveResult(STATUS_TIME_LIMIT, None, None, s.stats)
-    return SolveResult(STATUS_INFEASIBLE, None, None, s.stats)
+    res = s.node(s.lo, s.hi)  # the root
+    for _ in range(4):  # fixing rounds, each solving the smaller core once
+        if res is None or s.best_x is None or not s.fix_by_reduced_costs(res):
+            break
+        res = s.node(s.lo, s.hi)
+    if res is not None:
+        s.dfs(res)
+    if s.best_x is None:
+        status = STATUS_TIME_LIMIT if s.hit_limit else STATUS_INFEASIBLE
+        return SolveResult(status, None, None, s.stats)
+    status = STATUS_TIME_LIMIT if s.hit_limit else STATUS_OPTIMAL
+    return SolveResult(status, s.best_x, s.sign * s.best_val, s.stats)
 
 
 _BRUTE_SPACE_LIMIT = 10_000_000
@@ -401,7 +377,6 @@ def brute_force(m: IlpModel) -> SolveResult:
 
     best_val = -math.inf
     best_x = None
-    stats = SolveStats()
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         Xf = ((idx[:, None] // strides[None, :]) % sizes[None, :]).astype(np.float64)
@@ -416,7 +391,7 @@ def brute_force(m: IlpModel) -> SolveResult:
         if vals[k] > best_val:
             best_val = float(vals[k])
             best_x = Xf[ok][k]
-    stats.nodes = total
+    stats = SolveStats(nodes=total)
     if best_x is None:
         return SolveResult(STATUS_INFEASIBLE, None, None, stats)
     return SolveResult(STATUS_OPTIMAL, best_x, sign * best_val, stats)

@@ -181,6 +181,80 @@ class TestCli:
         assert captured.err.startswith("error: ") and "covers 2 tuples" in captured.err
         assert captured.out == ""
 
+    @staticmethod
+    def _small(tmp_path, query):
+        # a 4-row relation with a categorical column, partitioned on (a, b)
+        csv_path, part_path, qpath = (tmp_path / "s.csv", tmp_path / "s.json",
+                                      tmp_path / "s.paql")
+        csv_path.write_text("a,b,c\n1,2,x\n2,3,y\n3,1,x\n4,2,y\n")
+        qpath.write_text(query)
+        assert main(["partition", "--input", str(csv_path), "--attrs", "a,b",
+                     "--tau", "2", "--out", str(part_path)]) == 0
+        return csv_path, part_path, qpath
+
+    def _run_error(self, capsys, args, code, message):
+        capsys.readouterr()
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+    def test_run_unsketchable_query_exits_1(self, tmp_path, capsys):
+        csv_path, part_path, qpath = self._small(
+            tmp_path, "SELECT PACKAGE(R) AS P FROM R REPEAT 0 SUCH THAT "
+            "(SELECT COUNT(*) FROM P WHERE c = 'x') >= 1 MAXIMIZE SUM(P.a)")
+        self._run_error(capsys, ["run", "--method", "sketchrefine", "--query", str(qpath),
+                                 "--input", str(csv_path), "--partitioning", str(part_path)],
+                        1, "cannot sketch categorical attribute(s) ['c']")
+
+    def test_run_unbounded_repetition_exits_1(self, tmp_path, capsys):
+        csv_path, part_path, qpath = self._small(
+            tmp_path, "SELECT PACKAGE(R) AS P FROM R MAXIMIZE SUM(P.a)")
+        self._run_error(capsys, ["run", "--method", "direct", "--query", str(qpath),
+                                 "--input", str(csv_path)], 1, "unbounded repetition")
+
+    @pytest.mark.parametrize("missing", ["query", "input", "partitioning"])
+    def test_run_missing_file_exits_1(self, tmp_path, capsys, missing):
+        csv_path, part_path, qpath = self._small(
+            tmp_path, "SELECT PACKAGE(R) AS P FROM R REPEAT 0 MAXIMIZE SUM(P.a)")
+        paths = {"query": qpath, "input": csv_path, "partitioning": part_path}
+        paths[missing] = tmp_path / "nope"
+        args = ["run", "--method", "sketchrefine"]
+        for flag, path in paths.items():
+            args += [f"--{flag}", str(path)]
+        self._run_error(capsys, args, 1, "No such file")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("attrs"), "malformed partitioning file (KeyError: 'attrs')"),
+        (lambda d: d.update(radii=[[0.5, 0.5]]),
+         "malformed partitioning file (ValueError: cannot reshape"),
+        (lambda d: d.update(gids=[[1, 1], [2, 2]]), "gids and sizes must be flat lists"),
+    ], ids=["no-attrs", "radii-shape", "gids-shape"])
+    def test_run_malformed_partitioning_exits_1(self, tmp_path, capsys, edit, message):
+        csv_path, part_path, qpath = self._small(
+            tmp_path, "SELECT PACKAGE(R) AS P FROM R REPEAT 0 MAXIMIZE SUM(P.a)")
+        saved = json.loads(part_path.read_text())
+        edit(saved)
+        part_path.write_text(json.dumps(saved))
+        self._run_error(capsys, ["run", "--method", "sketchrefine", "--query", str(qpath),
+                                 "--input", str(csv_path), "--partitioning", str(part_path)],
+                        1, message)
+
+    @pytest.mark.parametrize("attrs, message", [
+        ("a,zz", "unknown attribute 'zz'"),
+        ("a,c", "attribute 'c' is not numeric"),
+    ])
+    def test_partition_bad_attribute_exits_2(self, tmp_path, capsys, attrs, message):
+        csv_path, _, _ = self._small(tmp_path, "")
+        self._run_error(capsys, ["partition", "--input", str(csv_path), "--attrs", attrs,
+                                 "--tau", "2", "--out", str(tmp_path / "x.json")], 2, message)
+        assert not (tmp_path / "x.json").exists()
+
+    def test_partition_missing_csv_exits_2(self, tmp_path, capsys):
+        self._run_error(capsys, ["partition", "--input", str(tmp_path / "nope.csv"),
+                                 "--attrs", "a", "--tau", "2",
+                                 "--out", str(tmp_path / "x.json")], 2, "No such file")
+
     def test_bench_command_removed(self, dataset, capsys):
         root, rel, csv_path, queries, qpaths = dataset
         with pytest.raises(SystemExit) as exc:

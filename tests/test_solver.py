@@ -24,6 +24,34 @@ def q_of(text, rel):
     return paql.validate(paql.parse(text), rel.schema)
 
 
+def equality_model():
+    # maximize x1 subject to 3 x1 + 2 x2 = 7, 0 <= x <= 3
+    return IlpModel(np.arange(2), np.array([3.0, 3.0]), np.array([[3.0, 2.0]]),
+                    np.array([7.0]), np.array([7.0]), np.array([1.0, 0.0]), True)
+
+
+def knapsack_model():
+    # one knapsack row over 10 binary columns; the root's rounded incumbent
+    # lets reduced-cost fixing pin 7 of them, and the search goes on
+    return IlpModel(np.arange(10), np.ones(10),
+                    np.array([[3.0, 6, 8, 16, 9, 2, 7, 12, 16, 14]]),
+                    np.array([-np.inf]), np.array([37.0]),
+                    np.array([29.0, 6, 26, 2, 17, 8, 6, 20, 9, 17]), True)
+
+
+def record_lps(monkeypatch):
+    """(columns, lower, upper) of every LP that ``solve`` hands the simplex."""
+    calls = []
+    real = solver.lp_solve
+
+    def recording(obj, A, row_lo, row_hi, lower, upper, **kwargs):
+        calls.append((len(obj), lower.copy(), upper.copy()))
+        return real(obj, A, row_lo, row_hi, lower, upper, **kwargs)
+
+    monkeypatch.setattr(solver, "lp_solve", recording)
+    return calls
+
+
 class TestSolveExamples:
     def test_meal_planner_matches_hand_enumeration(self, recipes, meal_query):
         kcal = recipes.column("kcal")
@@ -80,11 +108,10 @@ class TestSolveExamples:
         SolverConfig(time_limit=0.0)
 
     def test_equality_row_that_rounding_never_meets(self, monkeypatch):
-        # maximize x1 subject to 3 x1 + 2 x2 = 7, 0 <= x <= 3: no floor/ceil
-        # rounding of any LP point meets the equality, so the search alone
-        # finds (1, 2); depth-first, that takes 8 nodes
-        m = IlpModel(np.arange(2), np.array([3.0, 3.0]), np.array([[3.0, 2.0]]),
-                     np.array([7.0]), np.array([7.0]), np.array([1.0, 0.0]), True)
+        # no floor/ceil rounding of any LP point meets the equality, so the
+        # search alone finds (1, 2); depth-first from the root's LP, that
+        # takes 7 nodes
+        m = equality_model()
         rounded = []
         real = solver._round_candidates
 
@@ -99,7 +126,30 @@ class TestSolveExamples:
         assert res.status == oracle.status == "optimal"
         assert res.x.tolist() == oracle.x.tolist() == [1.0, 2.0]
         assert res.objective == oracle.objective == 1.0
-        assert res.stats.nodes == 8
+        assert res.stats.nodes == 7
+
+    def test_lps_after_fixing_run_over_the_core(self, monkeypatch):
+        calls = record_lps(monkeypatch)
+        m = knapsack_model()
+        res = solve(m)
+        assert res.objective == brute_force(m).objective
+        cols = [n for n, _, _ in calls]
+        # the root sees the whole model; fixing pins columns at the root, so
+        # its re-solve and every node after it see only the core
+        assert cols[0] == m.n_vars and len(cols) > 2
+        assert all(n < m.n_vars for n in cols[1:])
+
+    @pytest.mark.parametrize("model", [equality_model, knapsack_model])
+    def test_no_lp_is_solved_twice_in_a_row(self, monkeypatch, model):
+        # the search branches from the LP it is handed; it does not solve
+        # its root again
+        calls = record_lps(monkeypatch)
+        m = model()
+        assert solve(m).objective == brute_force(m).objective
+        assert len(calls) > 2
+        for (n1, lo1, hi1), (n2, lo2, hi2) in zip(calls, calls[1:]):
+            assert not (n1 == n2 and np.array_equal(lo1, lo2)
+                        and np.array_equal(hi1, hi2))
 
 
 class TestBruteForce:

@@ -87,3 +87,15 @@ def test_public_functions_take_no_private_parameters():
             found += [f"{path.stem}.{name}({a.arg})" for a in params
                       if a.arg.startswith("_")]
     assert found == []
+
+
+def test_search_solves_its_lps_at_one_call_site():
+    # every branch-and-bound LP (the root, each fixing round, each node) is
+    # solved at one place in ``_Search``, the one a warm start has to cover;
+    # ``lp_relax`` solves the relaxation outside the search
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    sites = [(getattr(top, "name", "<module>"), node.lineno) for top in tree.body
+             if getattr(top, "name", None) != "lp_relax"
+             for node in ast.walk(top)
+             if isinstance(node, ast.Name) and node.id == "lp_solve"]
+    assert len(sites) == 1 and sites[0][0] == "_Search", sites
