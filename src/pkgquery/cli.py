@@ -4,7 +4,9 @@ Exit codes for ``run``: 0 feasible, 1 bad input (a missing file, a query
 that does not parse or validate, has unbounded repetition or cannot be
 sketched, a malformed CSV or partitioning file, a partitioning of another
 relation), 2 infeasible or a usage error, 3 time limit. ``partition``
-exits 2 on any bad input.
+and ``gen`` exit 0 on success and 2 on a usage error, a missing or
+malformed input file, an output path that cannot be written, or settings
+the partitioner or the generator rejects.
 All randomness flows from --seed; identical invocations produce identical
 status/objective output.
 """
@@ -30,7 +32,7 @@ from .evaluate import (
     eval_direct,
     eval_sketchrefine,
 )
-from .ilp import UnboundedModelError, ilp_to_paql, load_raw_ilp
+from .ilp import IlpError, UnboundedModelError, ilp_to_paql, load_raw_ilp
 from .partitioning import (
     PartitionError,
     PartitionParams,
@@ -76,11 +78,11 @@ def cmd_partition(args) -> int:
             p = partition_with_epsilon(rel, attrs, args.tau, args.epsilon, args.direction)
         else:
             p = partition(rel, PartitionParams(attrs, args.tau, args.omega))
+        partition_ms = (time.perf_counter() - t0) * 1000.0
+        save_partitioning(p, args.out)
     except (OSError, RelationError, PartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    partition_ms = (time.perf_counter() - t0) * 1000.0
-    save_partitioning(p, args.out)
     print(json.dumps({
         "groups": p.m, "tau": p.tau,
         "omega": "inf" if math.isinf(p.omega) else p.omega,
@@ -118,40 +120,43 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    rel = None
-    if args.from_ilp:
-        raw = load_raw_ilp(args.from_ilp)
-        rel, q = ilp_to_paql(raw)
-        save_csv(rel, args.out or "ilp_data.csv")
-        out_query = args.out_query or "ilp_query.paql"
-        with open(out_query, "w", encoding="utf-8") as fh:
-            fh.write(paql.to_paql(q) + "\n")
-        print(json.dumps({"csv": args.out or "ilp_data.csv", "query": out_query}))
-        return 0
-    if args.rows is not None:
-        rel = generate.gen_dataset(
-            args.rows, args.cols, args.seed, dist=args.dist,
-            low=args.low, high=args.high, mean=args.mean, sigma=args.sigma)
-        if not args.out:
-            print("error: --rows needs --out for the CSV", file=sys.stderr)
-            return 2
-        save_csv(rel, args.out)
-        print(json.dumps({"csv": args.out, "rows": rel.n,
-                          "cols": len(rel.schema.attributes)}))
-    if args.workload:
-        if rel is None:
-            if not args.input:
-                print("error: --workload needs --input or --rows", file=sys.stderr)
-                return 2
-            rel = load_csv(args.input)
-        queries = generate.gen_workload(
-            rel, args.workload, args.seed, expected_size=args.expected_size,
-            wide=args.wide)
-        paths = generate.queries_to_files(queries, args.out_dir or "workload")
-        print(json.dumps({"queries": paths}))
     if args.rows is None and not args.workload and not args.from_ilp:
         print("error: nothing to generate (--rows, --workload, or --from-ilp)",
               file=sys.stderr)
+        return 2
+    try:
+        if args.from_ilp:
+            rel, q = ilp_to_paql(load_raw_ilp(args.from_ilp))
+            save_csv(rel, args.out or "ilp_data.csv")
+            out_query = args.out_query or "ilp_query.paql"
+            with open(out_query, "w", encoding="utf-8") as fh:
+                fh.write(paql.to_paql(q) + "\n")
+            print(json.dumps({"csv": args.out or "ilp_data.csv", "query": out_query}))
+            return 0
+        rel = None
+        if args.rows is not None:
+            rel = generate.gen_dataset(
+                args.rows, args.cols, args.seed, dist=args.dist,
+                low=args.low, high=args.high, mean=args.mean, sigma=args.sigma)
+            if not args.out:
+                print("error: --rows needs --out for the CSV", file=sys.stderr)
+                return 2
+            save_csv(rel, args.out)
+            print(json.dumps({"csv": args.out, "rows": rel.n,
+                              "cols": len(rel.schema.attributes)}))
+        if args.workload:
+            if rel is None:
+                if not args.input:
+                    print("error: --workload needs --input or --rows", file=sys.stderr)
+                    return 2
+                rel = load_csv(args.input)
+            queries = generate.gen_workload(
+                rel, args.workload, args.seed, expected_size=args.expected_size,
+                wide=args.wide)
+            paths = generate.queries_to_files(queries, args.out_dir or "workload")
+            print(json.dumps({"queries": paths}))
+    except (OSError, RelationError, IlpError, generate.GenerateError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 

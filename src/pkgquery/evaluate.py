@@ -188,7 +188,8 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
 
     The representative relation has one row per group (tuple id = 0-based
     group index) carrying group means for the partitioning attributes plus
-    every attribute the query touches. The sketch query is the query over
+    every attribute the query touches, under the same names. The sketch
+    query is the validated query without its REPEAT bound, evaluated over
     that relation, so a filtered count counts a representative by its own
     (mean) values: its coefficient is the indicator of the group mean, not
     the mean of the members' indicators. Capacities (one per group,
@@ -217,9 +218,7 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
     means = group_means(p, rel, needed)
     rep_rel = from_columns(
         "representatives", {a: means[:, i] for i, a in enumerate(needed)})
-    sketch_q = paql.validate(replace(
-        q, relation_name="representatives", relation_alias="representatives",
-        repeat=None, validated=False), rep_rel.schema)
+    sketch_q = replace(q, repeat=None)
     caps = np.full(p.m, np.inf) if q.repeat is None else p.sizes * float(1 + q.repeat)
     if upper is not None:  # gid holds each tuple's 1-based group, 0 for none
         caps = np.minimum(caps, np.bincount(p.gid, upper, minlength=p.m + 1)[1:p.m + 1])

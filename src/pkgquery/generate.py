@@ -69,8 +69,7 @@ _SHAPES = (_COUNT_WINDOW_MAX, _PINNED_WINDOW_MIN, _COVER_MIN_COUNT,
 
 
 def gen_workload(rel: Relation, count: int, seed: int, expected_size: int = 5,
-                 wide: bool = False, alias: str = "R",
-                 package: str = "P") -> list[paql.PackageQuery]:
+                 wide: bool = False) -> list[paql.PackageQuery]:
     """Randomized single-relation workload over a numeric dataset.
 
     Every query uses REPEAT 0 and bounds the package cardinality one way
@@ -84,6 +83,8 @@ def gen_workload(rel: Relation, count: int, seed: int, expected_size: int = 5,
     attrs = list(rel.numeric_attrs())
     if not attrs:
         raise GenerateError("workload generation needs numeric attributes")
+    if rel.n == 0:
+        raise GenerateError("workload generation needs a non-empty relation")
     stats = {a: (float(rel.column(a).min()), float(rel.column(a).max()))
              for a in attrs}
     s = max(int(expected_size), 1)
@@ -140,8 +141,8 @@ def gen_workload(rel: Relation, count: int, seed: int, expected_size: int = 5,
 
         q = paql.PackageQuery(
             relation_name=rel.schema.name,
-            relation_alias=alias,
-            package_name=package,
+            relation_alias="R",
+            package_name="P",
             repeat=0,
             global_predicates=tuple(preds),
             objective=objective,
@@ -150,37 +151,34 @@ def gen_workload(rel: Relation, count: int, seed: int, expected_size: int = 5,
     return queries
 
 
-def gen_raw_ilp(seed: int, n_vars: Optional[int] = None,
-                n_constraints: Optional[int] = None,
-                coeff_lo: int = -5, coeff_hi: int = 5,
-                bounding_rhs_max: int = 3) -> RawIlp:
+def gen_raw_ilp(seed: int) -> RawIlp:
     """Random small integer program, always bounded.
 
-    Coefficients are integers in [coeff_lo, coeff_hi]. One constraint row
-    is a cardinality cap (all-ones coefficients with a small nonnegative
-    bound) so that every variable has a derivable finite upper bound.
+    It has 1-10 variables and 1-4 constraints, with integer coefficients
+    in [-5, 5]. One constraint row is a cardinality cap (all-ones
+    coefficients with a bound of 1-3) so that every variable has a
+    derivable finite upper bound.
     """
     rng = np.random.default_rng(seed)
-    n = n_vars if n_vars is not None else int(rng.integers(1, 11))
-    k = n_constraints if n_constraints is not None else int(rng.integers(1, 5))
-    a = rng.integers(coeff_lo, coeff_hi + 1, size=n).astype(float)
-    b = rng.integers(coeff_lo, coeff_hi + 1, size=(n, k)).astype(float)
+    n = int(rng.integers(1, 11))
+    k = int(rng.integers(1, 5))
+    a = rng.integers(-5, 6, size=n).astype(float)
+    b = rng.integers(-5, 6, size=(n, k)).astype(float)
     c = rng.integers(-3, 16, size=k).astype(float)
     bound_j = int(rng.integers(0, k))
     b[:, bound_j] = 1.0
-    c[bound_j] = float(rng.integers(1, bounding_rhs_max + 1))
+    c[bound_j] = float(rng.integers(1, 4))
     return RawIlp(tuple(a), tuple(tuple(row) for row in b), tuple(c))
 
 
-def queries_to_files(queries: Sequence[paql.PackageQuery], out_dir,
-                     stem: str = "query") -> list[str]:
+def queries_to_files(queries: Sequence[paql.PackageQuery], out_dir) -> list[str]:
     """Write one .paql file per query; returns the file paths."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i, q in enumerate(queries):
-        path = os.path.join(out_dir, f"{stem}_{i:03d}.paql")
+        path = os.path.join(out_dir, f"query_{i:03d}.paql")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(paql.to_paql(q) + "\n")
         paths.append(path)

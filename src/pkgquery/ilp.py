@@ -251,10 +251,15 @@ class RawIlp:
 
 
 def load_raw_ilp(path) -> RawIlp:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    raw = RawIlp(tuple(d["a"]), tuple(tuple(r) for r in d["b"]), tuple(d["c"]))
-    if raw.n != d["n"] or raw.k != d["k"]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+        raw = RawIlp(tuple(d["a"]), tuple(tuple(r) for r in d["b"]), tuple(d["c"]))
+        n, k = d["n"], d["k"]
+    except (KeyError, TypeError, ValueError) as exc:  # a JSON syntax error is a ValueError
+        raise IlpError(
+            f"{path}: malformed ILP file ({type(exc).__name__}: {exc})") from None
+    if raw.n != n or raw.k != k:
         raise IlpError(f"{path}: inconsistent n/k fields")
     return raw
 

@@ -2,15 +2,19 @@
 
 PaQL extends a SELECT/FROM/WHERE skeleton with PACKAGE(...), REPEAT,
 SUCH THAT (global predicates over package aggregates), and
-MINIMIZE/MAXIMIZE. The parser is a hand-rolled tokenizer plus recursive
-descent; keywords are case-insensitive. ASTs are immutable dataclasses.
+MINIMIZE/MAXIMIZE. One regex scan cuts the text into tokens that keep
+their offset, and a ParseError turns the offset into line:col. Recursive
+descent parses them, with one grammar for the shorthand aggregates and
+their (SELECT ... FROM pkg) subquery forms; keywords are case-insensitive.
+Queries over one relation only: joins, OR and an alias list in PACKAGE(...)
+are parse errors. ASTs are immutable dataclasses.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .relation import CATEGORICAL, NUMERIC, Schema
 
@@ -31,10 +35,12 @@ class PaqlError(Exception):
 
 
 class ParseError(PaqlError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
+    """A syntax error at ``offset`` in ``text``, reported as line:col."""
+
+    def __init__(self, message: str, text: str, offset: int):
+        self.line = text.count("\n", 0, offset) + 1
+        self.col = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{self.line}:{self.col}: {message}")
 
 
 class ValidationError(PaqlError):
@@ -132,9 +138,6 @@ class PackageQuery:
     base_predicate: Optional[BasePredicate] = None
     global_predicates: tuple[GlobalPredicate, ...] = ()
     objective: Optional[Objective] = None
-    # Aliases beyond the first inside PACKAGE(...); the grammar admits a
-    # list but single-relation validation rejects a non-empty value.
-    extra_package_aliases: tuple[str, ...] = ()
     validated: bool = False
 
     def attrs_used(self) -> set[str]:
@@ -155,6 +158,8 @@ _KEYWORDS = {
     "AND", "OR", "BETWEEN", "MINIMIZE", "MAXIMIZE", "COUNT", "SUM", "AVG",
 }
 
+_AGGREGATES = {"COUNT": COUNT, "SUM": SUM, "AVG": AVG}
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -167,46 +172,35 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'kw', 'ident', 'number', 'string', 'op', 'eof'
     value: str
-    line: int
-    col: int
+    offset: int  # into the query text
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            if m.lastgroup == "ident":
-                upper = lexeme.upper()
-                kind = "kw" if upper in _KEYWORDS else "ident"
-                value = upper if kind == "kw" else lexeme
-            elif m.lastgroup == "string":
-                kind = "string"
-                value = lexeme[1:-1].replace("''", "'")
-            elif m.lastgroup == "op":
-                kind = "op"
-                value = "!=" if lexeme == "<>" else lexeme
-            else:
-                kind = "number"
-                value = lexeme
-            tokens.append(_Token(kind, value, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:  # a gap: no token matches at pos
+            break
         pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        lexeme = m.group()
+        if kind == "ident":
+            upper = lexeme.upper()
+            if upper in _KEYWORDS:
+                kind, lexeme = "kw", upper
+        elif kind == "string":
+            lexeme = lexeme[1:-1].replace("''", "'")
+        elif lexeme == "<>":
+            lexeme = "!="
+        tokens.append(_Token(kind, lexeme, m.start()))
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
+    tokens.append(_Token("eof", "", pos))
     return tokens
 
 
@@ -216,6 +210,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         # relation name, alias and package name; parsed before any attribute
@@ -226,8 +221,11 @@ class _Parser:
         return self.tokens[self.i]
 
     def error(self, message: str, tok: Optional[_Token] = None):
-        tok = tok or self.cur
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, self.text, (tok or self.cur).offset)
+
+    def at(self, kind: str, *values: str) -> bool:
+        tok = self.cur
+        return tok.kind == kind and (not values or tok.value in values)
 
     def advance(self) -> _Token:
         tok = self.cur
@@ -253,14 +251,13 @@ class _Parser:
         self.expect("kw", "SELECT")
         self.expect("kw", "PACKAGE")
         self.expect("op", "(")
-        aliases = [self.expect("ident").value]
-        while self.accept("op", ","):
-            aliases.append(self.expect("ident").value)
+        package_name = self.expect("ident").value
+        if self.at("op", ","):
+            self.error("unsupported: multiple relation aliases in PACKAGE(...)")
         self.expect("op", ")")
-        package_name = aliases[0]
         if self.accept("kw", "AS"):
             package_name = self.expect("ident").value
-        elif self.cur.kind == "ident":
+        elif self.at("ident"):
             package_name = self.advance().value
 
         self.expect("kw", "FROM")
@@ -268,7 +265,7 @@ class _Parser:
         relation_alias = relation_name
         if self.accept("kw", "AS"):
             relation_alias = self.expect("ident").value
-        elif self.cur.kind == "ident":
+        elif self.at("ident"):
             relation_alias = self.advance().value
         self.qualifiers = {relation_name, relation_alias, package_name}
         repeat = None
@@ -277,7 +274,7 @@ class _Parser:
             if "." in tok.value or "e" in tok.value.lower():
                 self.error("REPEAT bound must be a non-negative integer", tok)
             repeat = int(tok.value)
-        if self.cur.kind == "op" and self.cur.value == ",":
+        if self.at("op", ","):
             self.error("unsupported: joins (multiple relations in FROM)")
 
         base_predicate = None
@@ -292,12 +289,12 @@ class _Parser:
                 global_predicates.append(self.parse_global_predicate())
 
         objective = None
-        if self.cur.kind == "kw" and self.cur.value in ("MINIMIZE", "MAXIMIZE"):
+        if self.at("kw", "MINIMIZE", "MAXIMIZE"):
             direction = MINIMIZE if self.advance().value == "MINIMIZE" else MAXIMIZE
             objective = Objective(direction, self.parse_aggregate())
 
         self.accept("op", ";")
-        if self.cur.kind != "eof":
+        if not self.at("eof"):
             self.error(f"unexpected trailing input {self.cur.value!r}")
 
         return PackageQuery(
@@ -308,14 +305,13 @@ class _Parser:
             base_predicate=base_predicate,
             global_predicates=tuple(global_predicates),
             objective=objective,
-            extra_package_aliases=tuple(aliases[1:]),
         )
 
     def parse_base_predicate(self) -> BasePredicate:
         conjuncts = [self.parse_comparison()]
         while self.accept("kw", "AND"):
             conjuncts.append(self.parse_comparison())
-        if self.cur.kind == "kw" and self.cur.value == "OR":
+        if self.at("kw", "OR"):
             self.error("unsupported: OR in predicates (conjunctions only)")
         return BasePredicate(tuple(conjuncts))
 
@@ -325,7 +321,7 @@ class _Parser:
         if op_tok.value not in _BASE_OPS:
             self.error(f"bad comparison operator {op_tok.value!r}", op_tok)
         value: Union[float, str]
-        if self.cur.kind == "string":
+        if self.at("string"):
             value = self.advance().value
         else:
             value = self.parse_number()
@@ -354,8 +350,7 @@ class _Parser:
     def parse_global_predicate(self) -> GlobalPredicate:
         lhs = self.parse_aggregate()
         tok = self.cur
-        if tok.kind == "kw" and tok.value == "BETWEEN":
-            self.advance()
+        if self.accept("kw", "BETWEEN"):
             lo = self.parse_number()
             self.expect("kw", "AND")
             hi = self.parse_number()
@@ -363,69 +358,54 @@ class _Parser:
                 return GlobalPredicate(lhs, "between", (lo, hi))
             except PaqlError as exc:
                 self.error(str(exc), tok)
-        if tok.kind == "op" and tok.value in ("<", ">"):
-            self.error("unsupported: strict global inequality (use <= or >=)", tok)
-        if tok.kind != "op" or tok.value not in _GLOBAL_OPS:
-            self.error(f"expected a global comparison, got {tok.value!r}", tok)
+        if self.at("op", "<", ">"):
+            self.error("unsupported: strict global inequality (use <= or >=)")
+        if not self.at("op", *_GLOBAL_OPS):
+            self.error(f"expected a global comparison, got {tok.value!r}")
         self.advance()
         rhs: Union[float, AggregateExpr]
-        if (self.cur.kind == "op" and self.cur.value == "(") or (
-                self.cur.kind == "kw" and self.cur.value in ("COUNT", "SUM", "AVG")):
+        if self.at("op", "(") or self.at("kw", *_AGGREGATES):
             rhs = self.parse_aggregate()
         else:
             rhs = self.parse_number()
         return GlobalPredicate(lhs, tok.value, rhs)
 
     def parse_aggregate(self) -> AggregateExpr:
-        """Shorthand aggregate or parenthesized subquery form."""
-        if self.cur.kind == "op" and self.cur.value == "(":
-            return self.parse_aggregate_subquery()
-        tok = self.expect("kw")
-        if tok.value == "COUNT":
-            self.expect("op", "(")
-            # COUNT(*) or COUNT(pkg.*)
-            if not self.accept("op", "*"):
-                self.expect("ident")
-                self.expect("op", ".")
-                self.expect("op", "*")
-            self.expect("op", ")")
-            return AggregateExpr(COUNT)
-        if tok.value in ("SUM", "AVG"):
-            self.expect("op", "(")
-            attr = self.parse_attr_ref()
-            self.expect("op", ")")
-            return AggregateExpr(SUM if tok.value == "SUM" else AVG, attr=attr)
-        self.error(f"expected an aggregate, got {tok.value!r}", tok)
-
-    def parse_aggregate_subquery(self) -> AggregateExpr:
-        """(SELECT COUNT(*) FROM pkg [WHERE ...]) and SUM/AVG variants."""
-        self.expect("op", "(")
+        """Shorthand aggregate, or the same aggregate as a parenthesized
+        subquery over the package, (SELECT COUNT(*) FROM pkg [WHERE ...])."""
+        if not self.accept("op", "("):
+            return self.parse_aggregate_call(shorthand=True)
         self.expect("kw", "SELECT")
-        tok = self.expect("kw")
-        if tok.value == "COUNT":
-            self.expect("op", "(")
-            self.expect("op", "*")
-            self.expect("op", ")")
-            kind, attr = COUNT, None
-        elif tok.value in ("SUM", "AVG"):
-            self.expect("op", "(")
-            attr = self.parse_attr_ref()
-            self.expect("op", ")")
-            kind = SUM if tok.value == "SUM" else AVG
-        else:
-            self.error(f"expected an aggregate, got {tok.value!r}", tok)
+        expr = self.parse_aggregate_call(shorthand=False)
         self.expect("kw", "FROM")
         self.expect("ident")  # package name; resolution happens in validate
-        filt = None
         if self.accept("kw", "WHERE"):
             where_tok = self.cur
             filt = self.parse_base_predicate()
-            if kind != COUNT:
+            if expr.kind != COUNT:
                 self.error("only COUNT(*) subqueries may carry WHERE", where_tok)
+            expr = AggregateExpr(FILTERED_COUNT, filter=filt)
         self.expect("op", ")")
-        if kind == COUNT and filt is not None:
-            return AggregateExpr(FILTERED_COUNT, filter=filt)
-        return AggregateExpr(kind, attr=attr)
+        return expr
+
+    def parse_aggregate_call(self, shorthand: bool) -> AggregateExpr:
+        """COUNT(*), SUM(attr) or AVG(attr); the shorthand also takes
+        COUNT(pkg.*)."""
+        tok = self.expect("kw")
+        kind = _AGGREGATES.get(tok.value)
+        if kind is None:
+            self.error(f"expected an aggregate, got {tok.value!r}", tok)
+        self.expect("op", "(")
+        if kind == COUNT:
+            if shorthand and not self.at("op", "*"):
+                self.expect("ident")
+                self.expect("op", ".")
+            self.expect("op", "*")
+            expr = AggregateExpr(COUNT)
+        else:
+            expr = AggregateExpr(kind, attr=self.parse_attr_ref())
+        self.expect("op", ")")
+        return expr
 
 
 def parse(text: str) -> PackageQuery:
@@ -447,20 +427,13 @@ def _strip_qualifier(ref: str, q: PackageQuery) -> str:
     return attr
 
 
-def _check_attr(attr: str, schema: Schema, numeric_required: bool, where: str):
-    if not schema.has(attr):
-        raise ValidationError(f"unknown attribute {attr!r} in {where}")
-    if numeric_required and schema.kind_of(attr) != NUMERIC:
-        raise ValidationError(
-            f"attribute {attr!r} in {where} must be numeric")
-
-
 def _validate_base(pred: BasePredicate, q: PackageQuery, schema: Schema,
                    where: str) -> BasePredicate:
     out = []
     for c in pred.conjuncts:
         attr = _strip_qualifier(c.attr, q)
-        _check_attr(attr, schema, numeric_required=False, where=where)
+        if not schema.has(attr):
+            raise ValidationError(f"unknown attribute {attr!r} in {where}")
         kind = schema.kind_of(attr)
         if kind == CATEGORICAL:
             if c.op not in ("=", "!="):
@@ -501,10 +474,6 @@ def validate(q: PackageQuery, schema: Schema) -> PackageQuery:
     attributes, type mismatches, non-linear objectives, or unsupported
     aggregate comparisons.
     """
-    if q.extra_package_aliases:
-        raise ValidationError(
-            "unsupported: multiple relation aliases in PACKAGE(...)")
-
     base = None
     if q.base_predicate is not None:
         base = _validate_base(q.base_predicate, q, schema, "WHERE")

@@ -19,7 +19,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,24 +92,19 @@ def _group_stats(points: np.ndarray, ids: np.ndarray):
     return centroid, radius
 
 
-def partition(rel: Relation, params: PartitionParams,
-              ids: Optional[Sequence[int]] = None) -> Partitioning:
-    """Recursively split the relation (or a tuple subset) into groups
-    meeting the size and radius conditions."""
+def partition(rel: Relation, params: PartitionParams) -> Partitioning:
+    """Recursively split the relation into groups meeting the size and
+    radius conditions."""
     if params.tau > max(rel.n, 1):
         raise PartitionError(
             f"size threshold {params.tau} exceeds relation size {rel.n}")
     points = _attr_matrix(rel, params.attrs)
-    if ids is None:
-        start = np.arange(rel.n, dtype=np.int64)
-    else:
-        start = np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
 
     k = len(params.attrs)
     weights = 1 << np.arange(k)
     queue = deque()
-    if len(start):
-        queue.append(start)
+    if rel.n:
+        queue.append(np.arange(rel.n, dtype=np.int64))
     final: list[tuple[np.ndarray, np.ndarray, float, bool]] = []
     while queue:
         members = queue.popleft()

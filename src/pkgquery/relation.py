@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -17,8 +18,8 @@ import numpy as np
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-_NUMERIC_OPS = {"=", "!=", "<", "<=", ">", ">="}
-_CATEGORICAL_OPS = {"=", "!="}
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class RelationError(Exception):
@@ -202,22 +203,11 @@ def apply_comparison(rel: Relation, attr: str, op: str, value) -> np.ndarray:
         if isinstance(value, str):
             raise RelationError(
                 f"comparing numeric attribute {attr!r} to string {value!r}")
-        col = rel.columns[attr]
-        if op == "=":
-            return col == value
-        if op == "!=":
-            return col != value
-        if op == "<":
-            return col < value
-        if op == "<=":
-            return col <= value
-        if op == ">":
-            return col > value
-        if op == ">=":
-            return col >= value
-        raise RelationError(f"unknown comparison operator {op!r}")
+        if op not in _COMPARISONS:
+            raise RelationError(f"unknown comparison operator {op!r}")
+        return _COMPARISONS[op](rel.columns[attr], value)
     # categorical: equality comparisons only
-    if op not in _CATEGORICAL_OPS:
+    if op not in ("=", "!="):
         raise RelationError(
             f"operator {op!r} not allowed on categorical attribute {attr!r}")
     if not isinstance(value, str):

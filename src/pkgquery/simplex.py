@@ -70,7 +70,7 @@ def _simplex_loop(T, xB, basis, stat, ub, c, allowed, max_iter):
     every bound flip under one pricing pass shares the same reduced-cost
     vector; flips are swept in bulk and the pass ends at the first pivot.
     """
-    m, n_total = T.shape
+    m = T.shape[0]
     rounds = 0
     iters = 0
     bland = False
@@ -92,7 +92,6 @@ def _simplex_loop(T, xB, basis, stat, ub, c, allowed, max_iter):
         else:
             order = _pricing_order(idx, np.abs(d[idx]))
 
-        progressed = False
         for e_ in order:
             e = int(e_)
             # a flip earlier in this sweep may have retired this candidate
@@ -129,7 +128,6 @@ def _simplex_loop(T, xB, basis, stat, ub, c, allowed, max_iter):
                 # bound flip: cross to the other bound, reduced costs intact
                 xB -= t_flip * dy
                 stat[e] = _UB if stat[e] == _LB else _LB
-                progressed = True
                 continue
 
             if t <= _PIVOT_TOL:
@@ -162,12 +160,7 @@ def _simplex_loop(T, xB, basis, stat, ub, c, allowed, max_iter):
             xB[r] = entering_value
             basis[r] = e
             stat[e] = _BASIC
-            progressed = True
             break  # basis changed; reprice
-
-        if not progressed:
-            # every candidate was retired by flips in this sweep
-            continue
 
 
 def lp_solve(obj, A, row_lo, row_hi, lower, upper, maximize=True) -> LpResult:

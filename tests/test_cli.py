@@ -255,6 +255,37 @@ class TestCli:
                                  "--attrs", "a", "--tau", "2",
                                  "--out", str(tmp_path / "x.json")], 2, "No such file")
 
+    def test_partition_unwritable_out_exits_2(self, tmp_path, capsys):
+        csv_path, _, _ = self._small(tmp_path, "")
+        self._run_error(capsys, ["partition", "--input", str(csv_path), "--attrs", "a",
+                                 "--tau", "2", "--out", str(tmp_path / "nodir" / "p.json")],
+                        2, "No such file")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--workload", "2", "--input", "{tmp}/missing.csv"], "No such file"),
+        (["--from-ilp", "{tmp}/missing.json"], "No such file"),
+        (["--from-ilp", "{tmp}/no_a.json"], "malformed ILP file (KeyError: 'a')"),
+        (["--from-ilp", "{tmp}/bad.json"], "malformed ILP file (JSONDecodeError"),
+        (["--rows", "5", "--out", "{tmp}/nodir/x.csv"], "No such file"),
+        (["--rows", "5", "--cols", "0", "--out", "{tmp}/x.csv"], "need rows >= 0 and cols >= 1"),
+        (["--rows", "5", "--low", "1", "--high", "0", "--out", "{tmp}/x.csv"],
+         "uniform range must have low < high"),
+    ], ids=["workload-missing-csv", "ilp-missing", "ilp-no-a", "ilp-bad-json",
+            "rows-unwritable-out", "zero-cols", "empty-range"])
+    def test_gen_bad_input_exits_2(self, tmp_path, capsys, args, message):
+        (tmp_path / "no_a.json").write_text(json.dumps({"n": 1, "k": 1, "b": [[1]], "c": [1]}))
+        (tmp_path / "bad.json").write_text("{")
+        self._run_error(capsys, ["gen"] + [a.format(tmp=tmp_path) for a in args], 2, message)
+
+    def test_gen_workload_on_empty_relation_exits_2(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["gen", "--rows", "0", "--out", str(tmp_path / "e.csv"),
+                     "--workload", "1", "--out-dir", str(tmp_path / "wl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: workload generation needs a non-empty relation\n"
+        assert json.loads(captured.out)["rows"] == 0  # the CSV was written first
+        assert not (tmp_path / "wl").exists()
+
     def test_bench_command_removed(self, dataset, capsys):
         root, rel, csv_path, queries, qpaths = dataset
         with pytest.raises(SystemExit) as exc:

@@ -391,6 +391,18 @@ class TestSketchRefine:
         assert len(set(report.flags)) == len(report.flags)
         sr_feasibility_check(q, rel, report)
 
+    def test_levels_do_not_validate_the_query_again(self, monkeypatch):
+        # the query is validated once, by the caller; each level's sketch
+        # query keeps that validation
+        q, rel, p = _recursive_fixture()
+        calls = []
+        validate = paql.validate
+        monkeypatch.setattr(paql, "validate",
+                            lambda *args: calls.append(args) or validate(*args))
+        report = eval_sketchrefine(q, rel, p, EvalConfig(seed=0, recursion_threshold=3))
+        assert report.status == FEASIBLE
+        assert calls == []
+
     def test_inner_levels_use_up_the_outer_budget(self):
         # a level's budget also counts the refine and hybrid solves of the
         # levels below it: the innermost level spends both solves, so every

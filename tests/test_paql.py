@@ -80,8 +80,21 @@ class TestParse:
             parse("SELECT PACKAGE(R) AS P")
 
     def test_package_alias_list_parses(self):
-        q = parse("SELECT PACKAGE(A, B) AS P FROM T A")
-        assert q.extra_package_aliases == ("B",)
+        with pytest.raises(ParseError, match="multiple relation aliases") as err:
+            parse("SELECT PACKAGE(A, B) AS P FROM T A")
+        assert (err.value.line, err.value.col) == (1, 17)
+
+    @pytest.mark.parametrize("text,line,col,message", [
+        # a string literal that spans two lines moves the line count on
+        ("SELECT PACKAGE(R) AS P FROM T R\nWHERE R.tag = 'a\nb' AND R.x = 1 OR",
+         3, 16, "OR in predicates"),
+        ("SELECT PACKAGE(R) AS P\n@FROM T R", 2, 1, "unexpected character '@'"),
+    ])
+    def test_error_position_after_newlines(self, text, line, col, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value).startswith(f"{line}:{col}: ")
 
     def test_no_as_keyword(self):
         q = parse("SELECT PACKAGE(R) P FROM Recipes R")
@@ -230,11 +243,6 @@ class TestValidate:
             assert validate(query(attr), SCHEMA).objective.expr.attr == "kcal"
         with pytest.raises(ValidationError, match="unknown qualifier 'Z'"):
             validate(query("Z.kcal"), SCHEMA)
-
-    def test_multi_alias_package_rejected(self):
-        q = parse("SELECT PACKAGE(A, B) AS P FROM Recipes A")
-        with pytest.raises(ValidationError, match="multiple relation aliases"):
-            validate(q, SCHEMA)
 
     def test_avg_objective_rejected(self):
         q = parse("SELECT PACKAGE(R) AS P FROM Recipes R MINIMIZE AVG(P.kcal)")
