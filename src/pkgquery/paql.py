@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Union
 
-from .relation import CATEGORICAL, NUMERIC, Schema
+from .relation import CATEGORICAL, NUMERIC, Schema, read_utf8
 
 COUNT = "count"
 SUM = "sum"
@@ -574,5 +574,4 @@ def to_paql(q: PackageQuery) -> str:
 
 def load_query(path) -> PackageQuery:
     """Parse a .paql file (UTF-8, one query per file)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(read_utf8(path, PaqlError))

@@ -257,8 +257,9 @@ def save_partitioning(p: Partitioning, path) -> None:
         "sizes": p.sizes.tolist(),
         "degenerate": sorted(g + 1 for g in p.degenerate),
     }
+    text = json.dumps(payload)  # json.dump would encode in pure Python
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(text)
 
 
 def load_partitioning(path, rel: Relation) -> Partitioning:

@@ -3,16 +3,62 @@
 Everything here evaluates queries by direct aggregation with exact
 rational arithmetic, deliberately bypassing the translation and solver
 machinery it is used to check; ``highs_optimum`` solves a translated model
-with scipy's HiGHS instead of the engine's solver.
+with scipy's HiGHS instead of the engine's solver. ``reference_load_csv``
+reads a CSV file cell by cell with ``csv.reader`` and ``float()``.
 """
 
+import csv
+import math
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from pkgquery import paql
-from pkgquery.relation import NUMERIC, Relation
+from pkgquery.relation import CATEGORICAL, NUMERIC, Relation, RelationError, Schema
+
+
+def reference_load_csv(path, schema_hints=None) -> list:
+    """``[(attr, kind, values)]`` as ``load_csv`` should read the file, or the
+    RelationError it should raise; numeric values as a float64 array."""
+    hints = dict(schema_hints or {})
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise RelationError(f"{path}: empty file, expected a header row")
+    header, body = rows[0], rows[1:]
+    if len(set(header)) != len(header):
+        raise RelationError(f"{path}: duplicate column name in header")
+    for attr in hints:
+        if attr not in header:
+            raise RelationError(f"{path}: schema hint for unknown column {attr!r}")
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise RelationError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+    out = []
+    for j, attr in enumerate(header):
+        cells = [row[j] for row in body]
+        floats = []
+        for cell in cells:
+            try:
+                floats.append(float(cell))
+            except ValueError:
+                floats.append(None)
+        kind = hints.get(attr, CATEGORICAL if None in floats else NUMERIC)
+        if kind != NUMERIC:
+            out.append((attr, kind, cells))
+            continue
+        for lineno, (cell, value) in enumerate(zip(cells, floats), start=2):
+            if value is None:
+                raise RelationError(f"{path}:{lineno}: non-numeric cell {cell!r} "
+                                    f"in numeric column {attr!r}")
+            if not math.isfinite(value):
+                raise RelationError(
+                    f"{path}:{lineno}: non-finite value in numeric column {attr!r}")
+        out.append((attr, kind, np.array(floats, dtype=np.float64)))
+    Schema("R", tuple((attr, kind) for attr, kind, _ in out))  # its own checks
+    return out
 
 
 def tuple_passes(rel: Relation, pred: paql.BasePredicate, tid: int) -> bool:

@@ -250,6 +250,21 @@ class TestCli:
                                  "--tau", "2", "--out", str(tmp_path / "x.json")], 2, message)
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("command, code", [
+        (["run", "--method", "direct", "--query", "{q}", "--input", "{bad}"], 1),
+        (["run", "--method", "direct", "--query", "{bad}", "--input", "{csv}"], 1),
+        (["partition", "--input", "{bad}", "--attrs", "a", "--tau", "2",
+          "--out", "{tmp}/x.json"], 2),
+        (["gen", "--workload", "2", "--input", "{bad}", "--out-dir", "{tmp}/wl"], 2),
+    ], ids=["run-csv", "run-query", "partition", "gen-workload"])
+    def test_non_utf8_input_exits_with_error(self, tmp_path, capsys, command, code):
+        csv_path, _, qpath = self._small(
+            tmp_path, "SELECT PACKAGE(R) AS P FROM R REPEAT 0 MAXIMIZE SUM(P.a)")
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"a,b,c\n1,2,\xff\n")
+        args = [a.format(q=qpath, csv=csv_path, bad=bad, tmp=tmp_path) for a in command]
+        self._run_error(capsys, args, code, f"{bad}: not UTF-8 text (invalid byte at offset 10)")
+
     def test_partition_missing_csv_exits_2(self, tmp_path, capsys):
         self._run_error(capsys, ["partition", "--input", str(tmp_path / "nope.csv"),
                                  "--attrs", "a", "--tau", "2",

@@ -172,6 +172,16 @@ class TestIo:
         np.testing.assert_allclose(back.representatives, p.representatives)
         assert back.degenerate == p.degenerate
 
+    def test_file_format_is_pinned(self, tmp_path):
+        rel = from_columns("D", {"x": [0.0, 0.0, 0.0, 1.0, 1.0, 0.1, 3.0],
+                                 "y": [0.0, 0.0, 0.0, 1.0, 0.5, 0.7, 3.0]})
+        p = partition(rel, PartitionParams(("x", "y"), 2, omega=1.5))
+        save_partitioning(p, tmp_path / "p.json")
+        assert (tmp_path / "p.json").read_bytes() == (
+            b'{"attrs": ["x", "y"], "tau": 2, "omega": 1.5, "gids": [3, 3, 3, 2, 1, 4, 2], '
+            b'"representatives": [[1.0, 0.5], [2.0, 2.0], [0.0, 0.0], [0.1, 0.7]], '
+            b'"radii": [0.0, 1.0, 0.0, 0.0], "sizes": [1, 2, 3, 1], "degenerate": [3]}')
+
     def test_infinite_omega_io(self, tmp_path):
         rel = grid_rel(20, 1, seed=2)
         p = partition(rel, PartitionParams(("a0",), 5))
