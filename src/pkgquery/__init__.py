@@ -5,7 +5,6 @@ from .relation import (
     RelationError,
     Schema,
     apply_base_predicate,
-    attribute_stats,
     from_columns,
     load_csv,
     save_csv,
@@ -22,7 +21,7 @@ from .ilp import (
     model_from_raw,
     translate,
 )
-from .solver import SolveResult, SolverConfig, SolverError, brute_force, lp_relax, solve
+from .solver import SolveResult, SolverConfig, SolverError, brute_force, solve
 from .partitioning import (
     PartitionError,
     Partitioning,

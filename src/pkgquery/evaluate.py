@@ -417,20 +417,15 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
         p = restrict_to_ids(p, apply_base_predicate(rel, q.base_predicate))
     ctx = _Context(cfg, solver_fn)
     status, package = INFEASIBLE, None
-    if p.m == 0:
-        # nothing survives the base predicate; only constant constraints remain
-        direct = eval_direct(q, rel, cfg, solver_fn)
-        status, package = direct.status, direct.package
+    try:
+        entries = _sketch_refine(q, rel, p, None, ctx, 0)
+    except _TimeExceeded:
+        status = TIME_LIMIT
     else:
-        try:
-            entries = _sketch_refine(q, rel, p, None, ctx, 0)
-        except _TimeExceeded:
-            status = TIME_LIMIT
-        else:
-            if entries is not None:
-                status = FEASIBLE
-                package = Package(entries, package_objective(q, rel, entries))
-    timings = ctx.timings[0] if ctx.timings else {"sketch_ms": 0.0, "refine_ms": 0.0}
+        if entries is not None:
+            status = FEASIBLE
+            package = Package(entries, package_objective(q, rel, entries))
+    timings = ctx.timings[0]
     return EvalReport(
         METHOD_SKETCHREFINE, status, package=package,
         objective=package.objective_value if package else None,
@@ -558,9 +553,9 @@ def approximation_ratio(direct: EvalReport, sketch: EvalReport,
     for minimization. Values below 1 are legal."""
     if direct.status != FEASIBLE or sketch.status != FEASIBLE:
         raise EvalError("approximation ratio needs two feasible reports")
-    if direction not in (paql.MAXIMIZE, paql.MINIMIZE, "max", "min"):
+    if direction not in (paql.MAXIMIZE, paql.MINIMIZE):
         raise EvalError(f"bad direction {direction!r}")
-    if direction in (paql.MAXIMIZE, "max"):
+    if direction == paql.MAXIMIZE:
         num, den = direct.objective, sketch.objective
     else:
         num, den = sketch.objective, direct.objective

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import paql
-from .relation import Relation, apply_base_predicate, from_columns
+from .relation import Relation, from_columns, predicate_mask
 
 FEAS_TOL = 1e-9
 
@@ -45,9 +45,6 @@ class IlpModel:
     def n_vars(self) -> int:
         return len(self.var_ids)
 
-    def var_index(self) -> dict[int, int]:
-        return {int(t): i for i, t in enumerate(self.var_ids)}
-
 
 def _aggregate_coeffs(expr: paql.AggregateExpr, rel: Relation,
                       ids: np.ndarray) -> np.ndarray:
@@ -56,9 +53,7 @@ def _aggregate_coeffs(expr: paql.AggregateExpr, rel: Relation,
     if expr.kind == paql.SUM:
         return rel.column(expr.attr)[ids].astype(np.float64)
     if expr.kind == paql.FILTERED_COUNT:
-        member = np.zeros(rel.n, dtype=bool)
-        member[apply_base_predicate(rel, expr.filter)] = True
-        return member[ids].astype(np.float64)
+        return predicate_mask(rel, expr.filter, ids).astype(np.float64)
     raise IlpError(f"no linear coefficients for aggregate {expr.kind!r}")
 
 
@@ -124,9 +119,7 @@ def translate(q: paql.PackageQuery, rel: Relation,
     else:
         pool = np.sort(np.asarray(ids, dtype=np.int64))
     if q.base_predicate is not None:
-        keep = np.zeros(rel.n, dtype=bool)
-        keep[apply_base_predicate(rel, q.base_predicate)] = True
-        pool = pool[keep[pool]]
+        pool = pool[predicate_mask(rel, q.base_predicate, None if ids is None else pool)]
 
     n = len(pool)
     upper = np.full(n, np.inf)

@@ -12,7 +12,7 @@ import io
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -61,14 +61,6 @@ class Schema:
 
 
 @dataclass(frozen=True)
-class Row:
-    """A single tuple: stable id plus values aligned with the schema."""
-
-    id: int
-    values: tuple
-
-
-@dataclass(frozen=True)
 class Relation:
     """Column-major table; numeric columns are float64 arrays.
 
@@ -84,16 +76,6 @@ class Relation:
         if self.schema.kind_of(attr) != NUMERIC:
             raise RelationError(f"attribute {attr!r} is not numeric")
         return self.columns[attr]
-
-    def categorical(self, attr: str) -> list[str]:
-        if self.schema.kind_of(attr) != CATEGORICAL:
-            raise RelationError(f"attribute {attr!r} is not categorical")
-        return self.columns[attr]
-
-    def row(self, tuple_id: int) -> Row:
-        if not 0 <= tuple_id < self.n:
-            raise RelationError(f"tuple id {tuple_id} out of range [0, {self.n})")
-        return Row(tuple_id, tuple(self.columns[a][tuple_id] for a in self.schema.names))
 
     def numeric_attrs(self) -> tuple[str, ...]:
         return tuple(a for a, k in self.schema.attributes if k == NUMERIC)
@@ -164,20 +146,22 @@ def load_csv(path, schema_hints: Optional[Mapping[str, str]] = None,
                         cols, len(values))
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise RelationError(f"{path}: empty file, expected a header row")
-    if len(set(header)) != len(header):
-        raise RelationError(f"{path}: duplicate column name in header")
-    for attr in hints:
-        if attr not in header:
-            raise RelationError(f"{path}: schema hint for unknown column {attr!r}")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise RelationError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        rows.append(row)
+        header = next(reader, None)
+        if header is None:
+            raise RelationError(f"{path}: empty file, expected a header row")
+        if len(set(header)) != len(header):
+            raise RelationError(f"{path}: duplicate column name in header")
+        for attr in hints:
+            if attr not in header:
+                raise RelationError(f"{path}: schema hint for unknown column {attr!r}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise RelationError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            rows.append(row)
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise RelationError(f"{path}:{reader.line_num}: {exc}") from None
 
     attrs = []
     cols: dict = {}
@@ -243,16 +227,19 @@ def save_csv(rel: Relation, path) -> None:
             ])
 
 
-def apply_comparison(rel: Relation, attr: str, op: str, value) -> np.ndarray:
-    """Boolean mask of rows satisfying one `attr op constant` comparison."""
+def apply_comparison(rel: Relation, attr: str, op: str, value,
+                     ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """Boolean mask of the tuples satisfying one `attr op constant`
+    comparison: one entry per tuple, or per id in ``ids``, in their order."""
     kind = rel.schema.kind_of(attr)
+    col = rel.columns[attr]
     if kind == NUMERIC:
         if isinstance(value, str):
             raise RelationError(
                 f"comparing numeric attribute {attr!r} to string {value!r}")
         if op not in _COMPARISONS:
             raise RelationError(f"unknown comparison operator {op!r}")
-        return _COMPARISONS[op](rel.columns[attr], value)
+        return _COMPARISONS[op](col if ids is None else col[ids], value)
     # categorical: equality comparisons only
     if op not in ("=", "!="):
         raise RelationError(
@@ -260,29 +247,26 @@ def apply_comparison(rel: Relation, attr: str, op: str, value) -> np.ndarray:
     if not isinstance(value, str):
         raise RelationError(
             f"comparing categorical attribute {attr!r} to non-string {value!r}")
-    col = rel.columns[attr]
-    mask = np.fromiter((c == value for c in col), dtype=bool, count=rel.n)
+    cells = col if ids is None else map(col.__getitem__, ids.tolist())
+    mask = np.fromiter(cells, dtype=object,
+                       count=rel.n if ids is None else len(ids)) == value
     return mask if op == "=" else ~mask
 
 
-def apply_base_predicate(rel: Relation, pred) -> np.ndarray:
-    """Ids of tuples satisfying a conjunctive base predicate, ascending.
+def predicate_mask(rel: Relation, pred, ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """Boolean mask of the tuples satisfying a conjunctive base predicate:
+    one entry per tuple, or per id in ``ids``, in their order; only those
+    tuples are read.
 
     ``pred`` is a paql.BasePredicate (or anything exposing ``conjuncts`` of
     (attr, op, value) triples).
     """
-    mask = np.ones(rel.n, dtype=bool)
+    mask = np.ones(rel.n if ids is None else len(ids), dtype=bool)
     for cmp_ in pred.conjuncts:
-        mask &= apply_comparison(rel, cmp_.attr, cmp_.op, cmp_.value)
-    return np.nonzero(mask)[0]
+        mask &= apply_comparison(rel, cmp_.attr, cmp_.op, cmp_.value, ids)
+    return mask
 
 
-def attribute_stats(rel: Relation, attrs: Iterable[str]) -> dict:
-    """Per-attribute (min, max, mean) over numeric columns."""
-    if rel.n == 0:
-        raise RelationError("attribute_stats on an empty relation")
-    out = {}
-    for attr in attrs:
-        col = rel.column(attr)
-        out[attr] = (float(col.min()), float(col.max()), float(col.mean()))
-    return out
+def apply_base_predicate(rel: Relation, pred) -> np.ndarray:
+    """Ids of tuples satisfying a conjunctive base predicate, ascending."""
+    return np.nonzero(predicate_mask(rel, pred))[0]

@@ -163,8 +163,9 @@ def _simplex_loop(T, xB, basis, stat, ub, c, allowed, max_iter):
             break  # basis changed; reprice
 
 
-def lp_solve(obj, A, row_lo, row_hi, lower, upper, maximize=True) -> LpResult:
-    """Solve the bounded LP; returns structural solution and objective.
+def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
+    """Maximize obj.x over the bounded LP; returns structural solution and
+    objective.
 
     A: k x n coefficient matrix (k may be 0); row_lo/row_hi: per-row
     bounds, one of them infinite or both equal; lower/upper: per-variable
@@ -189,13 +190,10 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper, maximize=True) -> LpResult:
     if np.any(lower > upper + 1e-12):
         return LpResult(INFEASIBLE, None, None, 0)
 
-    sign = 1.0 if maximize else -1.0
-    c_struct = sign * obj
-
     # shift to zero lower bounds: y = x - l
     span = upper - lower
     b_shift = b - A @ lower
-    const = float(c_struct @ lower)
+    const = float(obj @ lower)
 
     # rows with a negative right side are negated, which swaps '<=' and '>='
     neg = b_shift < 0
@@ -246,7 +244,7 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper, maximize=True) -> LpResult:
         ub_all[n + n_slack:] = 0.0
 
     c2 = np.zeros(n_total)
-    c2[:n] = c_struct
+    c2[:n] = obj
     allowed = np.ones(n_total, dtype=bool)
     allowed[n + n_slack:] = False
     status, it = _simplex_loop(T, xB, basis, stat, ub_all, c2, allowed, max_iter)
@@ -259,7 +257,7 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper, maximize=True) -> LpResult:
     x_all[basis] = xB
     y = x_all[:n]
     x = np.clip(y, 0.0, span) + lower
-    objective = sign * (float(c_struct @ y) + const)
+    objective = float(obj @ y) + const
     d_all = c2 - (c2[basis] @ T if m else 0.0)
     d_all[basis] = 0.0
     return LpResult(OPTIMAL, x, objective, total_iters,

@@ -1,4 +1,4 @@
-"""Exact ILP solving: branch-and-bound, brute-force oracle, LP relaxation.
+"""Exact ILP solving: branch-and-bound and a brute-force oracle.
 
 ``solve`` is the default black-box solver behind both evaluation methods;
 anything with the same (IlpModel, SolverConfig) -> SolveResult signature
@@ -158,18 +158,6 @@ def _empty_model_result(m: IlpModel) -> SolveResult:
     return SolveResult(STATUS_OPTIMAL, np.zeros(0), 0.0)
 
 
-def lp_relax(m: IlpModel) -> LpResult:
-    """Continuous relaxation; its objective bounds the integer optimum."""
-    if m.n_vars == 0:
-        r = _empty_model_result(m)
-        return LpResult(OPTIMAL if r.status == STATUS_OPTIMAL else INFEASIBLE,
-                        r.x, r.objective, 0)
-    if not np.all(np.isfinite(m.upper)):
-        raise SolverError("lp_relax requires finite variable bounds")
-    return lp_solve(m.objective, m.rows, m.row_lo, m.row_hi, np.zeros(m.n_vars),
-                    m.upper, maximize=m.maximize)
-
-
 class _Search:
     """Branch-and-bound state in maximize space.
 
@@ -243,8 +231,7 @@ class _Search:
         self.stats.nodes += 1
         if np.any(lo > hi):
             return None
-        res = lp_solve(self.c, self.A, self.row_lo, self.row_hi, lo, hi,
-                       maximize=True)
+        res = lp_solve(self.c, self.A, self.row_lo, self.row_hi, lo, hi)
         self.stats.lp_iterations += res.iterations
         if res.status == INFEASIBLE:
             return None
@@ -395,13 +382,3 @@ def brute_force(m: IlpModel) -> SolveResult:
     if best_x is None:
         return SolveResult(STATUS_INFEASIBLE, None, None, stats)
     return SolveResult(STATUS_OPTIMAL, best_x, sign * best_val, stats)
-
-
-def verify_result(m: IlpModel, res: SolveResult, tol: float = 1e-6) -> bool:
-    """Sanity check: an optimal result's vector is integral and feasible."""
-    if res.status != STATUS_OPTIMAL:
-        return res.x is None
-    x = res.x
-    if np.any(np.abs(x - np.round(x)) > tol):
-        return False
-    return feasible(m, np.round(x), tol=tol)

@@ -4,7 +4,10 @@ Everything here evaluates queries by direct aggregation with exact
 rational arithmetic, deliberately bypassing the translation and solver
 machinery it is used to check; ``highs_optimum`` solves a translated model
 with scipy's HiGHS instead of the engine's solver. ``reference_load_csv``
-reads a CSV file cell by cell with ``csv.reader`` and ``float()``.
+reads a CSV file cell by cell with ``csv.reader`` and ``float()``. The
+engine has no use for the last three: ``lp_relax`` (a model's LP bound in
+its own sense), ``verify_result`` (a solve's vector checked against its
+model) and ``var_index`` (tuple id -> variable position).
 """
 
 import csv
@@ -15,7 +18,9 @@ from itertools import product
 import numpy as np
 
 from pkgquery import paql
+from pkgquery.ilp import feasible
 from pkgquery.relation import CATEGORICAL, NUMERIC, Relation, RelationError, Schema
+from pkgquery.simplex import lp_solve
 
 
 def reference_load_csv(path, schema_hints=None) -> list:
@@ -73,7 +78,7 @@ def tuple_passes(rel: Relation, pred: paql.BasePredicate, tid: int) -> bool:
                 ">": v > c.value, ">=": v >= c.value,
             }[c.op]
         else:
-            v = rel.categorical(c.attr)[tid]
+            v = rel.columns[c.attr][tid]
             ok = (v == c.value) if c.op == "=" else (v != c.value)
         if not ok:
             return False
@@ -194,3 +199,30 @@ def highs_optimum(m) -> tuple:
         return "infeasible", None
     assert res.status == 0, f"reference solver status {res.status}: {res.message}"
     return "optimal", sign * -res.fun
+
+
+def lp_relax(m):
+    """The continuous relaxation of an ``IlpModel`` with finite upper bounds,
+    by the engine's simplex, with its objective in the model's own sense:
+    it bounds the integer optimum."""
+    sign = 1.0 if m.maximize else -1.0
+    res = lp_solve(sign * m.objective, m.rows, m.row_lo, m.row_hi,
+                   np.zeros(m.n_vars), m.upper)
+    if res.objective is not None:
+        res.objective *= sign
+    return res
+
+
+def verify_result(m, res, tol: float = 1e-6) -> bool:
+    """An optimal ``SolveResult``'s vector is integral and feasible for the
+    model; any other result carries no vector."""
+    if res.status != "optimal":
+        return res.x is None
+    if np.any(np.abs(res.x - np.round(res.x)) > tol):
+        return False
+    return feasible(m, np.round(res.x), tol=tol)
+
+
+def var_index(m) -> dict:
+    """{tuple id: variable position} of an ``IlpModel``."""
+    return {int(t): i for i, t in enumerate(m.var_ids)}

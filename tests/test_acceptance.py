@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import dyadic, package_satisfies
+from helpers import dyadic, package_satisfies, var_index
 from pkgquery import paql
 from pkgquery.evaluate import (
     FEASIBLE,
@@ -189,7 +189,7 @@ def test_criterion_4_approximation_bound():
             if sr.status != FEASIBLE:
                 skipped += 1
                 continue
-            ratio = approximation_ratio(direct, sr, direction)
+            ratio = approximation_ratio(direct, sr, q.objective.direction)
             assert abs(ratio - 1.0) <= 1e-6, f"eps=0 ratio {ratio}"
             exact_cases += 1
     assert checked_max >= 100 and checked_min >= 30 and exact_cases >= 10
@@ -215,7 +215,7 @@ def test_criterion_5_feasibility_guarantee():
             continue
         m = translate(q, rel)
         x = np.zeros(m.n_vars)
-        idx = m.var_index()
+        idx = var_index(m)
         for t, mult in report.package.entries.items():
             x[idx[t]] = mult
         assert feasible(m, x), f"seed {seed}: returned package violates the query"

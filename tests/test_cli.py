@@ -265,6 +265,22 @@ class TestCli:
         args = [a.format(q=qpath, csv=csv_path, bad=bad, tmp=tmp_path) for a in command]
         self._run_error(capsys, args, code, f"{bad}: not UTF-8 text (invalid byte at offset 10)")
 
+    @pytest.mark.parametrize("command, code", [
+        (["run", "--method", "direct", "--query", "{q}", "--input", "{big}"], 1),
+        (["partition", "--input", "{big}", "--attrs", "a", "--tau", "2",
+          "--out", "{tmp}/x.json"], 2),
+    ], ids=["run", "partition"])
+    def test_cell_over_the_csv_field_limit_exits_with_error(self, tmp_path, capsys,
+                                                             command, code):
+        # a cell longer than csv.field_size_limit() (131,072 characters)
+        csv_path, _, qpath = self._small(
+            tmp_path, "SELECT PACKAGE(R) AS P FROM R REPEAT 0 MAXIMIZE SUM(P.a)")
+        big = tmp_path / "big.csv"
+        big.write_text("a,b\n1,x\n" + "1" * 140_001 + ",x\n")
+        args = [a.format(q=qpath, big=big, tmp=tmp_path) for a in command]
+        self._run_error(capsys, args, code,
+                        f"{big}:3: field larger than field limit (131072)")
+
     def test_partition_missing_csv_exits_2(self, tmp_path, capsys):
         self._run_error(capsys, ["partition", "--input", str(tmp_path / "nope.csv"),
                                  "--attrs", "a", "--tau", "2",

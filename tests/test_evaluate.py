@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dyadic, package_satisfies
+from helpers import dyadic, package_satisfies, var_index
 from pkgquery import paql
 from pkgquery.evaluate import (
     FEASIBLE,
@@ -41,7 +41,7 @@ def sr_feasibility_check(q, rel, report):
         return
     m = translate(q, rel)
     x = np.zeros(m.n_vars)
-    idx = m.var_index()
+    idx = var_index(m)
     for t, mult in report.package.entries.items():
         x[idx[t]] = mult
     assert feasible(m, x)
@@ -309,7 +309,7 @@ class TestSketchRefine:
         report = eval_sketchrefine(meal_query, recipes, p)
         assert report.status == FEASIBLE
         sr_feasibility_check(meal_query, recipes, report)
-        ratio = approximation_ratio(direct, report, "min")
+        ratio = approximation_ratio(direct, report, paql.MINIMIZE)
         assert ratio >= 1.0 - 1e-9
 
     def test_single_group_collapses_to_direct(self, recipes, meal_query):
@@ -701,33 +701,63 @@ class TestTimings:
         assert report.timings_ms["total_ms"] == sum(report.timings_ms[k] for k in phases)
 
 
+class TestNoGroupSurvives:
+    """A WHERE clause that keeps no tuple leaves no group; SketchRefine
+    still runs its level, whose sketch over no representatives holds only
+    the constant constraints."""
+
+    def test_infeasible_sketch(self):
+        report = _sr(FILTERED_OUT)
+        assert report.status == INFEASIBLE
+        assert report.subproblems == {"sketch": 1, "refine": 0, "hybrid": 0}
+        assert report.flags == ("sketch_infeasible",)
+        assert report.timings_ms["sketch_ms"] > 0
+
+    def test_empty_package(self):
+        report = _sr(FILTERED_OUT.replace("COUNT(P.*) = 2", "COUNT(P.*) <= 2"))
+        assert report.status == FEASIBLE
+        assert report.package.entries == {} and report.objective == 0.0
+        assert report.subproblems == {"sketch": 1, "refine": 0, "hybrid": 0}
+        assert report.timings_ms["sketch_ms"] > 0
+
+    def test_zero_time_limit(self):
+        # as on every other SketchRefine query, the sketch solve finds no time
+        report = _sr(FILTERED_OUT, EvalConfig(time_limit=0.0))
+        assert report.status == TIME_LIMIT
+        assert report.subproblems == {"sketch": 1, "refine": 0, "hybrid": 0}
+
+
 class TestApproximationRatio:
     def r(self, obj, method="direct"):
         from pkgquery.evaluate import EvalReport
         return EvalReport(method, FEASIBLE, objective=obj)
 
     def test_equal(self):
-        assert approximation_ratio(self.r(5.0), self.r(5.0), "max") == 1.0
+        assert approximation_ratio(self.r(5.0), self.r(5.0), paql.MAXIMIZE) == 1.0
 
     def test_maximize(self):
-        assert approximation_ratio(self.r(10.0), self.r(8.0), "max") == pytest.approx(1.25)
+        assert approximation_ratio(self.r(10.0), self.r(8.0), paql.MAXIMIZE) == pytest.approx(1.25)
 
     def test_minimize(self):
-        assert approximation_ratio(self.r(10.0), self.r(12.0), "min") == pytest.approx(1.2)
+        assert approximation_ratio(self.r(10.0), self.r(12.0), paql.MINIMIZE) == pytest.approx(1.2)
 
     def test_below_one_is_legal(self):
-        assert approximation_ratio(self.r(8.0), self.r(10.0), "max") == pytest.approx(0.8)
+        assert approximation_ratio(self.r(8.0), self.r(10.0), paql.MAXIMIZE) == pytest.approx(0.8)
 
     def test_requires_feasible(self):
         from pkgquery.evaluate import EvalReport
         bad = EvalReport("direct", INFEASIBLE)
         with pytest.raises(EvalError, match="feasible"):
-            approximation_ratio(bad, self.r(1.0), "max")
+            approximation_ratio(bad, self.r(1.0), paql.MAXIMIZE)
+
+    def test_only_paql_directions(self):
+        with pytest.raises(EvalError, match="bad direction"):
+            approximation_ratio(self.r(1.0), self.r(1.0), "max")
 
     def test_zero_denominator(self):
         with pytest.raises(RatioUndefinedError):
-            approximation_ratio(self.r(1.0), self.r(0.0), "max")
-        assert approximation_ratio(self.r(0.0), self.r(0.0), "max") == 1.0
+            approximation_ratio(self.r(1.0), self.r(0.0), paql.MAXIMIZE)
+        assert approximation_ratio(self.r(0.0), self.r(0.0), paql.MAXIMIZE) == 1.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -751,7 +781,7 @@ def test_sketchrefine_always_feasible_or_declines(seed):
     if report.status == FEASIBLE:
         m = translate(q, rel)
         x = np.zeros(m.n_vars)
-        idx = m.var_index()
+        idx = var_index(m)
         for t, mult in report.package.entries.items():
             x[idx[t]] = mult
         assert feasible(m, x)
@@ -801,7 +831,7 @@ class TestPackageCheck:
                     override[t] = float(rng.integers(0, 3))
             full = translate(q, rel, upper_override=override)
             x = np.zeros(full.n_vars)
-            index = full.var_index()
+            index = var_index(full)
             for t, mult in entries.items():
                 x[index[t]] = mult
             expected = feasible(full, x, tol=1e-8)

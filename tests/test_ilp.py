@@ -11,6 +11,7 @@ from pkgquery.ilp import (
     IlpModel,
     RawIlp,
     UnboundedModelError,
+    aggregate_value,
     derive_bounds,
     feasible,
     ilp_to_paql,
@@ -20,12 +21,28 @@ from pkgquery.ilp import (
     save_raw_ilp,
     translate,
 )
-from pkgquery.relation import from_columns
+from pkgquery.relation import Relation, from_columns
 from pkgquery.solver import brute_force
 
 
 def q_of(text, rel):
     return paql.validate(paql.parse(text), rel.schema)
+
+
+class RecordingColumn(list):
+    """A categorical column that records the tuple ids read from it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.read.update(range(len(self)))
+        return super().__iter__()
 
 
 def only_row(m):
@@ -99,6 +116,25 @@ class TestTranslate:
     def test_ids_subset_restriction(self, recipes, meal_query):
         m = translate(meal_query, recipes, ids=[1, 3])
         assert m.var_ids.tolist() == [1, 3]
+
+    def test_tuple_predicates_read_only_the_ids_asked_about(self):
+        # the WHERE clause and a filtered count over a categorical column
+        # read the tuples of ``ids`` (or of the package), not the relation
+        plain = from_columns("R", {"x": [float(i) for i in range(10)],
+                                   "c": list("abcabcabca")}, kinds={"c": "categorical"})
+        col = RecordingColumn(plain.columns["c"])
+        rel = Relation(plain.schema, {**plain.columns, "c": col}, plain.n)
+        q = q_of("SELECT PACKAGE(R) AS P FROM R REPEAT 0 WHERE R.c != 'b' SUCH THAT "
+                 "(SELECT COUNT(*) FROM P WHERE P.c = 'a') <= 1 MAXIMIZE SUM(P.x)", rel)
+        m = translate(q, rel, ids=[7, 2, 3])
+        assert col.read <= {2, 3, 7}
+        full = translate(q, plain)
+        assert m.var_ids.tolist() == [2, 3]
+        assert m.rows.tolist() == full.rows[:, [1, 2]].tolist() == [[0.0, 1.0]]
+        col.read.clear()
+        count_a = q.global_predicates[0].lhs
+        assert aggregate_value(count_a, rel, {9: 2, 3: 1}) == 3.0
+        assert col.read == {3, 9}
 
     def test_unvalidated_rejected(self, recipes):
         with pytest.raises(Exception, match="validated"):

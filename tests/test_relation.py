@@ -12,7 +12,6 @@ from pkgquery.relation import (
     RelationError,
     Schema,
     apply_base_predicate,
-    attribute_stats,
     from_columns,
     load_csv,
     save_csv,
@@ -59,7 +58,7 @@ class TestLoadCsv:
 
     def test_hint_categorical_keeps_digits(self, tmp_path):
         rel = load_csv(write(tmp_path, "a\n1\n2\n"), schema_hints={"a": "categorical"})
-        assert rel.categorical("a") == ["1", "2"]
+        assert rel.columns["a"] == ["1", "2"]
 
     def test_empty_numeric_cell_rejected_with_hint(self, tmp_path):
         with pytest.raises(RelationError, match="non-numeric"):
@@ -83,7 +82,16 @@ class TestLoadCsv:
             assert back.schema.attributes == rel.schema.attributes
             assert back.column("x").tobytes() == rel.column("x").tobytes()
             if "tag" in columns:
-                assert back.categorical("tag") == tags
+                assert back.columns["tag"] == tags
+
+    @pytest.mark.parametrize("text, line", [
+        ("a" * 140_001 + ",b\n1,x\n", 1),
+        ("a,b\n1,x\n2," + "y" * 140_001 + "\n", 3),
+    ], ids=["header", "row"])
+    def test_cell_over_the_csv_field_limit(self, tmp_path, text, line):
+        with pytest.raises(RelationError,
+                           match=rf"d\.csv:{line}: field larger than field limit"):
+            load_csv(write(tmp_path, text))
 
     def test_non_utf8_names_path_and_offset(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -228,12 +236,11 @@ class TestSchema:
             Schema("T", (("", "numeric"),))
 
     def test_tuple_ids_and_rows(self, recipes):
+        # tuple id i is row i of every column
         assert recipes.n == 5
-        row = recipes.row(2)
-        assert row.id == 2
-        assert row.values[0] == 0.7
-        with pytest.raises(RelationError):
-            recipes.row(5)
+        assert recipes.column("kcal")[2] == 0.7
+        assert recipes.column("saturated_fat")[2] == 0.3
+        assert len(recipes.columns["gluten"]) == 5
 
 
 def pred(*conjuncts):
@@ -280,24 +287,3 @@ class TestBasePredicate:
         got = set(apply_base_predicate(rel, p).tolist())
         expected = {i for i in range(n) if tuple_passes(rel, p, i)}
         assert got == expected
-
-
-class TestStats:
-    def test_simple(self):
-        rel = from_columns("R", {"kcal": [0.3, 0.9, 0.7]})
-        lo, hi, mean = attribute_stats(rel, ["kcal"])["kcal"]
-        assert (lo, hi) == (0.3, 0.9)
-        assert abs(mean - 1.9 / 3) < 1e-12
-
-    def test_single_tuple(self):
-        rel = from_columns("R", {"x": [4.25]})
-        assert attribute_stats(rel, ["x"])["x"] == (4.25, 4.25, 4.25)
-
-    def test_empty_errors(self):
-        rel = from_columns("R", {"x": []})
-        with pytest.raises(RelationError, match="empty"):
-            attribute_stats(rel, ["x"])
-
-    def test_non_numeric_errors(self, recipes):
-        with pytest.raises(RelationError, match="not numeric"):
-            attribute_stats(recipes, ["gluten"])

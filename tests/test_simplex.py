@@ -15,10 +15,9 @@ def row_bounds(ops, rhs):
             np.where(ops == ">=", np.inf, rhs))
 
 
-def solve(c, rows, ops, rhs, lo, hi, maximize=True):
+def solve(c, rows, ops, rhs, lo, hi):
     return lp_solve(np.asarray(c, float), np.asarray(rows, float).reshape(len(ops), len(c)),
-                    *row_bounds(ops, rhs), np.asarray(lo, float),
-                    np.asarray(hi, float), maximize=maximize)
+                    *row_bounds(ops, rhs), np.asarray(lo, float), np.asarray(hi, float))
 
 
 class TestBasics:
@@ -33,10 +32,11 @@ class TestBasics:
         assert res.objective == pytest.approx(6.0)
 
     def test_minimize(self):
-        res = solve([1.0, 1.0], [[1.0, 1.0]], [">="], [3.0],
-                    [0.0, 0.0], [5.0, 5.0], maximize=False)
+        # min x0 + x1 s.t. x0 + x1 >= 3 is max -(x0 + x1), whose optimum is -3
+        res = solve([-1.0, -1.0], [[1.0, 1.0]], [">="], [3.0],
+                    [0.0, 0.0], [5.0, 5.0])
         assert res.status == OPTIMAL
-        assert res.objective == pytest.approx(3.0)
+        assert res.objective == pytest.approx(-3.0)
 
     def test_equality_row(self):
         res = solve([1.0, 2.0], [[1.0, 1.0]], ["="], [4.0], [0, 0], [10, 10])
@@ -67,7 +67,7 @@ class TestBasics:
         assert np.all(res.x >= [2.0, 3.0])
 
     def test_negative_rhs_normalization(self):
-        res = solve([-1.0], [[-1.0]], ["<="], [-2.0], [0.0], [10.0], maximize=True)
+        res = solve([-1.0], [[-1.0]], ["<="], [-2.0], [0.0], [10.0])
         # -x <= -2 means x >= 2; maximize -x picks x = 2
         assert res.objective == pytest.approx(-2.0)
 
@@ -103,7 +103,7 @@ class TestAgainstScipy:
         lo = np.zeros(n)
         hi = rng.integers(1, 6, size=n).astype(float)
 
-        mine = solve(c, A, ops, b, lo, hi, maximize=True)
+        mine = solve(c, A, ops, b, lo, hi)
 
         rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
         for i, op in enumerate(ops):
@@ -182,8 +182,8 @@ def _flip_heavy_lp(seed):
     row_sums = A.sum(axis=1)
     b = np.where(np.array(ops) == "<=", 0.4, 0.1) * row_sums
     hi = rng.integers(1, 4, size=n).astype(float)
-    return (c, A, *row_bounds(ops, b), np.zeros(n), hi,
-            bool(rng.integers(0, 2)))
+    maximize = bool(rng.integers(0, 2))  # else minimize c.x as max of -c.x
+    return (c if maximize else -c, A, *row_bounds(ops, b), np.zeros(n), hi)
 
 
 class TestLazyPricingPath:
