@@ -48,6 +48,7 @@ from .solver import (
     STATUS_TIME_LIMIT,
     SolveResult,
     SolverConfig,
+    SolveStats,
     solve,
 )
 
@@ -111,6 +112,7 @@ class EvalReport:
     backtracks: int = 0
     subproblems: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
+    solver: SolveStats = field(default_factory=SolveStats)  # summed over every solve
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,6 +124,8 @@ class EvalReport:
             "backtracks": self.backtracks,
             "subproblems": self.subproblems,
             "flags": list(self.flags),
+            "solver": {"nodes": self.solver.nodes,
+                       "lp_iterations": self.solver.lp_iterations},
         }
 
 
@@ -161,7 +165,8 @@ def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfi
 
     if res.status in (STATUS_TIME_LIMIT, STATUS_INFEASIBLE):
         status = TIME_LIMIT if res.status == STATUS_TIME_LIMIT else INFEASIBLE
-        return EvalReport(METHOD_DIRECT, status, timings_ms=timings, subproblems={"solves": 1})
+        return EvalReport(METHOD_DIRECT, status, timings_ms=timings, subproblems={"solves": 1},
+                          solver=res.stats)
     if res.status != STATUS_OPTIMAL:
         raise EvalError(f"unexpected solver status {res.status!r}")
 
@@ -174,7 +179,8 @@ def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfi
             f"aggregate {objective}")
     return EvalReport(
         METHOD_DIRECT, FEASIBLE, package=Package(entries, objective),
-        objective=objective, timings_ms=timings, subproblems={"solves": 1})
+        objective=objective, timings_ms=timings, subproblems={"solves": 1},
+        solver=res.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +288,7 @@ class _Context:
         self.refine_solves = 0
         self.hybrid_solves = 0
         self.backtracks = 0
+        self.stats = SolveStats()
         self.flags: list[str] = []
         self.timings: list[dict] = []  # one per level, the top level first
 
@@ -291,6 +298,8 @@ class _Context:
         if left <= 0:
             raise _TimeExceeded()
         res = self.solver_fn(model, SolverConfig(time_limit=left))
+        self.stats.nodes += res.stats.nodes
+        self.stats.lp_iterations += res.stats.lp_iterations
         if res.status == STATUS_TIME_LIMIT:
             raise _TimeExceeded()
         return res
@@ -433,7 +442,7 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
         backtracks=ctx.backtracks,
         subproblems={"sketch": ctx.sketch_solves, "refine": ctx.refine_solves,
                      "hybrid": ctx.hybrid_solves},
-        flags=tuple(dict.fromkeys(ctx.flags)))
+        flags=tuple(dict.fromkeys(ctx.flags)), solver=ctx.stats)
 
 
 def _sketch_refine(q: paql.PackageQuery, rel: Relation, p: Partitioning,

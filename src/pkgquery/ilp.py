@@ -51,7 +51,7 @@ def _aggregate_coeffs(expr: paql.AggregateExpr, rel: Relation,
     if expr.kind == paql.COUNT:
         return np.ones(len(ids))
     if expr.kind == paql.SUM:
-        return rel.column(expr.attr)[ids].astype(np.float64)
+        return rel.column(expr.attr)[ids].astype(np.float64, copy=False)
     if expr.kind == paql.FILTERED_COUNT:
         return predicate_mask(rel, expr.filter, ids).astype(np.float64)
     raise IlpError(f"no linear coefficients for aggregate {expr.kind!r}")

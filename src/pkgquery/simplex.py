@@ -1,10 +1,11 @@
-"""Dense bounded-variable primal simplex, two-phase.
+"""Dense bounded-variable primal simplex, two-phase, in revised form.
 
-Solves  max c.x  s.t.  row_lo <= A x <= row_hi,  l <= x <= u  with a full
-tableau; each row has one finite bound (a '<=' or '>=' row) or two equal
-ones (an '=' row).
+Solves  max c.x  s.t.  row_lo <= A x <= row_hi,  l <= x <= u; each row has
+one finite bound (a '<=' or '>=' row) or two equal ones (an '=' row).
+It keeps the k x k basis inverse and reads A in place: a pivot costs
+O(k^2) and a pricing round one pass over A.
 Variable bounds are handled implicitly (nonbasic variables sit at either
-bound), so branch-and-bound can tighten bounds without growing the tableau.
+bound), so branch-and-bound can tighten bounds without growing the problem.
 Dantzig pricing with a switch to Bland's rule after a degenerate stall.
 """
 
@@ -25,6 +26,7 @@ _ENTER_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _STALL_LIMIT = 120
 _PRICE_CHUNK = 64
+_ARGMAX_PICKS = 8  # candidates per round taken by argmax before one sort
 
 
 class SimplexError(Exception):
@@ -60,112 +62,162 @@ def _pricing_order(idx, mag, chunk=_PRICE_CHUNK):
     yield from idx[np.argsort(-mag, kind="stable")]
 
 
-def _simplex_loop(T, xB, basis, stat, ub, c, allowed, max_iter):
-    """Run pivots to optimality for max c.x; mutates all tableau state.
+def _entering_order(s, bland):
+    """Yield the columns with gain ``s > _ENTER_TOL``, largest first with
+    ties to the lowest index (under Bland's rule: by index).
 
-    ``allowed`` masks columns eligible to enter (artificials stay out).
-    Returns ('optimal'|'unbounded', iterations).
+    The first ``_ARGMAX_PICKS`` are argmax picks, which relies on the caller
+    negating ``s[e]`` when ``e`` flips; the rest come from one lazy sort of
+    what is left, in the same order."""
+    if not bland:
+        for _ in range(_ARGMAX_PICKS):
+            e = int(np.argmax(s))
+            if not s[e] > _ENTER_TOL:
+                return
+            yield e
+    idx = np.nonzero(s > _ENTER_TOL)[0]
+    yield from (idx if bland else _pricing_order(idx, s[idx]))
 
-    Reduced costs depend only on the basis, not on the basic values, so
-    every bound flip under one pricing pass shares the same reduced-cost
-    vector; flips are swept in bulk and the pass ends at the first pivot.
-    """
-    m = T.shape[0]
-    rounds = 0
-    iters = 0
-    bland = False
-    stall = 0
-    while True:
-        rounds += 1
-        if rounds > max_iter:
-            raise SimplexError("simplex iteration cap exceeded (cycling?)")
-        cB = c[basis] if m else np.zeros(0)
-        d = c - cB @ T if m else c.copy()
-        at_lb = (stat == _LB) & allowed & (d > _ENTER_TOL)
-        at_ub = (stat == _UB) & allowed & (d < -_ENTER_TOL)
-        eligible = at_lb | at_ub
-        if not eligible.any():
-            return OPTIMAL, max(iters, rounds)
-        idx = np.nonzero(eligible)[0]
-        if bland:
-            order = idx
-        else:
-            order = _pricing_order(idx, np.abs(d[idx]))
 
-        for e_ in order:
-            e = int(e_)
-            # a flip earlier in this sweep may have retired this candidate
-            if stat[e] == _LB:
-                if d[e] <= _ENTER_TOL:
+class _Revised:
+    """One LP in revised form: the rows ``flip * A`` with a slack or
+    artificial unit column per row, the basis inverse, and each column's
+    bound status.
+
+    Columns are numbered structurals first, then slacks, then artificials;
+    the unit columns start as the basis, so the first inverse is I.
+    ``direction`` is +1 for a column that may enter from its lower bound,
+    -1 from its upper bound and 0 when it is basic or barred (numbered
+    ``barred`` or more). Every n-length buffer is allocated here, once."""
+
+    def __init__(self, A, flip, eq, le, upper, lower, b):
+        m, n = A.shape
+        slack_rows = np.nonzero(~eq)[0]
+        art_rows = np.nonzero(~le)[0]
+        self.A, self.flip, self.n = A, flip, n
+        self.art0 = n + len(slack_rows)
+        self.unit_row = np.concatenate([slack_rows, art_rows])
+        self.unit_sign = np.concatenate([np.where(le[slack_rows], 1.0, -1.0),
+                                         np.ones(len(art_rows))])
+        n_total = self.barred = n + len(self.unit_row)
+        self.ub = np.empty(n_total)  # upper bounds after the shift to 0
+        np.subtract(upper, lower, out=self.ub[:n])
+        self.ub[n:] = np.inf
+        self.basis = np.empty(m, dtype=np.int64)
+        self.basis[slack_rows] = n + np.arange(len(slack_rows))
+        self.basis[art_rows] = self.art0 + np.arange(len(art_rows))  # '>=' rows too
+        self.binv = np.eye(m)
+        self.xB = b.copy()
+        self.stat = np.full(n_total, _LB, dtype=np.int8)
+        self.stat[self.basis] = _BASIC
+        self.direction = np.ones(n_total)
+        self.direction[self.basis] = 0.0
+        self.c = np.empty(n_total)  # the phase's objective
+        self.s = np.empty(n_total)  # the pricing buffer
+
+    def reduced_costs(self):
+        """c - c_B B^-1 [flip * A, units], in the pricing buffer."""
+        n, s = self.n, self.s
+        y = self.c[self.basis] @ self.binv
+        np.matmul(y * self.flip, self.A, out=s[:n])
+        s[n:] = y[self.unit_row] * self.unit_sign
+        np.subtract(self.c, s, out=s)
+        return s
+
+    def column(self, e):
+        """Column ``e`` of B^-1 [flip * A, units]."""
+        if e < self.n:
+            return self.binv @ (self.flip * self.A[:, e])
+        u = e - self.n
+        return self.binv[:, self.unit_row[u]] * self.unit_sign[u]
+
+    def run(self, max_iter):
+        """Pivot to optimality for max c.x; returns ('optimal'|'unbounded',
+        iterations). Reduced costs depend only on the basis, so every bound
+        flip of a pricing round shares its buffer; a pivot ends the round."""
+        stat, direction, ub = self.stat, self.direction, self.ub
+        basis, xB = self.basis, self.xB
+        m = len(basis)
+        rounds = 0
+        iters = 0
+        bland = False
+        stall = 0
+        while True:
+            rounds += 1
+            if rounds > max_iter:
+                raise SimplexError("simplex iteration cap exceeded (cycling?)")
+            s = self.reduced_costs()
+            s *= direction  # each column's gain: eligible where s > tol
+            entered = False
+            for e in _entering_order(s, bland):
+                entered = True
+                iters += 1
+                alpha = self.column(e)
+                up = direction[e] > 0  # entering from its lower bound
+                dy = alpha if up else -alpha
+
+                # largest step before a basic variable hits one of its bounds
+                lim = np.full(m, np.inf)
+                ubB = ub[basis]
+                pos = dy > _PIVOT_TOL
+                if pos.any():
+                    lim[pos] = np.maximum(xB[pos], 0.0) / dy[pos]
+                neg = dy < -_PIVOT_TOL
+                if neg.any():
+                    lim[neg] = np.maximum(ubB[neg] - xB[neg], 0.0) / (-dy[neg])
+
+                t_row = lim.min() if m else np.inf
+                t_flip = ub[e]  # internal lower bounds are all 0
+                t = min(t_row, t_flip)
+                if not np.isfinite(t):
+                    return UNBOUNDED, max(iters, rounds)
+
+                if t_flip <= t_row:
+                    # bound flip: cross to the other bound, reduced costs intact
+                    xB -= t_flip * dy
+                    stat[e] = _UB if up else _LB
+                    direction[e] = -direction[e]
+                    s[e] = -s[e]
                     continue
-                delta = 1.0
-            elif stat[e] == _UB:
-                if d[e] >= -_ENTER_TOL:
-                    continue
-                delta = -1.0
+
+                if t <= _PIVOT_TOL:
+                    stall += 1
+                    if stall > _STALL_LIMIT:
+                        bland = True
+                else:
+                    stall = 0
+
+                # pivot: among limiting rows pick the smallest variable index
+                cand = np.nonzero(lim <= t_row + _PIVOT_TOL)[0]
+                r = int(cand[np.argmin(basis[cand])])
+                leaving = basis[r]
+                hit_upper = dy[r] < 0  # leaving variable rose to its upper bound
+
+                xB -= t * dy
+                piv = alpha[r]
+                if abs(piv) < _PIVOT_TOL:
+                    raise SimplexError("near-singular pivot element")
+                binv = self.binv
+                binv[r] /= piv
+                alpha[r] = 0.0
+                binv -= np.outer(alpha, binv[r])
+
+                stat[leaving] = _UB if hit_upper else _LB
+                if leaving < self.barred:
+                    direction[leaving] = -1.0 if hit_upper else 1.0
+                xB[r] = t if up else ub[e] - t
+                basis[r] = e
+                stat[e] = _BASIC
+                direction[e] = 0.0
+                break  # basis changed; reprice
             else:
-                continue
-            iters += 1
-            dy = delta * T[:, e]
-
-            # largest step before a basic variable hits one of its bounds
-            lim = np.full(m, np.inf)
-            ubB = ub[basis] if m else np.zeros(0)
-            pos = dy > _PIVOT_TOL
-            if pos.any():
-                lim[pos] = np.maximum(xB[pos], 0.0) / dy[pos]
-            neg = dy < -_PIVOT_TOL
-            if neg.any():
-                lim[neg] = np.maximum(ubB[neg] - xB[neg], 0.0) / (-dy[neg])
-
-            t_row = lim.min() if m else np.inf
-            t_flip = ub[e]  # internal lower bounds are all 0
-            t = min(t_row, t_flip)
-            if not np.isfinite(t):
-                return UNBOUNDED, max(iters, rounds)
-
-            if t_flip <= t_row:
-                # bound flip: cross to the other bound, reduced costs intact
-                xB -= t_flip * dy
-                stat[e] = _UB if stat[e] == _LB else _LB
-                continue
-
-            if t <= _PIVOT_TOL:
-                stall += 1
-                if stall > _STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-
-            # pivot: among limiting rows pick the smallest variable index
-            cand = np.nonzero(lim <= t_row + _PIVOT_TOL)[0]
-            r = int(cand[np.argmin(basis[cand])])
-            leaving = basis[r]
-            hit_upper = dy[r] < 0  # leaving variable rose to its upper bound
-
-            xB -= t * dy
-            entering_value = t if delta > 0 else ub[e] - t
-
-            piv = T[r, e]
-            if abs(piv) < _PIVOT_TOL:
-                raise SimplexError("near-singular pivot element")
-            T[r, :] /= piv
-            col = T[:, e].copy()
-            col[r] = 0.0
-            T -= np.outer(col, T[r, :])
-            T[:, e] = 0.0
-            T[r, e] = 1.0
-
-            stat[leaving] = _UB if hit_upper else _LB
-            xB[r] = entering_value
-            basis[r] = e
-            stat[e] = _BASIC
-            break  # basis changed; reprice
+                if not entered:
+                    return OPTIMAL, max(iters, rounds)
 
 
 def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
     """Maximize obj.x over the bounded LP; returns structural solution and
-    objective.
+    objective. No input array is modified.
 
     A: k x n coefficient matrix (k may be 0); row_lo/row_hi: per-row
     bounds, one of them infinite or both equal; lower/upper: per-variable
@@ -191,7 +243,6 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
         return LpResult(INFEASIBLE, None, None, 0)
 
     # shift to zero lower bounds: y = x - l
-    span = upper - lower
     b_shift = b - A @ lower
     const = float(obj @ lower)
 
@@ -199,66 +250,47 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
     neg = b_shift < 0
     flip = np.where(neg, -1.0, 1.0)
     le = np.where(neg, has_lo, has_hi) & ~eq
-    A2 = A * flip[:, None]
-    b2 = b_shift * flip
-
-    # a slack per inequality row, an artificial per row that is not '<=';
-    # each numbered in row order
-    slack_rows = np.nonzero(~eq)[0]
-    art_rows = np.nonzero(~le)[0]
-    n_slack, n_art = len(slack_rows), len(art_rows)
-    n_total = n + n_slack + n_art
-
-    T = np.zeros((m, n_total))
-    T[:, :n] = A2
-    slack_cols = n + np.arange(n_slack)
-    art_cols = n + n_slack + np.arange(n_art)
-    T[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
-    T[art_rows, art_cols] = 1.0
-    ub_all = np.concatenate([span, np.full(n_slack + n_art, np.inf)])
-    basis = np.empty(m, dtype=np.int64)
-    basis[slack_rows] = slack_cols
-    basis[art_rows] = art_cols  # '>=' rows start from their artificial
-    stat = np.full(n_total, _LB, dtype=np.int8)
-    stat[basis] = _BASIC
-    xB = b2.copy()
+    lp = _Revised(A, flip, eq, le, upper, lower, b_shift * flip)
+    n_total, art0 = len(lp.stat), lp.art0
+    span = lp.ub[:n]
 
     max_iter = 20000 + 10 * (m + n_total)
     total_iters = 0
 
-    if n_art:
-        c1 = np.zeros(n_total)
-        c1[n + n_slack:] = -1.0
-        allowed = np.ones(n_total, dtype=bool)
-        status, it = _simplex_loop(T, xB, basis, stat, ub_all, c1, allowed, max_iter)
+    if art0 < n_total:
+        lp.c.fill(0.0)
+        lp.c[art0:] = -1.0
+        status, it = lp.run(max_iter)
         total_iters += it
         if status != OPTIMAL:
             raise SimplexError("phase 1 terminated abnormally")
-        art_basic = basis >= n + n_slack
-        residual = float(xB[art_basic].sum()) if art_basic.any() else 0.0
-        also = stat[n + n_slack:] == _UB
+        art_basic = lp.basis >= art0
+        residual = float(lp.xB[art_basic].sum()) if art_basic.any() else 0.0
+        also = lp.stat[art0:] == _UB
         if residual > 1e-7 or also.any():
             return LpResult(INFEASIBLE, None, None, total_iters)
-        xB[art_basic] = 0.0
+        lp.xB[art_basic] = 0.0
         # freeze artificials at zero; they may linger in the basis at value 0
-        ub_all[n + n_slack:] = 0.0
+        lp.ub[art0:] = 0.0
+        lp.direction[art0:] = 0.0
+        lp.barred = art0
 
-    c2 = np.zeros(n_total)
-    c2[:n] = obj
-    allowed = np.ones(n_total, dtype=bool)
-    allowed[n + n_slack:] = False
-    status, it = _simplex_loop(T, xB, basis, stat, ub_all, c2, allowed, max_iter)
+    lp.c[:n] = obj
+    lp.c[n:] = 0.0
+    status, it = lp.run(max_iter)
     total_iters += it
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None, total_iters)
 
-    x_all = np.zeros(n_total)
-    x_all[stat == _UB] = ub_all[stat == _UB]
-    x_all[basis] = xB
-    y = x_all[:n]
-    x = np.clip(y, 0.0, span) + lower
-    objective = float(obj @ y) + const
-    d_all = c2 - (c2[basis] @ T if m else 0.0)
-    d_all[basis] = 0.0
+    at_upper = lp.stat[:n] == _UB
+    x = np.where(at_upper, span, 0.0)
+    basic = lp.basis[lp.basis < n]
+    x[basic] = lp.xB[lp.basis < n]
+    objective = float(obj @ x) + const
+    # nonbasic values already lie on their bounds
+    x[basic] = np.clip(x[basic], 0.0, span[basic])
+    x += lower
+    d = lp.reduced_costs()[:n]  # one last pass over A
+    d[basic] = 0.0
     return LpResult(OPTIMAL, x, objective, total_iters,
-                    reduced_costs=d_all[:n], at_upper=stat[:n] == _UB)
+                    reduced_costs=d, at_upper=at_upper)

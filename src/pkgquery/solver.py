@@ -90,15 +90,16 @@ def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
     return None if best is None else best[1]
 
 
-def _feasible_after(lhs: np.ndarray, cols: np.ndarray, row_lo: np.ndarray,
-                    row_hi: np.ndarray) -> np.ndarray:
-    """Mask of unit moves (lhs + cols[:, j]) that keep every row feasible."""
-    ok = np.ones(cols.shape[1], dtype=bool)
-    for lhs_i, a, lo_i, hi_i in zip(lhs, cols, row_lo - _FEASIBILITY_TOL,
+def _unit_moves(cand: np.ndarray, lhs: np.ndarray, A: np.ndarray, step: float,
+                row_lo: np.ndarray, row_hi: np.ndarray) -> np.ndarray:
+    """Ascending indices j of the candidate mask whose move x[j] += step
+    (+-1) keeps every row feasible."""
+    cand = np.nonzero(cand)[0]
+    for lhs_i, a, lo_i, hi_i in zip(lhs, A, row_lo - _FEASIBILITY_TOL,
                                     row_hi + _FEASIBILITY_TOL):
-        new = lhs_i + a
-        ok &= (new <= hi_i) & (new >= lo_i)
-    return ok
+        new = lhs_i + step * a[cand]
+        cand = cand[(new <= hi_i) & (new >= lo_i)]
+    return cand
 
 
 def _greedy_improve(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -118,14 +119,14 @@ def _greedy_improve(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     x = x.copy()
     lhs = A @ x
     for _ in range(_CLIMB_STEPS):
-        add_ok = (x < hi - 0.5) & (c > 1e-12) & _feasible_after(lhs, A, row_lo, row_hi)
-        drop_ok = (x > lo + 0.5) & (c < -1e-12) & _feasible_after(lhs, -A, row_lo, row_hi)
         best_gain, move = 0.0, None
-        if add_ok.any():
-            j = int(np.argmax(np.where(add_ok, c, -np.inf)))
+        add = _unit_moves((x < hi - 0.5) & (c > 1e-12), lhs, A, 1.0, row_lo, row_hi)
+        if len(add):
+            j = int(add[np.argmax(c[add])])
             best_gain, move = c[j], (j, 1.0)
-        if drop_ok.any():
-            j = int(np.argmax(np.where(drop_ok, -c, -np.inf)))
+        drop = _unit_moves((x > lo + 0.5) & (c < -1e-12), lhs, A, -1.0, row_lo, row_hi)
+        if len(drop):
+            j = int(drop[np.argmax(-c[drop])])
             if -c[j] > best_gain:
                 best_gain, move = -c[j], (j, -1.0)
         if move is None or best_gain <= 1e-12:

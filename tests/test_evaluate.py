@@ -701,6 +701,38 @@ class TestTimings:
         assert report.timings_ms["total_ms"] == sum(report.timings_ms[k] for k in phases)
 
 
+class TestSolverStats:
+    """A report carries the solver counters summed over every solve it made."""
+
+    @pytest.mark.parametrize("method", ["direct", "sketchrefine"])
+    def test_summed_over_every_solve(self, method):
+        stats = []
+
+        def counting(model, cfg):
+            res = solve(model, cfg)
+            stats.append(res.stats)
+            return res
+
+        q, rel, p = _small(PICK_TWO)
+        if method == "direct":
+            report = eval_direct(q, rel, solver_fn=counting)
+        else:
+            report = eval_sketchrefine(q, rel, p, solver_fn=counting)
+        assert report.status == FEASIBLE
+        assert len(stats) == sum(report.subproblems.values())
+        assert len(stats) == (1 if method == "direct" else 2)  # a sketch and a refine
+        nodes = sum(s.nodes for s in stats)
+        iterations = sum(s.lp_iterations for s in stats)
+        assert nodes >= len(stats) and iterations > 0
+        assert (report.solver.nodes, report.solver.lp_iterations) == (nodes, iterations)
+        assert report.to_json_dict()["solver"] == {"nodes": nodes, "lp_iterations": iterations}
+
+    def test_time_limited_solves_count_too(self):
+        report = _sr(PICK_TWO, solver_fn=_refine_times_out())
+        assert report.status == TIME_LIMIT
+        assert report.solver.nodes >= 1  # the sketch's, before the refine ran out
+
+
 class TestNoGroupSurvives:
     """A WHERE clause that keeps no tuple leaves no group; SketchRefine
     still runs its level, whose sketch over no representatives holds only

@@ -187,28 +187,121 @@ def _flip_heavy_lp(seed):
 
 
 class TestLazyPricingPath:
-    def test_same_path_as_full_sort(self, monkeypatch):
-        consumed = []
+    """Argmax picks, then the lazy sort: every pricing round offers its
+    columns in the order of one full stable argsort of its eligible gains."""
 
-        def counting(idx, mag, chunk=simplex._PRICE_CHUNK):
-            n = 0
-            for e in real(idx, mag, chunk):
-                n += 1
-                consumed.append(n)
+    def test_same_path_as_full_sort(self, monkeypatch):
+        real = simplex._entering_order
+        rounds = []
+
+        def recording(s, bland):
+            idx = np.nonzero(s > simplex._ENTER_TOL)[0]
+            want = idx if bland else full_sort_order(idx, s[idx])
+            got = []
+            rounds.append((want, got))
+            for e in real(s, bland):
+                got.append(int(e))
                 yield e
 
-        real = simplex._pricing_order
+        monkeypatch.setattr(simplex, "_entering_order", recording)
+        for seed in range(8):
+            res = lp_solve(*_flip_heavy_lp(seed))
+            assert res.status == OPTIMAL
+        assert rounds
+        for want, got in rounds:
+            assert got == [int(e) for e in want[:len(got)]]
+        # some round took more candidates than argmax picks, so its tail
+        # came from the lazy sort
+        assert max(len(got) for _, got in rounds) > simplex._ARGMAX_PICKS
+
+    def test_argmax_and_sort_give_the_same_lp(self, monkeypatch):
         for seed in range(8):
             lp = _flip_heavy_lp(seed)
-            monkeypatch.setattr(simplex, "_pricing_order", counting)
-            lazy = lp_solve(*lp)
-            monkeypatch.setattr(simplex, "_pricing_order", full_sort_order)
-            full = lp_solve(*lp)
-            monkeypatch.setattr(simplex, "_pricing_order", real)
-            assert lazy.status == full.status == OPTIMAL
-            assert np.array_equal(lazy.x, full.x)
-            assert lazy.objective == full.objective
-            assert lazy.iterations == full.iterations
-            assert np.array_equal(lazy.reduced_costs, full.reduced_costs)
-        # some pricing round ran past its first chunk
-        assert max(consumed) > simplex._PRICE_CHUNK
+            base = lp_solve(*lp)
+            for picks in (0, 10**9):  # only the sort, only argmax
+                monkeypatch.setattr(simplex, "_ARGMAX_PICKS", picks)
+                other = lp_solve(*lp)
+                assert other.status == base.status == OPTIMAL
+                assert np.array_equal(other.x, base.x)
+                assert other.objective == base.objective
+                assert other.iterations == base.iterations
+                assert np.array_equal(other.reduced_costs, base.reduced_costs)
+                assert np.array_equal(other.at_upper, base.at_upper)
+            monkeypatch.undo()
+
+
+def _package_lp(seed, quantized):
+    """An LP of the shape Direct solves: k = 2-5 rows (a count, sums and
+    AVG-style rows with coefficients of both signs) over 1k-20k columns
+    with upper bounds 1-3; values on the 1/64 grid or unquantized."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    n = int(rng.integers(1_000, 20_001))
+    vals = rng.uniform(0.5, 2.0, size=(k + 1, n))
+    if quantized:
+        vals = np.round(vals * 64) / 64
+    size = float(rng.integers(4, 21))
+    c = vals[0] if rng.integers(0, 2) else -vals[0]
+    rows, ops, rhs = [np.ones(n)], [str(rng.choice(["<=", ">=", "="]))], [size]
+    for a in vals[1:]:
+        op = str(rng.choice(["<=", ">="]))
+        if rng.integers(0, 2):  # SUM(a) against a window around its mean
+            rows.append(a)
+            rhs.append(size * float(rng.uniform(0.8, 1.4)))
+        else:  # AVG(a) op v, as SUM(a - v) op 0
+            v = float(rng.uniform(1.0, 1.5))
+            rows.append(a - v)
+            rhs.append(0.0)
+        ops.append(op)
+    hi = rng.integers(1, 4, size=n).astype(float)
+    return (c, np.array(rows), *row_bounds(ops, rhs), np.zeros(n), hi), ops
+
+
+def _highs(c, A, row_lo, row_hi, lo, hi):
+    from scipy.optimize import linprog
+
+    ub = np.isfinite(row_hi) & ~np.isfinite(row_lo)
+    lb = np.isfinite(row_lo) & ~np.isfinite(row_hi)
+    eq = np.isfinite(row_lo) & np.isfinite(row_hi)
+    A_ub = np.vstack([A[ub], -A[lb]])
+    b_ub = np.concatenate([row_hi[ub], -row_lo[lb]])
+    tol = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    return linprog(-c, A_ub=A_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
+                   A_eq=A[eq] if eq.any() else None, b_eq=row_lo[eq] if eq.any() else None,
+                   bounds=np.column_stack([lo, hi]), method="highs", options=tol)
+
+
+class TestPackageRegime:
+    """Differential test against HiGHS in the regime the engine runs in:
+    few rows, many columns, small upper bounds."""
+
+    @pytest.mark.parametrize("quantized", [True, False], ids=["grid64", "unquantized"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_highs_with_a_certificate(self, seed, quantized):
+        lp, ops = _package_lp(seed, quantized)
+        before = [a.copy() for a in lp]
+        res = lp_solve(*lp)
+        for a, b in zip(lp, before):  # no input array is modified
+            assert np.array_equal(a, b)
+
+        ref = _highs(*lp)
+        if ref.status == 2:
+            assert res.status == INFEASIBLE
+            return
+        assert ref.status == 0
+        assert res.status == OPTIMAL
+        assert res.objective == pytest.approx(-ref.fun, abs=1e-7)
+
+        c, A, row_lo, row_hi, lo, hi = lp
+        x, d, up = res.x, res.reduced_costs, res.at_upper
+        assert np.all((x >= lo) & (x <= hi))
+        lhs = A @ x
+        assert np.all((lhs >= row_lo - 1e-9) & (lhs <= row_hi + 1e-9))
+        assert res.objective == pytest.approx(float(c @ x), rel=1e-12, abs=1e-9)
+        # optimality: no column gains by leaving its bound (basic ones carry 0)
+        tol = simplex._ENTER_TOL
+        assert np.all(d[~up] <= tol)
+        assert np.all(d[up] >= -tol)
+        assert np.all(x[up] == hi[up])
+        # at most one basic (possibly fractional) column per row
+        assert np.count_nonzero((x > lo) & (x < hi)) <= len(ops)

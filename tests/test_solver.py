@@ -306,3 +306,43 @@ def test_objective_grid_examples():
                     ([np.nan, 1.0], None), ([np.inf], None)):
         c = np.asarray(c, dtype=np.float64)
         assert _objective_grid(c) == objective_grid_reference(c) == grid
+
+
+def climb_reference(x, lo, hi, A, row_lo, row_hi, c, steps=400):
+    """Unit-move climb written plainly: every +-1 move is scored on its
+    own, and the best gain wins, ties to the lowest index and adds first."""
+    x = x.copy()
+    for _ in range(steps):
+        best = None
+        for step in (1.0, -1.0):
+            for j in range(len(x)):
+                if not (lo[j] <= x[j] + step <= hi[j]) or step * c[j] <= 1e-12:
+                    continue
+                lhs = A @ x + step * A[:, j]
+                if np.any(lhs > row_hi + 1e-9) or np.any(lhs < row_lo - 1e-9):
+                    continue
+                if best is None or step * c[j] > best[0]:
+                    best = (step * c[j], j, step)
+        if best is None:
+            return x
+        x[best[1]] += best[2]
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_greedy_improve_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, 4)), int(rng.integers(1, 12))
+    A = rng.integers(-3, 5, size=(k, n)) / 4.0  # quantized: ties are common
+    c = rng.integers(-4, 5, size=n) / 2.0
+    hi = rng.integers(0, 4, size=n).astype(float)
+    lo = np.minimum(rng.integers(0, 2, size=n), hi).astype(float)
+    x = np.array([float(rng.integers(lo[j], hi[j] + 1)) for j in range(n)])
+    lhs = A @ x
+    # rows the start point meets, some of them tight
+    row_lo = np.where(rng.random(k) < 0.5, -np.inf, lhs - rng.integers(0, 3, size=k))
+    row_hi = np.where(np.isfinite(row_lo) & (rng.random(k) < 0.5), np.inf,
+                      lhs + rng.integers(0, 3, size=k))
+    got = solver._greedy_improve(x, lo, hi, A, row_lo, row_hi, c)
+    assert np.array_equal(got, climb_reference(x, lo, hi, A, row_lo, row_hi, c))
