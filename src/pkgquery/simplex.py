@@ -11,6 +11,7 @@ Dantzig pricing with a switch to Bland's rule after a degenerate stall.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,7 +72,7 @@ def _entering_order(s, bland):
     what is left, in the same order."""
     if not bland:
         for _ in range(_ARGMAX_PICKS):
-            e = int(np.argmax(s))
+            e = int(s.argmax())
             if not s[e] > _ENTER_TOL:
                 return
             yield e
@@ -80,15 +81,15 @@ def _entering_order(s, bland):
 
 
 class _Revised:
-    """One LP in revised form: the rows ``flip * A`` with a slack or
-    artificial unit column per row, the basis inverse, and each column's
-    bound status.
+    """One LP in revised form: the rows ``flip * A`` with a slack per
+    inequality row and an artificial per row that is not '<=' (unit
+    columns), the basis inverse, and each column's bound status.
 
     Columns are numbered structurals first, then slacks, then artificials;
-    the unit columns start as the basis, so the first inverse is I.
+    each row's '<=' slack or artificial starts basic, so the first inverse is I.
     ``direction`` is +1 for a column that may enter from its lower bound,
     -1 from its upper bound and 0 when it is basic or barred (numbered
-    ``barred`` or more). Every n-length buffer is allocated here, once."""
+    ``barred`` or more). The n-length work buffers are allocated here, once."""
 
     def __init__(self, A, flip, eq, le, upper, lower, b):
         m, n = A.shape
@@ -96,10 +97,11 @@ class _Revised:
         art_rows = np.nonzero(~le)[0]
         self.A, self.flip, self.n = A, flip, n
         self.art0 = n + len(slack_rows)
-        self.unit_row = np.concatenate([slack_rows, art_rows])
-        self.unit_sign = np.concatenate([np.where(le[slack_rows], 1.0, -1.0),
-                                         np.ones(len(art_rows))])
-        n_total = self.barred = n + len(self.unit_row)
+        unit_row = np.concatenate([slack_rows, art_rows])
+        self.units = np.zeros((m, len(unit_row)))  # the unit columns, dense
+        self.units[unit_row, np.arange(len(unit_row))] = np.concatenate(
+            [np.where(le[slack_rows], 1.0, -1.0), np.ones(len(art_rows))])
+        n_total = self.barred = n + len(unit_row)
         self.ub = np.empty(n_total)  # upper bounds after the shift to 0
         np.subtract(upper, lower, out=self.ub[:n])
         self.ub[n:] = np.inf
@@ -107,7 +109,7 @@ class _Revised:
         self.basis[slack_rows] = n + np.arange(len(slack_rows))
         self.basis[art_rows] = self.art0 + np.arange(len(art_rows))  # '>=' rows too
         self.binv = np.eye(m)
-        self.xB = b.copy()
+        self.xB = b.tolist()  # basic values as Python floats: k is small
         self.stat = np.full(n_total, _LB, dtype=np.int8)
         self.stat[self.basis] = _BASIC
         self.direction = np.ones(n_total)
@@ -120,7 +122,7 @@ class _Revised:
         n, s = self.n, self.s
         y = self.c[self.basis] @ self.binv
         np.matmul(y * self.flip, self.A, out=s[:n])
-        s[n:] = y[self.unit_row] * self.unit_sign
+        np.matmul(y, self.units, out=s[n:])
         np.subtract(self.c, s, out=s)
         return s
 
@@ -128,8 +130,7 @@ class _Revised:
         """Column ``e`` of B^-1 [flip * A, units]."""
         if e < self.n:
             return self.binv @ (self.flip * self.A[:, e])
-        u = e - self.n
-        return self.binv[:, self.unit_row[u]] * self.unit_sign[u]
+        return self.binv @ self.units[:, e - self.n]
 
     def run(self, max_iter):
         """Pivot to optimality for max c.x; returns ('optimal'|'unbounded',
@@ -137,7 +138,6 @@ class _Revised:
         flip of a pricing round shares its buffer; a pivot ends the round."""
         stat, direction, ub = self.stat, self.direction, self.ub
         basis, xB = self.basis, self.xB
-        m = len(basis)
         rounds = 0
         iters = 0
         bland = False
@@ -154,27 +154,21 @@ class _Revised:
                 iters += 1
                 alpha = self.column(e)
                 up = direction[e] > 0  # entering from its lower bound
-                dy = alpha if up else -alpha
+                dy = (alpha if up else -alpha).tolist()
 
                 # largest step before a basic variable hits one of its bounds
-                lim = np.full(m, np.inf)
-                ubB = ub[basis]
-                pos = dy > _PIVOT_TOL
-                if pos.any():
-                    lim[pos] = np.maximum(xB[pos], 0.0) / dy[pos]
-                neg = dy < -_PIVOT_TOL
-                if neg.any():
-                    lim[neg] = np.maximum(ubB[neg] - xB[neg], 0.0) / (-dy[neg])
-
-                t_row = lim.min() if m else np.inf
-                t_flip = ub[e]  # internal lower bounds are all 0
+                lim = [max(x, 0.0) / d if d > _PIVOT_TOL else
+                       max(u - x, 0.0) / -d if d < -_PIVOT_TOL else math.inf
+                       for d, x, u in zip(dy, xB, ub[basis].tolist())]
+                t_row = min(lim, default=math.inf)
+                t_flip = float(ub[e])  # internal lower bounds are all 0
                 t = min(t_row, t_flip)
-                if not np.isfinite(t):
+                if not math.isfinite(t):
                     return UNBOUNDED, max(iters, rounds)
 
                 if t_flip <= t_row:
                     # bound flip: cross to the other bound, reduced costs intact
-                    xB -= t_flip * dy
+                    xB[:] = [x - t_flip * d for x, d in zip(xB, dy)]
                     stat[e] = _UB if up else _LB
                     direction[e] = -direction[e]
                     s[e] = -s[e]
@@ -188,24 +182,24 @@ class _Revised:
                     stall = 0
 
                 # pivot: among limiting rows pick the smallest variable index
-                cand = np.nonzero(lim <= t_row + _PIVOT_TOL)[0]
-                r = int(cand[np.argmin(basis[cand])])
+                r = min((i for i, v in enumerate(lim) if v <= t_row + _PIVOT_TOL),
+                        key=basis.__getitem__)
                 leaving = basis[r]
                 hit_upper = dy[r] < 0  # leaving variable rose to its upper bound
 
-                xB -= t * dy
+                xB[:] = [x - t * d for x, d in zip(xB, dy)]
                 piv = alpha[r]
                 if abs(piv) < _PIVOT_TOL:
                     raise SimplexError("near-singular pivot element")
                 binv = self.binv
                 binv[r] /= piv
                 alpha[r] = 0.0
-                binv -= np.outer(alpha, binv[r])
+                binv -= alpha[:, None] * binv[r]
 
                 stat[leaving] = _UB if hit_upper else _LB
                 if leaving < self.barred:
                     direction[leaving] = -1.0 if hit_upper else 1.0
-                xB[r] = t if up else ub[e] - t
+                xB[r] = t if up else t_flip - t
                 basis[r] = e
                 stat[e] = _BASIC
                 direction[e] = 0.0
@@ -235,11 +229,11 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
     # each row's op: '<=' has only row_hi, '>=' only row_lo, '=' both equal
     has_lo, has_hi = np.isfinite(row_lo), np.isfinite(row_hi)
     eq = has_lo & has_hi
-    if np.any(eq & (row_lo != row_hi)) or np.any(~has_lo & ~has_hi):
+    if (eq & (row_lo != row_hi)).any() or not (has_lo | has_hi).all():
         raise SimplexError("each row needs exactly one finite bound or two equal ones")
     b = np.where(has_hi, row_hi, row_lo)
 
-    if np.any(lower > upper + 1e-12):
+    if (lower > upper + 1e-12).any():
         return LpResult(INFEASIBLE, None, None, 0)
 
     # shift to zero lower bounds: y = x - l
@@ -264,12 +258,12 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
         total_iters += it
         if status != OPTIMAL:
             raise SimplexError("phase 1 terminated abnormally")
-        art_basic = lp.basis >= art0
-        residual = float(lp.xB[art_basic].sum()) if art_basic.any() else 0.0
+        xB, art_basic = np.array(lp.xB), lp.basis >= art0
+        residual = float(xB[art_basic].sum()) if art_basic.any() else 0.0
         also = lp.stat[art0:] == _UB
         if residual > 1e-7 or also.any():
             return LpResult(INFEASIBLE, None, None, total_iters)
-        lp.xB[art_basic] = 0.0
+        lp.xB = np.where(art_basic, 0.0, xB).tolist()
         # freeze artificials at zero; they may linger in the basis at value 0
         lp.ub[art0:] = 0.0
         lp.direction[art0:] = 0.0
@@ -285,7 +279,7 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
     at_upper = lp.stat[:n] == _UB
     x = np.where(at_upper, span, 0.0)
     basic = lp.basis[lp.basis < n]
-    x[basic] = lp.xB[lp.basis < n]
+    x[basic] = np.array(lp.xB)[lp.basis < n]
     objective = float(obj @ x) + const
     # nonbasic values already lie on their bounds
     x[basic] = np.clip(x[basic], 0.0, span[basic])
