@@ -21,13 +21,13 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-_LB, _UB, _BASIC = 0, 1, 2
-
 _ENTER_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _STALL_LIMIT = 120
 _PRICE_CHUNK = 64
-_ARGMAX_PICKS = 8  # candidates per round taken by argmax before one sort
+# argmax picks per round (one pass over the gains each) before one sort of the
+# rest: the benchmark's LPs need at most 16, a loose COUNT bound thousands
+_ARGMAX_PICKS = 32
 
 
 class SimplexError(Exception):
@@ -83,7 +83,7 @@ def _entering_order(s, bland):
 class _Revised:
     """One LP in revised form: the rows ``flip * A`` with a slack per
     inequality row and an artificial per row that is not '<=' (unit
-    columns), the basis inverse, and each column's bound status.
+    columns), the basis inverse, and each column's pricing direction.
 
     Columns are numbered structurals first, then slacks, then artificials;
     each row's '<=' slack or artificial starts basic, so the first inverse is I.
@@ -91,36 +91,33 @@ class _Revised:
     -1 from its upper bound and 0 when it is basic or barred (numbered
     ``barred`` or more). The n-length work buffers are allocated here, once."""
 
-    def __init__(self, A, flip, eq, le, upper, lower, b):
+    def __init__(self, A, flip, slacks, arts, upper, lower, b):
+        """``slacks``: (row, sign) per inequality row, -1 for '>='; ``arts``:
+        the rows that are not '<='. Rows are few, so this is Python work."""
         m, n = A.shape
-        slack_rows = np.nonzero(~eq)[0]
-        art_rows = np.nonzero(~le)[0]
-        self.A, self.flip, self.n = A, flip, n
-        self.art0 = n + len(slack_rows)
-        unit_row = np.concatenate([slack_rows, art_rows])
-        self.units = np.zeros((m, len(unit_row)))  # the unit columns, dense
-        self.units[unit_row, np.arange(len(unit_row))] = np.concatenate(
-            [np.where(le[slack_rows], 1.0, -1.0), np.ones(len(art_rows))])
-        n_total = self.barred = n + len(unit_row)
+        self.A, self.flip, self.n = A, np.array(flip), n
+        self.art0 = n + len(slacks)
+        units = slacks + [(i, 1.0) for i in arts]
+        self.units = np.zeros((m, len(units)))  # the unit columns, dense
+        self.basis = basis = [0] * m  # the basic column of each row
+        for j, (i, sign) in enumerate(units):  # an artificial overrides a '>=' slack
+            self.units[i, j] = sign
+            basis[i] = n + j
+        n_total = self.barred = n + len(units)
         self.ub = np.empty(n_total)  # upper bounds after the shift to 0
         np.subtract(upper, lower, out=self.ub[:n])
         self.ub[n:] = np.inf
-        self.basis = np.empty(m, dtype=np.int64)
-        self.basis[slack_rows] = n + np.arange(len(slack_rows))
-        self.basis[art_rows] = self.art0 + np.arange(len(art_rows))  # '>=' rows too
         self.binv = np.eye(m)
-        self.xB = b.tolist()  # basic values as Python floats: k is small
-        self.stat = np.full(n_total, _LB, dtype=np.int8)
-        self.stat[self.basis] = _BASIC
+        self.xB = b  # basic values as Python floats: k is small
         self.direction = np.ones(n_total)
-        self.direction[self.basis] = 0.0
+        self.direction[basis] = 0.0
         self.c = np.empty(n_total)  # the phase's objective
         self.s = np.empty(n_total)  # the pricing buffer
 
     def reduced_costs(self):
         """c - c_B B^-1 [flip * A, units], in the pricing buffer."""
         n, s = self.n, self.s
-        y = self.c[self.basis] @ self.binv
+        y = self.cB @ self.binv
         np.matmul(y * self.flip, self.A, out=s[:n])
         np.matmul(y, self.units, out=s[n:])
         np.subtract(self.c, s, out=s)
@@ -136,8 +133,9 @@ class _Revised:
         """Pivot to optimality for max c.x; returns ('optimal'|'unbounded',
         iterations). Reduced costs depend only on the basis, so every bound
         flip of a pricing round shares its buffer; a pivot ends the round."""
-        stat, direction, ub = self.stat, self.direction, self.ub
-        basis, xB = self.basis, self.xB
+        direction, ub, basis, xB = self.direction, self.ub, self.basis, self.xB
+        self.cB = cB = self.c[basis]  # the objective's basic entries
+        ub_basic = ub[basis].tolist()
         rounds = 0
         iters = 0
         bland = False
@@ -159,7 +157,7 @@ class _Revised:
                 # largest step before a basic variable hits one of its bounds
                 lim = [max(x, 0.0) / d if d > _PIVOT_TOL else
                        max(u - x, 0.0) / -d if d < -_PIVOT_TOL else math.inf
-                       for d, x, u in zip(dy, xB, ub[basis].tolist())]
+                       for d, x, u in zip(dy, xB, ub_basic)]
                 t_row = min(lim, default=math.inf)
                 t_flip = float(ub[e])  # internal lower bounds are all 0
                 t = min(t_row, t_flip)
@@ -169,7 +167,6 @@ class _Revised:
                 if t_flip <= t_row:
                     # bound flip: cross to the other bound, reduced costs intact
                     xB[:] = [x - t_flip * d for x, d in zip(xB, dy)]
-                    stat[e] = _UB if up else _LB
                     direction[e] = -direction[e]
                     s[e] = -s[e]
                     continue
@@ -196,12 +193,12 @@ class _Revised:
                 alpha[r] = 0.0
                 binv -= alpha[:, None] * binv[r]
 
-                stat[leaving] = _UB if hit_upper else _LB
                 if leaving < self.barred:
                     direction[leaving] = -1.0 if hit_upper else 1.0
                 xB[r] = t if up else t_flip - t
                 basis[r] = e
-                stat[e] = _BASIC
+                cB[r] = self.c[e]
+                ub_basic[r] = t_flip
                 direction[e] = 0.0
                 break  # basis changed; reprice
             else:
@@ -220,32 +217,38 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
     obj = np.asarray(obj, dtype=np.float64)
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
-    row_lo = np.asarray(row_lo, dtype=np.float64)
-    row_hi = np.asarray(row_hi, dtype=np.float64)
-    n = len(obj)
-    m = len(row_lo)
+    n, m = len(obj), len(row_lo)
     A = np.asarray(A, dtype=np.float64).reshape(m, n)
 
     # each row's op: '<=' has only row_hi, '>=' only row_lo, '=' both equal
-    has_lo, has_hi = np.isfinite(row_lo), np.isfinite(row_hi)
-    eq = has_lo & has_hi
-    if (eq & (row_lo != row_hi)).any() or not (has_lo | has_hi).all():
-        raise SimplexError("each row needs exactly one finite bound or two equal ones")
-    b = np.where(has_hi, row_hi, row_lo)
+    ops, b = [], []
+    for lo_i, hi_i in zip(map(float, row_lo), map(float, row_hi)):
+        has_lo, has_hi = math.isfinite(lo_i), math.isfinite(hi_i)
+        if not (has_lo or has_hi) or (has_lo and has_hi and lo_i != hi_i):
+            raise SimplexError("each row needs exactly one finite bound or two equal ones")
+        ops.append((has_lo, has_hi))
+        b.append(hi_i if has_hi else lo_i)
 
     if (lower > upper + 1e-12).any():
         return LpResult(INFEASIBLE, None, None, 0)
 
     # shift to zero lower bounds: y = x - l
-    b_shift = b - A @ lower
+    b_shift = (np.array(b) - A @ lower).tolist()
     const = float(obj @ lower)
 
     # rows with a negative right side are negated, which swaps '<=' and '>='
-    neg = b_shift < 0
-    flip = np.where(neg, -1.0, 1.0)
-    le = np.where(neg, has_lo, has_hi) & ~eq
-    lp = _Revised(A, flip, eq, le, upper, lower, b_shift * flip)
-    n_total, art0 = len(lp.stat), lp.art0
+    flip, rhs, slacks, arts = [], [], [], []
+    for i, ((has_lo, has_hi), b_i) in enumerate(zip(ops, b_shift)):
+        neg = b_i < 0
+        flip.append(-1.0 if neg else 1.0)
+        rhs.append(-b_i if neg else b_i)
+        le = has_lo != has_hi and (has_lo if neg else has_hi)
+        if has_lo != has_hi:
+            slacks.append((i, 1.0 if le else -1.0))
+        if not le:
+            arts.append(i)
+    lp = _Revised(A, flip, slacks, arts, upper, lower, rhs)
+    n_total, art0 = lp.barred, lp.art0
     span = lp.ub[:n]
 
     max_iter = 20000 + 10 * (m + n_total)
@@ -258,12 +261,11 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
         total_iters += it
         if status != OPTIMAL:
             raise SimplexError("phase 1 terminated abnormally")
-        xB, art_basic = np.array(lp.xB), lp.basis >= art0
-        residual = float(xB[art_basic].sum()) if art_basic.any() else 0.0
-        also = lp.stat[art0:] == _UB
-        if residual > 1e-7 or also.any():
+        art_basic = [r for r, j in enumerate(lp.basis) if j >= art0]
+        if sum(lp.xB[r] for r in art_basic) > 1e-7:
             return LpResult(INFEASIBLE, None, None, total_iters)
-        lp.xB = np.where(art_basic, 0.0, xB).tolist()
+        for r in art_basic:
+            lp.xB[r] = 0.0
         # freeze artificials at zero; they may linger in the basis at value 0
         lp.ub[art0:] = 0.0
         lp.direction[art0:] = 0.0
@@ -276,15 +278,16 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None, total_iters)
 
-    at_upper = lp.stat[:n] == _UB
+    at_upper = lp.direction[:n] < 0
     x = np.where(at_upper, span, 0.0)
-    basic = lp.basis[lp.basis < n]
-    x[basic] = np.array(lp.xB)[lp.basis < n]
+    basic = [(j, v) for j, v in zip(lp.basis, lp.xB) if j < n]
+    for j, v in basic:
+        x[j] = v
     objective = float(obj @ x) + const
-    # nonbasic values already lie on their bounds
-    x[basic] = np.clip(x[basic], 0.0, span[basic])
-    x += lower
     d = lp.reduced_costs()[:n]  # one last pass over A
-    d[basic] = 0.0
+    for j, v in basic:  # nonbasic values already lie on their bounds
+        x[j] = min(max(v, 0.0), span[j])
+        d[j] = 0.0
+    x += lower
     return LpResult(OPTIMAL, x, objective, total_iters,
                     reduced_costs=d, at_upper=at_upper)

@@ -68,26 +68,28 @@ def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
     f = len(frac_idx)
     if f > 12:
         return None
+    floor = np.floor(x[frac_idx])
     base = np.round(x)  # near-integral entries become exactly integral
-    base[frac_idx] = np.floor(x[frac_idx])
+    base[frac_idx] = floor
     lhs_base = A @ base
     val_base = float(c @ base)
-    cols = A[:, frac_idx]
+    cols, c_frac = A[:, frac_idx], c[frac_idx]
+    hi_tol, lo_tol = row_hi + _FEASIBILITY_TOL, row_lo - _FEASIBILITY_TOL
+    bits = ((np.arange(1 << f)[:, None] >> np.arange(f)) & 1).astype(np.float64)
+    cand = floor + bits  # one row per combination
+    in_box = ((cand >= lo[frac_idx]) & (cand <= hi[frac_idx])).all(axis=1)
     best = None
-    for mask in range(1 << f):
-        bits = np.array([(mask >> j) & 1 for j in range(f)], dtype=np.float64)
-        cand_vals = np.floor(x[frac_idx]) + bits
-        if np.any(cand_vals < lo[frac_idx]) or np.any(cand_vals > hi[frac_idx]):
+    for mask in np.nonzero(in_box)[0]:
+        lhs = lhs_base + cols @ bits[mask]
+        if (lhs > hi_tol).any() or (lhs < lo_tol).any():
             continue
-        lhs = lhs_base + cols @ bits
-        if np.any(lhs > row_hi + _FEASIBILITY_TOL) or np.any(lhs < row_lo - _FEASIBILITY_TOL):
-            continue
-        val = val_base + float(c[frac_idx] @ bits)
+        val = val_base + float(c_frac @ bits[mask])
         if best is None or val > best[0]:
-            vec = base.copy()
-            vec[frac_idx] = cand_vals
-            best = (val, vec)
-    return None if best is None else best[1]
+            best = (val, mask)
+    if best is None:
+        return None
+    base[frac_idx] = cand[best[1]]
+    return base
 
 
 def _unit_moves(cand: np.ndarray, lhs: np.ndarray, A: np.ndarray, step: float,

@@ -346,3 +346,46 @@ def test_greedy_improve_matches_reference(seed):
                       lhs + rng.integers(0, 3, size=k))
     got = solver._greedy_improve(x, lo, hi, A, row_lo, row_hi, c)
     assert np.array_equal(got, climb_reference(x, lo, hi, A, row_lo, row_hi, c))
+
+
+def round_reference(x, frac_idx, lo, hi, A, row_lo, row_hi, c):
+    """Floor/ceil rounding written plainly: every combination is built and
+    scored as a whole vector, the best wins and ties go to the lowest
+    combination number (bit j set: entry frac_idx[j] rounds up)."""
+    best = None
+    for mask in range(1 << len(frac_idx)):
+        vec = np.round(x)
+        for j, i in enumerate(frac_idx):
+            vec[i] = np.floor(x[i]) + ((mask >> j) & 1)
+        if np.any(vec[frac_idx] < lo[frac_idx]) or np.any(vec[frac_idx] > hi[frac_idx]):
+            continue
+        lhs = A @ vec
+        if np.any(lhs > row_hi + 1e-9) or np.any(lhs < row_lo - 1e-9):
+            continue
+        if best is None or c @ vec > best[0]:
+            best = (c @ vec, vec)
+    return None if best is None else best[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_round_candidates_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, 4)), int(rng.integers(1, 10))
+    A = rng.integers(-3, 5, size=(k, n)) / 4.0  # quantized: ties are common
+    c = rng.integers(-4, 5, size=n) / 2.0
+    lo = rng.integers(0, 2, size=n).astype(float)
+    hi = lo + rng.integers(1, 3, size=n)
+    x = np.array([float(rng.integers(lo[j], hi[j] + 1)) for j in range(n)])
+    frac_idx = np.sort(rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False))
+    f = len(frac_idx)
+    x[frac_idx] = lo[frac_idx] + rng.integers(0, 2, size=f) + 0.25 * rng.integers(1, 4, size=f)
+    lhs = A @ np.round(x)
+    row_lo = np.where(rng.random(k) < 0.5, -np.inf, lhs - rng.integers(0, 3, size=k))
+    row_hi = np.where(np.isfinite(row_lo) & (rng.random(k) < 0.5), np.inf,
+                      lhs + rng.integers(0, 3, size=k))
+    got = solver._round_candidates(x, frac_idx, lo, hi, A, row_lo, row_hi, c)
+    want = round_reference(x, frac_idx, lo, hi, A, row_lo, row_hi, c)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
