@@ -36,7 +36,6 @@ from .evaluate import (
     EvalConfig,
     EvalError,
     EvalReport,
-    Package,
     approximation_ratio,
     eval_direct,
     eval_sketchrefine,

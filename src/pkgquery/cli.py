@@ -49,7 +49,6 @@ def _eval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit-s", type=float, default=3600.0)
     parser.add_argument("--backtrack-limit", type=int, default=None)
     parser.add_argument("--recursion-threshold", type=int, default=None)
-    parser.add_argument("--hybrid-sketch", choices=["on", "off"], default="on")
 
 
 def _eval_config(args) -> EvalConfig:
@@ -58,7 +57,6 @@ def _eval_config(args) -> EvalConfig:
         time_limit=args.time_limit_s,
         backtrack_limit=args.backtrack_limit,
         recursion_threshold=args.recursion_threshold,
-        hybrid_sketch=args.hybrid_sketch == "on",
     )
 
 
@@ -71,13 +69,21 @@ def cmd_partition(args) -> int:
     if args.epsilon is not None and args.direction is None:
         print("error: --epsilon needs --direction min|max", file=sys.stderr)
         return 2
+    if args.epsilon is not None and args.omega is not None:
+        print("error: --omega and --epsilon both set the radius limit; give one",
+              file=sys.stderr)
+        return 2
+    if args.epsilon is None and args.direction is not None:
+        print("error: --direction needs --epsilon", file=sys.stderr)
+        return 2
     try:
         rel = load_csv(args.input)
         t0 = time.perf_counter()
         if args.epsilon is not None:
             p = partition_with_epsilon(rel, attrs, args.tau, args.epsilon, args.direction)
         else:
-            p = partition(rel, PartitionParams(attrs, args.tau, args.omega))
+            omega = math.inf if args.omega is None else args.omega
+            p = partition(rel, PartitionParams(attrs, args.tau, omega))
         partition_ms = (time.perf_counter() - t0) * 1000.0
         save_partitioning(p, args.out)
     except (OSError, RelationError, PartitionError) as exc:
@@ -174,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated numeric attributes")
     p_part.add_argument("--tau", type=int, required=True,
                         help="max tuples per group")
-    p_part.add_argument("--omega", type=float, default=math.inf,
-                        help="radius limit (number or 'inf')")
+    p_part.add_argument("--omega", type=float, default=None,
+                        help="radius limit (number or 'inf'; default inf)")
     p_part.add_argument("--epsilon", type=float, default=None,
                         help="derive the radius limit from this approximation target")
     p_part.add_argument("--direction", choices=["min", "max"], default=None)

@@ -83,7 +83,6 @@ class EvalConfig:
     time_limit: float = 3600.0
     backtrack_limit: Optional[int] = None      # None -> 10 * group count
     recursion_threshold: Optional[int] = None  # None -> partitioning tau
-    hybrid_sketch: bool = True
 
     def __post_init__(self):
         if not self.time_limit >= 0:  # NaN included: it would never expire
@@ -95,19 +94,11 @@ class EvalConfig:
 
 
 @dataclass
-class Package:
-    """Answer multiset: tuple id -> multiplicity, objective by aggregation."""
-
-    entries: dict[int, int]
-    objective_value: float
-
-
-@dataclass
 class EvalReport:
     method: str
     status: str
-    package: Optional[Package] = None
-    objective: Optional[float] = None
+    package: Optional[dict[int, int]] = None  # tuple id -> multiplicity
+    objective: Optional[float] = None  # by aggregation over the package
     timings_ms: dict = field(default_factory=dict)
     backtracks: int = 0
     subproblems: dict = field(default_factory=dict)
@@ -119,7 +110,7 @@ class EvalReport:
             "method": self.method,
             "status": self.status,
             "objective": self.objective,
-            "package": sorted(self.package.entries.items()) if self.package else None,
+            "package": None if self.package is None else sorted(self.package.items()),
             "timings_ms": self.timings_ms,
             "backtracks": self.backtracks,
             "subproblems": self.subproblems,
@@ -178,9 +169,8 @@ def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfi
             f"solver objective {res.objective} disagrees with recomputed "
             f"aggregate {objective}")
     return EvalReport(
-        METHOD_DIRECT, FEASIBLE, package=Package(entries, objective),
-        objective=objective, timings_ms=timings, subproblems={"solves": 1},
-        solver=res.stats)
+        METHOD_DIRECT, FEASIBLE, package=entries, objective=objective,
+        timings_ms=timings, subproblems={"solves": 1}, solver=res.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +415,18 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
     if q.base_predicate is not None:
         p = restrict_to_ids(p, apply_base_predicate(rel, q.base_predicate))
     ctx = _Context(cfg, solver_fn)
-    status, package = INFEASIBLE, None
+    status, entries, objective = INFEASIBLE, None, None
     try:
         entries = _sketch_refine(q, rel, p, None, ctx, 0)
     except _TimeExceeded:
         status = TIME_LIMIT
     else:
-        if entries is not None:
+        if entries is not None:  # {} is a feasible empty package
             status = FEASIBLE
-            package = Package(entries, package_objective(q, rel, entries))
+            objective = package_objective(q, rel, entries)
     timings = ctx.timings[0]
     return EvalReport(
-        METHOD_SKETCHREFINE, status, package=package,
-        objective=package.objective_value if package else None,
+        METHOD_SKETCHREFINE, status, package=entries, objective=objective,
         timings_ms={**timings, "total_ms": timings["sketch_ms"] + timings["refine_ms"]},
         backtracks=ctx.backtracks,
         subproblems={"sketch": ctx.sketch_solves, "refine": ctx.refine_solves,
@@ -539,7 +528,7 @@ def _solve_sketch(level: _Level, ctx: _Context):
             return package_from_solution(model, res.x), {}
         res_status = res.status
 
-    if res_status == STATUS_INFEASIBLE and cfg.hybrid_sketch:
+    if res_status == STATUS_INFEASIBLE:
         try:
             hybrid = hybrid_sketch(level, ctx)
         except _BudgetExceeded:

@@ -215,6 +215,7 @@ class _Parser:
         self.i = 0
         # relation name, alias and package name; parsed before any attribute
         self.qualifiers: set[str] = set()
+        self.package_name = ""  # the one name a subquery may read FROM
 
     @property
     def cur(self) -> _Token:
@@ -268,6 +269,7 @@ class _Parser:
         elif self.at("ident"):
             relation_alias = self.advance().value
         self.qualifiers = {relation_name, relation_alias, package_name}
+        self.package_name = package_name
         repeat = None
         if self.accept("kw", "REPEAT"):
             tok = self.expect("number")
@@ -378,7 +380,10 @@ class _Parser:
         self.expect("kw", "SELECT")
         expr = self.parse_aggregate_call(shorthand=False)
         self.expect("kw", "FROM")
-        self.expect("ident")  # package name; resolution happens in validate
+        tok = self.expect("ident")
+        if tok.value != self.package_name:
+            self.error(f"a subquery reads the package {self.package_name!r}, "
+                       f"not {tok.value!r}", tok)
         if self.accept("kw", "WHERE"):
             where_tok = self.cur
             filt = self.parse_base_predicate()

@@ -124,21 +124,19 @@ def read_utf8(path, error: type[Exception]) -> str:
             f"{path}: not UTF-8 text (invalid byte at offset {exc.start})") from None
 
 
-def load_csv(path, schema_hints: Optional[Mapping[str, str]] = None,
-             name: Optional[str] = None) -> Relation:
+def load_csv(path, name: Optional[str] = None) -> Relation:
     """Load a UTF-8 comma-separated file with a header row.
 
-    Column kinds are inferred (every cell parseable as float -> numeric,
-    otherwise categorical) unless overridden through ``schema_hints``.
-    Numeric cells must be finite; NaN/inf and empty numeric cells are
-    rejected. Tuple ids are 0-based row positions after the header.
-    An all-numeric file without quotes or carriage returns is parsed in
-    one vectorized pass; ``csv.reader`` reads every other file, with the
-    same result wherever both apply.
+    Column kinds are inferred: a column whose every cell parses as a float
+    is numeric, any other column categorical. Numeric cells must be finite;
+    NaN/inf cells are rejected. Tuple ids are 0-based row positions after
+    the header. An all-numeric file without quotes, carriage returns or
+    lines longer than ``csv.field_size_limit()`` is parsed in one vectorized
+    pass; ``csv.reader`` reads every other file, with the same result
+    wherever both apply.
     """
-    hints = dict(schema_hints or {})
     text = read_utf8(path, RelationError)
-    table = _numeric_table(text, hints)
+    table = _numeric_table(text)
     if table is not None:
         header, values = table
         cols = {a: np.ascontiguousarray(values[:, j]) for j, a in enumerate(header)}
@@ -151,9 +149,6 @@ def load_csv(path, schema_hints: Optional[Mapping[str, str]] = None,
             raise RelationError(f"{path}: empty file, expected a header row")
         if len(set(header)) != len(header):
             raise RelationError(f"{path}: duplicate column name in header")
-        for attr in hints:
-            if attr not in header:
-                raise RelationError(f"{path}: schema hint for unknown column {attr!r}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -168,38 +163,34 @@ def load_csv(path, schema_hints: Optional[Mapping[str, str]] = None,
     for j, attr in enumerate(header):
         raw = [r[j] for r in rows]
         parsed = [_parse_float(c) for c in raw]
-        kind = hints.get(attr)
-        if kind is None:
-            kind = NUMERIC if all(p is not None for p in parsed) else CATEGORICAL
-        if kind == NUMERIC:
-            for lineno, p in enumerate(parsed, start=2):
-                if p is None:
-                    raise RelationError(
-                        f"{path}:{lineno}: non-numeric cell {raw[lineno - 2]!r} "
-                        f"in numeric column {attr!r}")
-                if math.isnan(p) or math.isinf(p):
-                    raise RelationError(
-                        f"{path}:{lineno}: non-finite value in numeric column {attr!r}")
-            cols[attr] = np.asarray(parsed, dtype=np.float64)
-        else:
+        if any(p is None for p in parsed):
             cols[attr] = raw
-        attrs.append((attr, kind))
+            attrs.append((attr, CATEGORICAL))
+            continue
+        for lineno, p in enumerate(parsed, start=2):
+            if math.isnan(p) or math.isinf(p):
+                raise RelationError(
+                    f"{path}:{lineno}: non-finite value in numeric column {attr!r}")
+        cols[attr] = np.asarray(parsed, dtype=np.float64)
+        attrs.append((attr, NUMERIC))
 
     return Relation(Schema(name or "R", tuple(attrs)), cols, len(rows))
 
 
-def _numeric_table(text: str, hints: dict) -> Optional[tuple[list[str], np.ndarray]]:
+def _numeric_table(text: str) -> Optional[tuple[list[str], np.ndarray]]:
     """(header, n x k matrix) for a file the csv.reader path would load as
     all-numeric, parsed in one ``np.loadtxt`` pass; None for any other file."""
-    if '"' in text or "\r" in text or any(k != NUMERIC for k in hints.values()):
+    if '"' in text or "\r" in text:
         return None
     lines = text.split("\n")
     if lines[-1] == "":
         del lines[-1]  # the newline that ends the last line
     if not lines or not lines[0]:
         return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None  # csv.reader rejects the cell, or reads the line's fields
     header, body = lines[0].split(","), lines[1:]
-    if len(set(header)) != len(header) or any(a not in header for a in hints):
+    if len(set(header)) != len(header):
         return None
     if not body or "" in body:
         return None  # loadtxt warns on no rows and skips blank lines
@@ -216,7 +207,7 @@ def _numeric_table(text: str, hints: dict) -> Optional[tuple[list[str], np.ndarr
 def save_csv(rel: Relation, path) -> None:
     """Write a relation back out in the load_csv format."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(rel.schema.names)
         names = rel.schema.names
         kinds = {a: k for a, k in rel.schema.attributes}

@@ -23,20 +23,20 @@ from pkgquery.relation import CATEGORICAL, NUMERIC, Relation, RelationError, Sch
 from pkgquery.simplex import lp_solve
 
 
-def reference_load_csv(path, schema_hints=None) -> list:
+def reference_load_csv(path) -> list:
     """``[(attr, kind, values)]`` as ``load_csv`` should read the file, or the
     RelationError it should raise; numeric values as a float64 array."""
-    hints = dict(schema_hints or {})
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+            raise RelationError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise RelationError(f"{path}: empty file, expected a header row")
     header, body = rows[0], rows[1:]
     if len(set(header)) != len(header):
         raise RelationError(f"{path}: duplicate column name in header")
-    for attr in hints:
-        if attr not in header:
-            raise RelationError(f"{path}: schema hint for unknown column {attr!r}")
     for lineno, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise RelationError(
@@ -50,18 +50,14 @@ def reference_load_csv(path, schema_hints=None) -> list:
                 floats.append(float(cell))
             except ValueError:
                 floats.append(None)
-        kind = hints.get(attr, CATEGORICAL if None in floats else NUMERIC)
-        if kind != NUMERIC:
-            out.append((attr, kind, cells))
+        if None in floats:
+            out.append((attr, CATEGORICAL, cells))
             continue
-        for lineno, (cell, value) in enumerate(zip(cells, floats), start=2):
-            if value is None:
-                raise RelationError(f"{path}:{lineno}: non-numeric cell {cell!r} "
-                                    f"in numeric column {attr!r}")
+        for lineno, value in enumerate(floats, start=2):
             if not math.isfinite(value):
                 raise RelationError(
                     f"{path}:{lineno}: non-finite value in numeric column {attr!r}")
-        out.append((attr, kind, np.array(floats, dtype=np.float64)))
+        out.append((attr, NUMERIC, np.array(floats, dtype=np.float64)))
     Schema("R", tuple((attr, kind) for attr, kind, _ in out))  # its own checks
     return out
 

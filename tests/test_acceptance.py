@@ -216,10 +216,10 @@ def test_criterion_5_feasibility_guarantee():
         m = translate(q, rel)
         x = np.zeros(m.n_vars)
         idx = var_index(m)
-        for t, mult in report.package.entries.items():
+        for t, mult in report.package.items():
             x[idx[t]] = mult
         assert feasible(m, x), f"seed {seed}: returned package violates the query"
-        assert package_satisfies(q, rel, report.package.entries), f"seed {seed}"
+        assert package_satisfies(q, rel, report.package), f"seed {seed}"
         returned += 1
     assert returned >= 100
     _report(5, f"all {returned} packages returned by the sketch-based method "

@@ -95,7 +95,7 @@ class TestCli:
         assert math.isinf(load_partitioning(out, rel).omega)
 
     @pytest.mark.parametrize("command, flag", [
-        ("partition", ["--hybrid-sketch", "off"]),
+        ("partition", ["--backtrack-limit", "3"]),
         ("partition", ["--seed", "3"]),
         ("gen", ["--time-limit-s", "5"]),
     ])
@@ -114,6 +114,8 @@ class TestCli:
         ["--omega", "-1"],
         ["--epsilon", "nan", "--direction", "min"],
         ["--epsilon", "nan", "--direction", "max"],
+        ["--omega", "1", "--epsilon", "0.1", "--direction", "min"],
+        ["--direction", "min"],
     ])
     def test_partition_bad_radius_limit_usage_error(self, dataset, capsys, flags):
         root, rel, csv_path, *_ = dataset

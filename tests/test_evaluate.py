@@ -22,13 +22,21 @@ from pkgquery.evaluate import _verify_package as verify_package
 from pkgquery.ilp import (
     UnboundedModelError,
     activity,
+    derive_bounds,
     feasible,
     shift_rhs,
     translate,
 )
 from pkgquery.partitioning import PartitionParams, partition, partition_with_epsilon
 from pkgquery.relation import from_columns
-from pkgquery.solver import STATUS_OPTIMAL, STATUS_TIME_LIMIT, SolveResult, brute_force, solve
+from pkgquery.solver import (
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    STATUS_TIME_LIMIT,
+    SolveResult,
+    brute_force,
+    solve,
+)
 
 
 def q_of(text, rel):
@@ -42,27 +50,26 @@ def sr_feasibility_check(q, rel, report):
     m = translate(q, rel)
     x = np.zeros(m.n_vars)
     idx = var_index(m)
-    for t, mult in report.package.entries.items():
+    for t, mult in report.package.items():
         x[idx[t]] = mult
     assert feasible(m, x)
-    assert package_satisfies(q, rel, report.package.entries)
+    assert package_satisfies(q, rel, report.package)
 
 
 class TestDirect:
     def test_meal_planner_matches_oracle(self, recipes, meal_query):
         report = eval_direct(meal_query, recipes)
-        from pkgquery.ilp import derive_bounds
         oracle = brute_force(derive_bounds(translate(meal_query, recipes)))
         assert report.status == FEASIBLE
         assert report.objective == pytest.approx(oracle.objective)
-        assert report.package.objective_value == report.objective
 
     def test_count_zero_feasible_empty(self, recipes):
         q = q_of("SELECT PACKAGE(R) AS P FROM Recipes R REPEAT 0 SUCH THAT COUNT(P.*) = 0", recipes)
         report = eval_direct(q, recipes)
         assert report.status == FEASIBLE
-        assert report.package.entries == {}
+        assert report.package == {}
         assert report.objective == 0.0
+        assert report.to_json_dict()["package"] == []
 
     def test_base_predicate_filters_everything(self):
         rel = from_columns("R", {"kcal": [1.0, 2.0], "gluten": ["full", "full"]},
@@ -332,7 +339,7 @@ class TestSketchRefine:
         p = partition(recipes, PartitionParams(("kcal",), 2))
         report = eval_sketchrefine(q, recipes, p)
         assert report.status == FEASIBLE
-        assert report.package.entries == {}
+        assert report.package == {}
 
     def test_base_predicate_prefilters_groups(self):
         rel = from_columns("R", {
@@ -344,7 +351,7 @@ class TestSketchRefine:
         p = partition(rel, PartitionParams(("kcal",), 2))
         report = eval_sketchrefine(q, rel, p)
         assert report.status == FEASIBLE
-        assert set(report.package.entries) == {0, 2}
+        assert set(report.package) == {0, 2}
         sr_feasibility_check(q, rel, report)
 
     def test_infeasible_when_filter_kills_all(self):
@@ -446,7 +453,7 @@ class TestSketchRefine:
         direct = eval_direct(q, rel, cfg)
         report = eval_sketchrefine(q, rel, p, cfg)
         assert report.status == FEASIBLE
-        assert report.package.entries == {0: 2}
+        assert report.package == {0: 2}
         assert report.objective == pytest.approx(direct.objective) == 2.0
         sr_feasibility_check(q, rel, report)
 
@@ -486,7 +493,7 @@ class TestSketchRefine:
         a = eval_sketchrefine(meal_query, recipes, p, cfg)
         b = eval_sketchrefine(meal_query, recipes, p, cfg)
         assert (a.status, a.objective) == (b.status, b.objective)
-        assert a.package.entries == b.package.entries
+        assert a.package == b.package
 
     def test_time_limit(self, recipes, meal_query):
         p = partition(recipes, PartitionParams(("kcal", "saturated_fat"), 2))
@@ -525,22 +532,22 @@ class TestHybrid:
         return rel, q, p
 
     def test_hybrid_rescues_outlier(self):
-        from pkgquery.ilp import derive_bounds
-
         rel, q, p = self.outlier_fixture()
         oracle = brute_force(derive_bounds(translate(q, rel)))
         assert oracle.status == "optimal"  # query genuinely feasible
-        with_hybrid = eval_sketchrefine(q, rel, p, EvalConfig(hybrid_sketch=True))
+        with_hybrid = eval_sketchrefine(q, rel, p, EvalConfig())
         assert with_hybrid.status == FEASIBLE
         assert "hybrid_used" in with_hybrid.flags
         assert with_hybrid.objective == pytest.approx(9.0)
         sr_feasibility_check(q, rel, with_hybrid)
 
     def test_without_hybrid_reports_infeasible(self):
+        # the plain sketch model of the fixture has no solution, so only the
+        # hybrid fallback finds the package above
         rel, q, p = self.outlier_fixture()
-        report = eval_sketchrefine(q, rel, p, EvalConfig(hybrid_sketch=False))
-        assert report.status == INFEASIBLE
-        assert "sketch_infeasible" in report.flags
+        rep_rel, sketch_q, caps, _ = build_sketch_query(q, p, rel)
+        sketch = derive_bounds(translate(sketch_q, rep_rel, upper_override=caps))
+        assert solve(sketch).status == STATUS_INFEASIBLE
 
     def test_hybrid_not_used_when_sketch_feasible(self, recipes, meal_query):
         p = partition(recipes, PartitionParams(("kcal", "saturated_fat"), 3))
@@ -748,7 +755,7 @@ class TestNoGroupSurvives:
     def test_empty_package(self):
         report = _sr(FILTERED_OUT.replace("COUNT(P.*) = 2", "COUNT(P.*) <= 2"))
         assert report.status == FEASIBLE
-        assert report.package.entries == {} and report.objective == 0.0
+        assert report.package == {} and report.objective == 0.0
         assert report.subproblems == {"sketch": 1, "refine": 0, "hybrid": 0}
         assert report.timings_ms["sketch_ms"] > 0
 
@@ -814,10 +821,10 @@ def test_sketchrefine_always_feasible_or_declines(seed):
         m = translate(q, rel)
         x = np.zeros(m.n_vars)
         idx = var_index(m)
-        for t, mult in report.package.entries.items():
+        for t, mult in report.package.items():
             x[idx[t]] = mult
         assert feasible(m, x)
-        assert package_satisfies(q, rel, report.package.entries)
+        assert package_satisfies(q, rel, report.package)
 
 
 class TestPackageCheck:

@@ -135,6 +135,18 @@ class TestParse:
             parse("SELECT PACKAGE(R) AS P FROM T R SUCH THAT "
                   "(SELECT SUM(x) FROM P WHERE P.x > 0) <= 1")
 
+    @pytest.mark.parametrize("subquery, name", [
+        ("(SELECT COUNT(*) FROM Nope WHERE x >= 1)", "Nope"),
+        ("(SELECT SUM(x) FROM R)", "R"),
+    ])
+    def test_subquery_from_must_name_the_package(self, subquery, name):
+        head = "SELECT PACKAGE(R) AS P FROM R SUCH THAT "
+        with pytest.raises(ParseError, match=f"reads the package 'P', not '{name}'") as exc:
+            parse(f"{head}{subquery} >= 1")
+        assert exc.value.col == len(head) + subquery.index(f"FROM {name}") + 6
+        q = parse(f"{head}{subquery.replace(f'FROM {name}', 'FROM P')} >= 1")
+        assert q.global_predicates[0].lhs.kind in (FILTERED_COUNT, SUM)
+
 
 class TestEquivalence:
     @pytest.mark.parametrize("short,subquery", [

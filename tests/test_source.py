@@ -143,3 +143,58 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not test_only, f"called only by the tests: {test_only}"
     stale = sorted(set(TEST_ONLY_NAMES) - uncalled)
     assert not stale, f"allowed as test-only but called elsewhere: {stale}"
+
+
+# Optional parameters of public engine functions that no call in the engine
+# or the benchmark passes, each with its reason
+UNPASSED_PARAMETERS = {
+    "evaluate.eval_direct(solver_fn)": "perfbench passes it through `**extra`",
+    "evaluate.eval_sketchrefine(solver_fn)": "perfbench passes it through `**extra`",
+    "solver.solve(cfg)": "called through variables, as `solver_fn(model, cfg)`",
+    "cli.main(argv)": "the CLI's test seam; the console script passes none",
+    "relation.from_columns(kinds)": "how the tests build categorical relations in memory",
+}
+
+
+def _optional_parameters(fn: ast.FunctionDef):
+    """(name, position or None for keyword-only) of the parameters with a
+    default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    yield from ((a.arg, i) for i, a in enumerate(positional) if i >= first)
+    yield from ((a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None)
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    # an optional parameter that only the tests pass is a knob kept for them
+    # alone. A call counts when it names the function (as a Name or an
+    # Attribute) in the engine or the benchmark, outside the definition
+    # itself, and passes the parameter by keyword or by position; ``**kwargs``
+    # passes nothing it can see
+    paths = sorted(SRC.glob("*.py")) + sorted((SRC.parent.parent / "perfbench").glob("*.py"))
+    trees, calls = {}, {}  # function name -> [(path, Call)]
+    for path in paths:
+        trees[path] = tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append((path, node))
+    unpassed = set()
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, fn in _public_definitions(trees[path]):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            skip = 1 if "." in qualname else 0  # a method's self
+            outside = [call for p, call in calls.get(fn.name, [])
+                       if not (p == path and fn.lineno <= call.lineno <= fn.end_lineno)]
+            for arg, pos in _optional_parameters(fn):
+                if not any(any(k.arg == arg for k in call.keywords)
+                           or (pos is not None and len(call.args) > pos - skip)
+                           for call in outside):
+                    unpassed.add(f"{path.stem}.{qualname}({arg})")
+    test_only = sorted(unpassed - set(UNPASSED_PARAMETERS))
+    assert not test_only, f"passed only by the tests: {test_only}"
+    stale = sorted(set(UNPASSED_PARAMETERS) - unpassed)
+    assert not stale, f"allowed as unpassed but passed elsewhere: {stale}"
