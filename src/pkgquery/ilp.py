@@ -46,19 +46,27 @@ class IlpModel:
         return len(self.var_ids)
 
 
+def _column(rel: Relation, attr: str, ids: Optional[np.ndarray]) -> np.ndarray:
+    """A numeric column at ``ids``; for None, the relation's own array."""
+    col = rel.column(attr)
+    return col if ids is None else col[ids]
+
+
 def _aggregate_coeffs(expr: paql.AggregateExpr, rel: Relation,
-                      ids: np.ndarray) -> np.ndarray:
+                      ids: Optional[np.ndarray]) -> np.ndarray:
+    """One coefficient per id in ``ids``, or per tuple for None; a SUM over
+    the whole relation is the relation's column itself."""
     if expr.kind == paql.COUNT:
-        return np.ones(len(ids))
+        return np.ones(rel.n if ids is None else len(ids))
     if expr.kind == paql.SUM:
-        return rel.column(expr.attr)[ids].astype(np.float64, copy=False)
+        return _column(rel, expr.attr, ids)
     if expr.kind == paql.FILTERED_COUNT:
         return predicate_mask(rel, expr.filter, ids).astype(np.float64)
     raise IlpError(f"no linear coefficients for aggregate {expr.kind!r}")
 
 
 def _predicate_row(g: paql.GlobalPredicate, rel: Relation,
-                   ids: np.ndarray) -> tuple[np.ndarray, str, float]:
+                   ids: Optional[np.ndarray]) -> tuple[np.ndarray, str, float]:
     """Linearize one global predicate into (coeffs, op, rhs)."""
     if isinstance(g.rhs, paql.AggregateExpr):
         # filtered-count vs filtered-count: indicator difference against 0
@@ -67,7 +75,7 @@ def _predicate_row(g: paql.GlobalPredicate, rel: Relation,
     elif g.lhs.kind == paql.AVG:
         # AVG(attr) op v  <=>  sum((attr - v) * x) op 0
         v = float(g.rhs)
-        coeffs = rel.column(g.lhs.attr)[ids] - v
+        coeffs = _column(rel, g.lhs.attr, ids) - v
         rhs = 0.0
     else:
         coeffs = _aggregate_coeffs(g.lhs, rel, ids)
@@ -114,19 +122,22 @@ def translate(q: paql.PackageQuery, rel: Relation,
     if not q.validated:
         raise IlpError("query must be validated before translation")
 
-    if ids is None:
-        pool = np.arange(rel.n, dtype=np.int64)
-    else:
+    if ids is not None:
         pool = np.sort(np.asarray(ids, dtype=np.int64))
-    if q.base_predicate is not None:
-        pool = pool[predicate_mask(rel, q.base_predicate, None if ids is None else pool)]
+        if q.base_predicate is not None:
+            pool = pool[predicate_mask(rel, q.base_predicate, pool)]
+    elif q.base_predicate is not None:
+        pool = np.flatnonzero(predicate_mask(rel, q.base_predicate))
+    else:
+        pool = None  # every tuple: the columns are read in place
+    var_ids = np.arange(rel.n, dtype=np.int64) if pool is None else pool
 
-    n = len(pool)
+    n = len(var_ids)
     upper = np.full(n, np.inf)
     if q.repeat is not None:
         upper[:] = q.repeat + 1
     if upper_override is not None:
-        upper = np.minimum(upper, upper_override[pool])
+        upper = np.minimum(upper, upper_override if pool is None else upper_override[pool])
 
     k = len(q.global_predicates)
     rows = np.empty((k, n))
@@ -142,11 +153,13 @@ def translate(q: paql.PackageQuery, rel: Relation,
     maximize = True
     if q.objective is not None:
         objective = _aggregate_coeffs(q.objective.expr, rel, pool)
+        if pool is None and q.objective.expr.kind == paql.SUM:
+            objective = objective.copy()  # a model never holds a relation column
         maximize = q.objective.direction == paql.MAXIMIZE
     else:
         objective = np.zeros(n)
 
-    return IlpModel(pool, upper, rows, row_lo, row_hi, objective, maximize)
+    return IlpModel(var_ids, upper, rows, row_lo, row_hi, objective, maximize)
 
 
 def activity(m: IlpModel, cols: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,15 @@ O(k^2) and a pricing round one pass over A.
 Variable bounds are handled implicitly (nonbasic variables sit at either
 bound), so branch-and-bound can tighten bounds without growing the problem.
 Dantzig pricing with a switch to Bland's rule after a degenerate stall.
+
+Phase 1 is composite (Wolfe's composite simplex): besides the artificials'
+-1 it prices each structural column at its true objective times
+``_PHASE1_WEIGHT / max|obj|``. Package rows such as a COUNT give every
+column the same phase-1 gain, and the objective breaks those ties, so phase
+1 ends near the optimum and phase 2 has few swaps left. Should the steered
+phase stop unbounded or short of feasibility, the structural costs drop to
+0 and pure phase 1 continues from its basis; only the pure phase declares
+an LP infeasible.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ _PRICE_CHUNK = 64
 # argmax picks per round (one pass over the gains each) before one sort of the
 # rest: the benchmark's LPs need at most 16, a loose COUNT bound thousands
 _ARGMAX_PICKS = 32
+# phase 1's weight on the true objective, relative to max|obj|: small
+# against the artificials' -1, enough to break ties between phase-1 gains
+_PHASE1_WEIGHT = 1e-6
 
 
 class SimplexError(Exception):
@@ -255,14 +267,21 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
     total_iters = 0
 
     if art0 < n_total:
-        lp.c.fill(0.0)
+        top = max(float(obj.max(initial=0.0)), -float(obj.min(initial=0.0)))
+        lp.c[n:art0] = 0.0
         lp.c[art0:] = -1.0
-        status, it = lp.run(max_iter)
-        total_iters += it
-        if status != OPTIMAL:
-            raise SimplexError("phase 1 terminated abnormally")
-        art_basic = [r for r, j in enumerate(lp.basis) if j >= art0]
-        if sum(lp.xB[r] for r in art_basic) > 1e-7:
+        # steered by the objective first, then, if that stops short of a
+        # feasible point, pure from the basis it reached
+        for weight in ((_PHASE1_WEIGHT / top, 0.0) if top > 0 else (0.0,)):
+            np.multiply(obj, weight, out=lp.c[:n])
+            status, it = lp.run(max_iter)
+            total_iters += it
+            art_basic = [r for r, j in enumerate(lp.basis) if j >= art0]
+            if status == OPTIMAL and sum(lp.xB[r] for r in art_basic) <= 1e-7:
+                break
+        else:
+            if status != OPTIMAL:
+                raise SimplexError("phase 1 terminated abnormally")
             return LpResult(INFEASIBLE, None, None, total_iters)
         for r in art_basic:
             lp.xB[r] = 0.0
@@ -284,7 +303,10 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
     for j, v in basic:
         x[j] = v
     objective = float(obj @ x) + const
-    d = lp.reduced_costs()[:n]  # one last pass over A
+    # the last round priced this basis: its gains are d * direction, and
+    # direction is +-1 off the basis, so one more product gives d back
+    d = lp.s[:n]
+    d *= lp.direction[:n]
     for j, v in basic:  # nonbasic values already lie on their bounds
         x[j] = min(max(v, 0.0), span[j])
         d[j] = 0.0

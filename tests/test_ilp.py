@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dyadic, enumerate_vectors, package_satisfies
-from pkgquery import paql
+from pkgquery import generate, paql
 from pkgquery.ilp import (
     IlpModel,
     RawIlp,
@@ -135,6 +135,33 @@ class TestTranslate:
         count_a = q.global_predicates[0].lhs
         assert aggregate_value(count_a, rel, {9: 2, 3: 1}) == 3.0
         assert col.read == {3, 9}
+
+    def test_whole_relation_matches_every_id_and_copies_the_columns(self):
+        # without ids or a WHERE clause translate reads the columns in
+        # place instead of gathering them; the model is the same and owns
+        # its arrays
+        rel = generate.gen_dataset(300, 4, seed=3, grid=1 / 64)
+        queries = generate.gen_workload(rel, 5, seed=3)  # one per shape
+        queries += [q_of("SELECT PACKAGE(R) AS P FROM synthetic R SUCH THAT "
+                         + clause, rel) for clause in (
+            "AVG(P.a1) <= 0.5 AND COUNT(P.*) <= 4 MAXIMIZE SUM(P.a0)",
+            "(SELECT COUNT(*) FROM P WHERE P.a2 > 0.5) >= 2 "
+            "AND (SELECT COUNT(*) FROM P WHERE P.a0 < 0.3) <= "
+            "(SELECT COUNT(*) FROM P WHERE P.a3 >= 0.4) MINIMIZE SUM(P.a3)",
+            "COUNT(P.*) = 3 MAXIMIZE (SELECT COUNT(*) FROM P WHERE P.a1 < 0.2)")]
+        queries.append(q_of("SELECT PACKAGE(R) AS P FROM synthetic R REPEAT 1 "
+                            "WHERE R.a0 > 0.25 AND R.a3 <= 0.9 SUCH THAT "
+                            "SUM(P.a1) >= 1 MAXIMIZE SUM(P.a2)", rel))
+        fields = ("var_ids", "upper", "rows", "row_lo", "row_hi", "objective")
+        for q in queries:
+            whole = translate(q, rel)
+            by_ids = translate(q, rel, ids=np.arange(rel.n))
+            for name in fields:
+                got, want = getattr(whole, name), getattr(by_ids, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+                assert not any(np.shares_memory(got, col)
+                               for col in rel.columns.values()), name
+            assert whole.maximize == by_ids.maximize
 
     def test_unvalidated_rejected(self, recipes):
         with pytest.raises(Exception, match="validated"):

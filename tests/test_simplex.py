@@ -55,6 +55,26 @@ class TestBasics:
         res = solve([1.0], np.zeros((0, 1)), [], [], [0.0], [np.inf])
         assert res.status == UNBOUNDED
 
+    @pytest.mark.parametrize("c, row, hi", [
+        ([1.0, 0.0], [1.0, -1.0], [np.inf, np.inf]),  # max x0, x0 - x1 >= 1
+        ([1.0, 1.0], [1.0, 1.0], [np.inf, 5.0]),      # max x0 + x1, x0 + x1 >= 1
+    ], ids=["difference", "sum"])
+    def test_unbounded_while_phase_1_is_steered(self, c, row, hi, monkeypatch):
+        # the objective's ray opens before phase 1 ends, so the steered
+        # phase stops unbounded; pure phase 1 and then phase 2 finish
+        statuses = []
+        real = simplex._Revised.run
+
+        def recording(lp, max_iter):
+            out = real(lp, max_iter)
+            statuses.append(out[0])
+            return out
+
+        monkeypatch.setattr(simplex._Revised, "run", recording)
+        res = solve(c, [row], [">="], [1.0], [0.0, 0.0], hi)
+        assert res.status == UNBOUNDED
+        assert statuses == [UNBOUNDED, OPTIMAL, UNBOUNDED]
+
     def test_no_constraints_hits_bounds(self):
         res = solve([2.0, -1.0], np.zeros((0, 2)), [], [], [0.0, 0.0], [3.0, 4.0])
         assert res.objective == pytest.approx(6.0)
@@ -230,6 +250,25 @@ class TestLazyPricingPath:
             monkeypatch.undo()
 
 
+class TestSteeredPhase1:
+    @pytest.mark.parametrize("sense", [1.0, -1.0], ids=["max", "min"])
+    def test_fewer_iterations_than_pure_phase_1(self, sense, monkeypatch):
+        # every column has the same gain on a COUNT row, so pure phase 1
+        # ends at the lowest-numbered columns and phase 2 swaps them out
+        rng = np.random.default_rng(0)
+        n = 20_000
+        c, a = np.round(rng.uniform(0.5, 2.0, size=(2, n)) * 64) / 64
+        A = np.vstack([np.ones(n), np.ones(n), a])
+        lp = (sense * c, A, *row_bounds([">=", "<=", "<="], [6.0, 10.0, 9.0]),
+              np.zeros(n), np.ones(n))
+        steered = lp_solve(*lp)
+        monkeypatch.setattr(simplex, "_PHASE1_WEIGHT", 0.0)
+        pure = lp_solve(*lp)
+        assert steered.status == pure.status == OPTIMAL
+        assert steered.objective == pytest.approx(pure.objective, abs=1e-9)
+        assert steered.iterations < pure.iterations
+
+
 def _package_lp(seed, quantized):
     """An LP of the shape Direct solves: k = 2-5 rows (a count, sums and
     AVG-style rows with coefficients of both signs) over 1k-20k columns
@@ -278,30 +317,46 @@ class TestPackageRegime:
     @pytest.mark.parametrize("quantized", [True, False], ids=["grid64", "unquantized"])
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_highs_with_a_certificate(self, seed, quantized):
-        lp, ops = _package_lp(seed, quantized)
-        before = [a.copy() for a in lp]
-        res = lp_solve(*lp)
-        for a, b in zip(lp, before):  # no input array is modified
-            assert np.array_equal(a, b)
+        _check_against_highs(*_package_lp(seed, quantized))
 
-        ref = _highs(*lp)
-        if ref.status == 2:
-            assert res.status == INFEASIBLE
-            return
-        assert ref.status == 0
-        assert res.status == OPTIMAL
-        assert res.objective == pytest.approx(-ref.fun, abs=1e-7)
+    @pytest.mark.parametrize("quantized", [True, False], ids=["grid64", "unquantized"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_highs_when_the_objective_outweighs_phase_1(
+            self, seed, quantized, monkeypatch):
+        # a weight this large trades artificials for objective, so phase 1
+        # ends short of feasibility on about half of these LPs and only the
+        # pure fallback phase finds the feasible point
+        monkeypatch.setattr(simplex, "_PHASE1_WEIGHT", 10.0)
+        _check_against_highs(*_package_lp(seed, quantized))
 
-        c, A, row_lo, row_hi, lo, hi = lp
-        x, d, up = res.x, res.reduced_costs, res.at_upper
-        assert np.all((x >= lo) & (x <= hi))
-        lhs = A @ x
-        assert np.all((lhs >= row_lo - 1e-9) & (lhs <= row_hi + 1e-9))
-        assert res.objective == pytest.approx(float(c @ x), rel=1e-12, abs=1e-9)
-        # optimality: no column gains by leaving its bound (basic ones carry 0)
-        tol = simplex._ENTER_TOL
-        assert np.all(d[~up] <= tol)
-        assert np.all(d[up] >= -tol)
-        assert np.all(x[up] == hi[up])
-        # at most one basic (possibly fractional) column per row
-        assert np.count_nonzero((x > lo) & (x < hi)) <= len(ops)
+
+def _check_against_highs(lp, ops):
+    """lp_solve leaves its inputs alone, agrees with HiGHS on status and
+    objective, and returns a feasible x with a valid reduced-cost
+    certificate."""
+    before = [a.copy() for a in lp]
+    res = lp_solve(*lp)
+    for a, b in zip(lp, before):  # no input array is modified
+        assert np.array_equal(a, b)
+
+    ref = _highs(*lp)
+    if ref.status == 2:
+        assert res.status == INFEASIBLE
+        return
+    assert ref.status == 0
+    assert res.status == OPTIMAL
+    assert res.objective == pytest.approx(-ref.fun, abs=1e-7)
+
+    c, A, row_lo, row_hi, lo, hi = lp
+    x, d, up = res.x, res.reduced_costs, res.at_upper
+    assert np.all((x >= lo) & (x <= hi))
+    lhs = A @ x
+    assert np.all((lhs >= row_lo - 1e-9) & (lhs <= row_hi + 1e-9))
+    assert res.objective == pytest.approx(float(c @ x), rel=1e-12, abs=1e-9)
+    # optimality: no column gains by leaving its bound (basic ones carry 0)
+    tol = simplex._ENTER_TOL
+    assert np.all(d[~up] <= tol)
+    assert np.all(d[up] >= -tol)
+    assert np.all(x[up] == hi[up])
+    # at most one basic (possibly fractional) column per row
+    assert np.count_nonzero((x > lo) & (x < hi)) <= len(ops)
