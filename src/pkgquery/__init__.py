@@ -21,7 +21,7 @@ from .ilp import (
     model_from_raw,
     translate,
 )
-from .solver import SolveResult, SolverConfig, SolverError, brute_force, solve
+from .solver import SolveResult, SolverError, brute_force, solve
 from .partitioning import (
     PartitionError,
     Partitioning,

@@ -47,7 +47,6 @@ from .solver import (
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
     SolveResult,
-    SolverConfig,
     SolveStats,
     solve,
 )
@@ -59,7 +58,7 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 TIME_LIMIT = "time_limit"
 
-SolverFn = Callable[[IlpModel, SolverConfig], SolveResult]
+SolverFn = Callable[[IlpModel, float], SolveResult]
 
 MAX_RECURSION_DEPTH = 3  # sketches of sketches, at most this deep
 VERIFY_TOL = 1e-8  # row slack allowed when a returned package is checked
@@ -149,7 +148,7 @@ def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfi
     t0 = time.perf_counter()
     model = derive_bounds(translate(q, rel))
     t1 = time.perf_counter()
-    res = solver_fn(model, SolverConfig(time_limit=cfg.time_limit))
+    res = solver_fn(model, cfg.time_limit)
     t2 = time.perf_counter()
     timings = {"translate_ms": (t1 - t0) * 1000.0, "solve_ms": (t2 - t1) * 1000.0}
     timings["total_ms"] = timings["translate_ms"] + timings["solve_ms"]
@@ -287,7 +286,7 @@ class _Context:
         left = self.deadline - time.perf_counter()
         if left <= 0:
             raise _TimeExceeded()
-        res = self.solver_fn(model, SolverConfig(time_limit=left))
+        res = self.solver_fn(model, left)
         self.stats.nodes += res.stats.nodes
         self.stats.lp_iterations += res.stats.lp_iterations
         if res.status == STATUS_TIME_LIMIT:

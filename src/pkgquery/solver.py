@@ -1,9 +1,10 @@
 """Exact ILP solving: branch-and-bound and a brute-force oracle.
 
 ``solve`` is the default black-box solver behind both evaluation methods;
-anything with the same (IlpModel, SolverConfig) -> SolveResult signature
-can stand in for it. ``brute_force`` enumerates the whole multiplicity box
-and is the independent oracle used throughout the test suite.
+anything with the same (IlpModel, time limit in seconds) -> SolveResult
+signature can stand in for it. ``brute_force`` enumerates the whole
+multiplicity box and is the independent oracle used throughout the test
+suite.
 """
 
 from __future__ import annotations
@@ -25,20 +26,10 @@ STATUS_TIME_LIMIT = "time_limit"
 _BOUND_TOL = 1e-9
 _INTEGRALITY_TOL = 1e-6  # an LP value this close to an integer is integral
 _FEASIBILITY_TOL = 1e-9  # row slack allowed in a rounded candidate
-_CLIMB_STEPS = 400  # unit moves one climb may take
 
 
 class SolverError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    time_limit: float = 3600.0
-
-    def __post_init__(self):
-        if not self.time_limit >= 0:  # NaN included: it would never expire
-            raise SolverError(f"time limit must be >= 0 seconds, got {self.time_limit}")
 
 
 @dataclass
@@ -61,9 +52,9 @@ def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
     """Best feasible floor/ceil rounding of an LP point's fractional support.
 
     A basic LP solution has at most one fractional variable per constraint
-    row, so the 2^f combinations stay tiny; deltas are evaluated against
-    the all-floor base instead of re-scoring full vectors. Returns the
-    best vector in the caller's objective sense, or None.
+    row, so the 2^f combinations stay tiny and are scored all at once as
+    deltas from the all-floor base. Ties go to the lowest combination
+    number. Returns the best vector in the caller's objective sense, or None.
     """
     f = len(frac_idx)
     if f > 12:
@@ -71,72 +62,17 @@ def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
     floor = np.floor(x[frac_idx])
     base = np.round(x)  # near-integral entries become exactly integral
     base[frac_idx] = floor
-    lhs_base = A @ base
-    val_base = float(c @ base)
-    cols, c_frac = A[:, frac_idx], c[frac_idx]
-    hi_tol, lo_tol = row_hi + _FEASIBILITY_TOL, row_lo - _FEASIBILITY_TOL
     bits = ((np.arange(1 << f)[:, None] >> np.arange(f)) & 1).astype(np.float64)
     cand = floor + bits  # one row per combination
-    in_box = ((cand >= lo[frac_idx]) & (cand <= hi[frac_idx])).all(axis=1)
-    best = None
-    for mask in np.nonzero(in_box)[0]:
-        lhs = lhs_base + cols @ bits[mask]
-        if (lhs > hi_tol).any() or (lhs < lo_tol).any():
-            continue
-        val = val_base + float(c_frac @ bits[mask])
-        if best is None or val > best[0]:
-            best = (val, mask)
-    if best is None:
+    lhs = (A @ base)[:, None] + A[:, frac_idx] @ bits.T  # rows x combinations
+    ok = ((cand >= lo[frac_idx]) & (cand <= hi[frac_idx])).all(axis=1)
+    ok &= ((lhs <= (row_hi + _FEASIBILITY_TOL)[:, None])
+           & (lhs >= (row_lo - _FEASIBILITY_TOL)[:, None])).all(axis=0)
+    if not ok.any():
         return None
-    base[frac_idx] = cand[best[1]]
+    val = np.where(ok, float(c @ base) + bits @ c[frac_idx], -np.inf)
+    base[frac_idx] = cand[int(np.argmax(val))]
     return base
-
-
-def _unit_moves(cand: np.ndarray, lhs: np.ndarray, A: np.ndarray, step: float,
-                row_lo: np.ndarray, row_hi: np.ndarray) -> np.ndarray:
-    """Ascending indices j of the candidate mask whose move x[j] += step
-    (+-1) keeps every row feasible."""
-    cand = np.nonzero(cand)[0]
-    for lhs_i, a, lo_i, hi_i in zip(lhs, A, row_lo - _FEASIBILITY_TOL,
-                                    row_hi + _FEASIBILITY_TOL):
-        new = lhs_i + step * a[cand]
-        cand = cand[(new <= hi_i) & (new >= lo_i)]
-    return cand
-
-
-def _greedy_improve(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    A: np.ndarray, row_lo: np.ndarray, row_hi: np.ndarray,
-                    c: np.ndarray) -> np.ndarray:
-    """Climb from a feasible integral point with unit add/drop moves.
-
-    Each step applies the single feasibility-preserving +-1 move with the
-    best objective gain (maximize sense, ties to the lowest index), for at
-    most ``_CLIMB_STEPS`` steps. Keeps the point feasible throughout, so
-    the result can always be offered."""
-    if len(A) == 0:  # no rows: every variable goes to its better bound
-        out = x.copy()
-        out[c > 0] = hi[c > 0]
-        out[c < 0] = lo[c < 0]
-        return out
-    x = x.copy()
-    lhs = A @ x
-    for _ in range(_CLIMB_STEPS):
-        best_gain, move = 0.0, None
-        add = _unit_moves((x < hi - 0.5) & (c > 1e-12), lhs, A, 1.0, row_lo, row_hi)
-        if len(add):
-            j = int(add[np.argmax(c[add])])
-            best_gain, move = c[j], (j, 1.0)
-        drop = _unit_moves((x > lo + 0.5) & (c < -1e-12), lhs, A, -1.0, row_lo, row_hi)
-        if len(drop):
-            j = int(drop[np.argmax(-c[drop])])
-            if -c[j] > best_gain:
-                best_gain, move = -c[j], (j, -1.0)
-        if move is None or best_gain <= 1e-12:
-            return x
-        j, step = move
-        x[j] += step
-        lhs += step * A[:, j]
-    return x
 
 
 def _objective_grid(c: np.ndarray) -> Optional[float]:
@@ -170,8 +106,8 @@ class _Search:
     candidate; while nothing is pinned, the core is the model's own arrays.
     """
 
-    def __init__(self, m: IlpModel, cfg: SolverConfig):
-        self.deadline = time.perf_counter() + cfg.time_limit
+    def __init__(self, m: IlpModel, time_limit: float):
+        self.deadline = time.perf_counter() + time_limit
         self.m = m
         self.sign = 1.0 if m.maximize else -1.0
         self.c_model = self.sign * m.objective
@@ -226,7 +162,7 @@ class _Search:
         """Solve the node [lo, hi] of the core and harvest an incumbent.
 
         Checks the time limit, solves the LP, prunes by bound, and offers an
-        integral LP point as it is or a fractional one rounded and climbed.
+        integral LP point as it is or a fractional one's best rounding.
         Returns the LP if the node is still open, else None."""
         if time.perf_counter() > self.deadline:
             self.hit_limit = True
@@ -256,8 +192,7 @@ class _Search:
         rounded = _round_candidates(x, frac_idx, lo, hi, self.A, self.row_lo,
                                     self.row_hi, self.c)
         if rounded is not None:
-            self.offer(_greedy_improve(rounded, self.lo, self.hi, self.A,
-                                       self.row_lo, self.row_hi, self.c))
+            self.offer(rounded)
             if bound <= self.best_val + _BOUND_TOL:
                 return None
         return res
@@ -302,28 +237,28 @@ class _Search:
             res = self.node(lo, hi)
 
 
-def solve(m: IlpModel, cfg: SolverConfig = SolverConfig()) -> SolveResult:
-    """Exact branch-and-bound over the LP relaxation.
+def solve(m: IlpModel, time_limit: float = 3600.0) -> SolveResult:
+    """Exact branch-and-bound over the LP relaxation, within ``time_limit``
+    seconds.
 
-    The root is the first node; every node rounds its fractional LP point
-    into an incumbent and climbs from it with feasible unit moves. Up to
-    four rounds of reduced-cost fixing then pin the variables that cannot
-    move, each followed by one more node over the smaller core, and
-    depth-first search branches from the last open node. Deterministic for
-    a fixed config; the reported objective is exact to 1e-6 absolute /
-    1e-9 relative.
+    The root is the first node; every node offers its integral LP point, or
+    the best feasible floor/ceil rounding of a fractional one, as an
+    incumbent. One round of reduced-cost fixing then pins the variables
+    that cannot move, one more node solves the smaller core, and
+    depth-first search branches from the last open node. Deterministic;
+    the reported objective is exact to 1e-6 absolute / 1e-9 relative.
     """
+    if not time_limit >= 0:  # NaN included: it would never expire
+        raise SolverError(f"time limit must be >= 0 seconds, got {time_limit}")
     if m.n_vars == 0:
         return _empty_model_result(m)
     if not np.all(np.isfinite(m.upper)):
         raise SolverError("solve requires finite variable bounds; run derive_bounds")
 
-    s = _Search(m, cfg)
+    s = _Search(m, time_limit)
     res = s.node(s.lo, s.hi)  # the root
-    for _ in range(4):  # fixing rounds, each solving the smaller core once
-        if res is None or s.best_x is None or not s.fix_by_reduced_costs(res):
-            break
-        res = s.node(s.lo, s.hi)
+    if res is not None and s.best_x is not None and s.fix_by_reduced_costs(res):
+        res = s.node(s.lo, s.hi)  # the smaller core
     if res is not None:
         s.dfs(res)
     if s.best_x is None:

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before anything imports numpy, so the timing criteria
+# measure the engine rather than how many threads the host gives OpenBLAS
+# (the benchmark pins the same variables).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import sys
 from pathlib import Path
 

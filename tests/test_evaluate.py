@@ -95,7 +95,7 @@ class TestDirect:
         q = q_of("SELECT PACKAGE(R) AS P FROM R REPEAT 0 "
                  "SUCH THAT COUNT(P.*) = 1 MAXIMIZE SUM(P.x)", rel)
 
-        def forging_solver(model, cfg):
+        def forging_solver(model, time_limit):
             return SolveResult(STATUS_OPTIMAL, np.ones(2), 3.0)
 
         assert eval_direct(q, rel).objective == 2.0
@@ -428,11 +428,11 @@ class TestSketchRefine:
         q, rel, p = _recursive_fixture()
         calls = []
 
-        def solver_fn(model, cfg):
+        def solver_fn(model, time_limit):
             calls.append(model)
             if len(calls) == 12:
                 return SolveResult(STATUS_TIME_LIMIT, None, None)
-            return solve(model, cfg)
+            return solve(model, time_limit)
         report = eval_sketchrefine(
             q, rel, p, EvalConfig(seed=0, recursion_threshold=3), solver_fn)
         assert report.status == TIME_LIMIT
@@ -567,9 +567,9 @@ class TestHybrid:
         sketch = translate(sketch_q, rep_rel, upper_override=caps)
         models = []
 
-        def recording_solver(model, cfg):
+        def recording_solver(model, time_limit):
             models.append(model)
-            return solve(model, cfg)
+            return solve(model, time_limit)
 
         report = eval_sketchrefine(q, rel, p, solver_fn=recording_solver)
         assert report.subproblems["hybrid"] >= 1
@@ -654,10 +654,10 @@ def _refine_times_out():
     solves all hit their time limit."""
     calls = []
 
-    def solver_fn(model, cfg):
+    def solver_fn(model, time_limit):
         calls.append(model)
         if len(calls) == 1:
-            return solve(model, cfg)
+            return solve(model, time_limit)
         return SolveResult(STATUS_TIME_LIMIT, None, None)
     return solver_fn
 
@@ -715,8 +715,8 @@ class TestSolverStats:
     def test_summed_over_every_solve(self, method):
         stats = []
 
-        def counting(model, cfg):
-            res = solve(model, cfg)
+        def counting(model, time_limit):
+            res = solve(model, time_limit)
             stats.append(res.stats)
             return res
 
@@ -911,8 +911,8 @@ class TestPackageCheck:
         p = partition(rel, PartitionParams(("x",), 4))
         calls = []
 
-        def forging_solver(model, cfg):
-            res = solve(model, cfg)
+        def forging_solver(model, time_limit):
+            res = solve(model, time_limit)
             calls.append(model)
             if len(calls) > 1 and res.status == STATUS_OPTIMAL:
                 chosen = int(np.nonzero(res.x > 0.5)[0][0])

@@ -93,13 +93,32 @@ def test_public_functions_take_no_private_parameters():
 
 
 def test_search_solves_its_lps_at_one_call_site():
-    # every branch-and-bound LP (the root, each fixing round, each node) is
+    # every branch-and-bound LP (the root, the fixing round, each node) is
     # solved at one place in ``_Search``, the one a warm start has to cover
     tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
     sites = [(getattr(top, "name", "<module>"), node.lineno) for top in tree.body
              for node in ast.walk(top)
              if isinstance(node, ast.Name) and node.id == "lp_solve"]
     assert len(sites) == 1 and sites[0][0] == "_Search", sites
+
+
+def _uses(paths):
+    """The parsed trees of ``paths``, and where each name is read as a Name
+    and as an Attribute: name -> [(path, lineno)]."""
+    trees, names, attrs = {}, {}, {}
+    for path in paths:
+        trees[path] = tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.setdefault(node.attr, []).append((path, node.lineno))
+    return trees, names, attrs
+
+
+def _only_inside(uses, path: Path, node) -> bool:
+    """True if every use lies inside the definition ``node`` in ``path``."""
+    return all(p == path and node.lineno <= line <= node.end_lineno for p, line in uses)
 
 
 # Public engine names that nothing in the engine or the benchmark calls,
@@ -121,14 +140,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     # classes) or an Attribute (all three) in the engine or the benchmark,
     # outside the definition itself; imports and re-exports are neither
     paths = sorted(SRC.glob("*.py")) + sorted((SRC.parent.parent / "perfbench").glob("*.py"))
-    trees, names, attrs = {}, {}, {}  # name -> [(path, lineno)] of its uses
-    for path in paths:
-        trees[path] = tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.setdefault(node.id, []).append((path, node.lineno))
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attrs.setdefault(node.attr, []).append((path, node.lineno))
+    trees, names, attrs = _uses(paths)
     uncalled = set()
     for path in paths:
         if path.parent != SRC:
@@ -136,8 +148,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         for qualname, node in _public_definitions(trees[path]):
             is_method = "." in qualname
             uses = attrs.get(node.name, []) + ([] if is_method else names.get(node.name, []))
-            if all(p == path and node.lineno <= line <= node.end_lineno
-                   for p, line in uses):
+            if _only_inside(uses, path, node):
                 uncalled.add(qualname)
     test_only = sorted(uncalled - set(TEST_ONLY_NAMES))
     assert not test_only, f"called only by the tests: {test_only}"
@@ -150,7 +161,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 UNPASSED_PARAMETERS = {
     "evaluate.eval_direct(solver_fn)": "perfbench passes it through `**extra`",
     "evaluate.eval_sketchrefine(solver_fn)": "perfbench passes it through `**extra`",
-    "solver.solve(cfg)": "called through variables, as `solver_fn(model, cfg)`",
+    "solver.solve(time_limit)": "called through variables, as `solver_fn(model, time_limit)`",
     "cli.main(argv)": "the CLI's test seam; the console script passes none",
     "relation.from_columns(kinds)": "how the tests build categorical relations in memory",
 }
@@ -198,3 +209,36 @@ def test_every_optional_parameter_is_passed_outside_the_tests():
     assert not test_only, f"passed only by the tests: {test_only}"
     stale = sorted(set(UNPASSED_PARAMETERS) - unpassed)
     assert not stale, f"allowed as unpassed but passed elsewhere: {stale}"
+
+
+def _private_definitions(tree: ast.Module):
+    """(qualified name, node) of the module-level functions and classes
+    whose names start with an underscore, and of the non-dunder methods of
+    any module-level class whose names do."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") \
+                        and not fn.name.endswith("__"):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def test_every_private_helper_is_referenced():
+    # a private helper that nothing in the engine reads outside its own
+    # definition is dead code, whatever the tests do with it
+    paths = sorted(SRC.glob("*.py"))
+    trees, names, attrs = _uses(paths)
+    found, unreferenced = 0, []
+    for path in paths:
+        for qualname, node in _private_definitions(trees[path]):
+            found += 1
+            is_method = "." in qualname
+            uses = attrs.get(node.name, []) + ([] if is_method else names.get(node.name, []))
+            if _only_inside(uses, path, node):
+                unreferenced.append(f"{path.stem}.{qualname}")
+    assert found
+    assert unreferenced == []

@@ -23,7 +23,7 @@ from pkgquery.generate import gen_dataset, gen_workload
 from pkgquery.ilp import derive_bounds, translate
 from pkgquery.partitioning import PartitionParams, Partitioning, partition
 from pkgquery.relation import from_columns
-from pkgquery.solver import SolverConfig, solve
+from pkgquery.solver import solve
 
 
 def q_of(text, rel):
@@ -70,7 +70,7 @@ def _midsize_case(seed):
 def test_solver_matches_reference_milp(seed):
     rel, q = _midsize_case(seed)
     m = derive_bounds(translate(q, rel))
-    mine = solve(m, SolverConfig(time_limit=60))
+    mine = solve(m, 60)
     ref_status, ref_obj = highs_optimum(m)
     assert mine.status == {"optimal": "optimal", "infeasible": "infeasible"}[ref_status]
     if ref_status == "optimal":
@@ -84,7 +84,7 @@ def test_solver_matches_reference_milp_at_package_scale(seed):
     rel = gen_dataset(1000, 4, seed, low=0.5, high=2.0)
     for i, q in enumerate(gen_workload(rel, 5, seed + 1, expected_size=8)):
         m = derive_bounds(translate(q, rel))
-        mine = solve(m, SolverConfig(time_limit=60))
+        mine = solve(m, 60)
         ref_status, ref_obj = highs_optimum(m)
         assert mine.status == ref_status, f"seed {seed} query {i}"
         if ref_status == "optimal":
@@ -161,7 +161,7 @@ class TestDegenerateSimplex:
         q = q_of("SELECT PACKAGE(R) AS P FROM T R REPEAT 0 "
                  "SUCH THAT COUNT(P.*) = 30 AND SUM(P.x) <= 40.0 "
                  "MAXIMIZE SUM(P.x)", rel)
-        res = solve(derive_bounds(translate(q, rel)), SolverConfig(time_limit=30))
+        res = solve(derive_bounds(translate(q, rel)), 30)
         assert res.status == "optimal"
         # 30 items, sum capped at 40: take 10 twos and 20 ones
         assert res.objective == pytest.approx(40.0)
@@ -174,7 +174,7 @@ class TestDegenerateSimplex:
                  "SUCH THAT COUNT(P.*) = 7 AND AVG(P.x) <= 1.5 "
                  "AND AVG(P.x) >= 0.5 MINIMIZE SUM(P.y)", rel)
         m = derive_bounds(translate(q, rel))
-        mine = solve(m, SolverConfig(time_limit=30))
+        mine = solve(m, 30)
         ref_status, ref_obj = highs_optimum(m)
         assert mine.status == "optimal" and ref_status == "optimal"
         assert mine.objective == pytest.approx(ref_obj, abs=1e-6)
