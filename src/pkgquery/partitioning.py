@@ -11,10 +11,16 @@ Representatives are group centroids. The radius limit for a target
 approximation factor is the minimum over groups and partitioning
 attributes of gamma * |representative value|, with gamma = eps for
 maximization objectives and eps / (1 + eps) for minimization.
+
+A partitioning is saved as a JSON object of format version 2, whose
+``gids`` field packs the gid column as base64 of little-endian unsigned
+ints just wide enough for m groups. Loading accepts version 2 only and
+asks for a rebuild with ``pkgquery partition`` otherwise.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from collections import deque
@@ -27,6 +33,7 @@ from .relation import NUMERIC, Relation
 
 MAXIMIZE_DIRECTION = "max"
 MINIMIZE_DIRECTION = "min"
+_FORMAT_VERSION = 2  # the partitioning file format save_partitioning writes
 _EPSILON_ROUNDS = 3  # re-partitions partition_with_epsilon tries for a fixed point
 
 
@@ -85,11 +92,16 @@ def _attr_matrix(rel: Relation, attrs: Sequence[str]) -> np.ndarray:
     return np.column_stack([rel.column(a) for a in attrs])
 
 
+def _radius(sub: np.ndarray, centroid: np.ndarray) -> float:
+    """Largest per-attribute absolute deviation from the centroid."""
+    dev = sub - centroid
+    return float(np.abs(dev, out=dev).max())
+
+
 def _group_stats(points: np.ndarray, ids: np.ndarray):
     sub = points[ids]
     centroid = sub.mean(axis=0)
-    radius = float(np.abs(sub - centroid).max()) if len(ids) else 0.0
-    return centroid, radius
+    return centroid, _radius(sub, centroid) if len(ids) else 0.0
 
 
 def partition(rel: Relation, params: PartitionParams) -> Partitioning:
@@ -102,31 +114,34 @@ def partition(rel: Relation, params: PartitionParams) -> Partitioning:
 
     k = len(params.attrs)
     weights = 1 << np.arange(k)
+    # numpy radix-sorts keys of at most 16 bits, in the order of int64 keys
+    code_type = np.min_scalar_type((1 << k) - 1)
+    # each node carries its members (ascending ids) and their points; a
+    # stable sort by quadrant hands every child both, still ascending
     queue = deque()
     if rel.n:
-        queue.append(np.arange(rel.n, dtype=np.int64))
+        queue.append((np.arange(rel.n, dtype=np.int64), points))
     final: list[tuple[np.ndarray, np.ndarray, float, bool]] = []
     while queue:
-        members = queue.popleft()
-        centroid, radius = _group_stats(points, members)
-        if len(members) <= params.tau and radius <= params.omega:
-            final.append((members, centroid, radius, False))
-            continue
-        codes = (points[members] >= centroid) @ weights
+        members, sub = queue.popleft()
+        centroid = sub.mean(axis=0)
+        if len(members) <= params.tau:
+            radius = _radius(sub, centroid)
+            if radius <= params.omega:
+                final.append((members, centroid, radius, False))
+                continue
+        codes = ((sub >= centroid) @ weights).astype(code_type)
         order = np.argsort(codes, kind="stable")
-        codes_sorted = codes[order]
-        cuts = np.nonzero(np.diff(codes_sorted))[0] + 1
+        cuts = np.nonzero(np.diff(codes[order]))[0] + 1
         if len(cuts) == 0:
             # all members share a quadrant: identical points, cannot split
-            final.append((members, centroid, radius, True))
+            final.append((members, centroid, _radius(sub, centroid), True))
             continue
-        for part in np.split(members[order], cuts):
-            queue.append(part)
+        queue.extend(zip(np.split(members[order], cuts), np.split(sub[order], cuts)))
 
     gid = np.zeros(rel.n, dtype=np.int64)
     groups, sizes, radii, reps, degenerate = [], [], [], [], set()
     for g, (members, centroid, radius, degen) in enumerate(final):
-        members = np.sort(members)
         gid[members] = g + 1
         groups.append(members)
         sizes.append(len(members))
@@ -247,11 +262,17 @@ def group_means(p: Partitioning, rel: Relation,
 
 
 def save_partitioning(p: Partitioning, path) -> None:
+    """Write the partitioning as a JSON object of format version 2.
+
+    ``gids`` is base64 of the gid column as little-endian unsigned ints of
+    ``np.min_scalar_type(m).itemsize`` bytes each; the other fields are
+    JSON lists."""
     payload = {
+        "version": _FORMAT_VERSION,
         "attrs": list(p.attrs),
         "tau": int(p.tau),
         "omega": "inf" if math.isinf(p.omega) else float(p.omega),
-        "gids": p.gid.tolist(),
+        "gids": base64.b64encode(p.gid.astype(_gid_dtype(p.m))).decode("ascii"),
         "representatives": p.representatives.tolist(),
         "radii": p.radii.tolist(),
         "sizes": p.sizes.tolist(),
@@ -262,40 +283,56 @@ def save_partitioning(p: Partitioning, path) -> None:
         fh.write(text)
 
 
+def _gid_dtype(m: int) -> np.dtype:
+    """Little-endian unsigned ints just wide enough for gids 0..m."""
+    return np.min_scalar_type(m).newbyteorder("<")
+
+
 def load_partitioning(path, rel: Relation) -> Partitioning:
     """Re-attach a saved partitioning to its relation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
+        version = d.get("version") if isinstance(d, dict) else None
+        if version != _FORMAT_VERSION:
+            found = "no version" if version is None else f"version {version!r}"
+            raise PartitionError(
+                f"{path}: partitioning file has {found}, this build reads version "
+                f"{_FORMAT_VERSION}; re-run `pkgquery partition` to rebuild it")
         attrs = tuple(d["attrs"])
-        gid = np.asarray(d["gids"], dtype=np.int64)
         sizes = np.asarray(d["sizes"], dtype=np.int64)
+        if sizes.ndim != 1:  # m, and with it the gid width, is its length
+            raise PartitionError(f"{path}: sizes must be a flat list")
         m = len(sizes)
         radii = np.asarray(d["radii"], dtype=np.float64).reshape(m)
         reps = np.asarray(d["representatives"], dtype=np.float64).reshape(m, len(attrs))
         omega = math.inf if d["omega"] == "inf" else float(d["omega"])
         tau = int(d["tau"])
         degenerate = frozenset(int(g) - 1 for g in d["degenerate"])
+        raw = base64.b64decode(d["gids"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:  # a JSON syntax error is a ValueError
         raise PartitionError(
             f"{path}: malformed partitioning file ({type(exc).__name__}: {exc})") from None
-    if gid.ndim != 1 or sizes.ndim != 1:
-        raise PartitionError(f"{path}: gids and sizes must be flat lists")
-    if len(gid) != rel.n:
+    width = _gid_dtype(m)
+    if len(raw) != rel.n * width.itemsize:
+        tuples, spare = divmod(len(raw), width.itemsize)
+        covers = (f"{tuples} tuples" if not spare
+                  else f"{len(raw)} bytes of {width.itemsize}-byte gids")
         raise PartitionError(
-            f"{path}: gid column covers {len(gid)} tuples, relation has {rel.n}")
+            f"{path}: gid column covers {covers}, relation has {rel.n}")
+    packed = np.frombuffer(raw, dtype=width)
     points = _attr_matrix(rel, attrs)
     # one stable sort keeps each group's members in ascending id order
     # (numpy sorts keys of at most 16 bits by radix); gids outside 1..m
     # (0 = not covered) join no group
-    in_range = (gid >= 1) & (gid <= m)
-    counts = np.bincount(gid[in_range] - 1, minlength=m)
+    in_range = (packed >= 1) & (packed <= m)
+    counts = np.bincount(packed[in_range] - 1, minlength=m)
     if not np.array_equal(sizes, counts):
         raise PartitionError(f"{path}: stored sizes disagree with gid column")
     order = np.nonzero(in_range)[0]
-    key = gid[order].astype(np.min_scalar_type(m))
-    order = order[np.argsort(key, kind="stable")]
+    order = order[np.argsort(packed[order], kind="stable")]
     groups = tuple(np.split(order, np.cumsum(counts)[:-1])) if m else ()
     return Partitioning(
-        attrs=attrs, tau=tau, omega=omega, gid=gid, groups=groups, sizes=sizes,
-        radii=radii, representatives=reps, degenerate=degenerate, points=points)
+        attrs=attrs, tau=tau, omega=omega, gid=packed.astype(np.int64),
+        groups=groups, sizes=sizes, radii=radii, representatives=reps,
+        degenerate=degenerate, points=points)

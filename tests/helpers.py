@@ -8,10 +8,14 @@ reads a CSV file cell by cell with ``csv.reader`` and ``float()``. The
 engine has no use for the last three: ``lp_relax`` (a model's LP bound in
 its own sense), ``verify_result`` (a solve's vector checked against its
 model) and ``var_index`` (tuple id -> variable position).
+``partition_reference`` is the quad-tree split loop as it stood before
+``partition`` gathered each node's points once and sorted narrow codes;
+``partition`` must return exactly what it returns.
 """
 
 import csv
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
@@ -19,6 +23,12 @@ import numpy as np
 
 from pkgquery import paql
 from pkgquery.ilp import feasible
+from pkgquery.partitioning import (
+    PartitionError,
+    PartitionParams,
+    Partitioning,
+    _attr_matrix,
+)
 from pkgquery.relation import CATEGORICAL, NUMERIC, Relation, RelationError, Schema
 from pkgquery.simplex import lp_solve
 
@@ -222,3 +232,60 @@ def verify_result(m, res, tol: float = 1e-6) -> bool:
 def var_index(m) -> dict:
     """{tuple id: variable position} of an ``IlpModel``."""
     return {int(t): i for i, t in enumerate(m.var_ids)}
+
+
+def _reference_group_stats(points: np.ndarray, ids: np.ndarray):
+    sub = points[ids]
+    centroid = sub.mean(axis=0)
+    radius = float(np.abs(sub - centroid).max()) if len(ids) else 0.0
+    return centroid, radius
+
+
+def partition_reference(rel: Relation, params: PartitionParams) -> Partitioning:
+    """``partition`` with one gather per statistic, a radius for every node
+    and int64 quadrant codes."""
+    if params.tau > max(rel.n, 1):
+        raise PartitionError(
+            f"size threshold {params.tau} exceeds relation size {rel.n}")
+    points = _attr_matrix(rel, params.attrs)
+
+    k = len(params.attrs)
+    weights = 1 << np.arange(k)
+    queue = deque()
+    if rel.n:
+        queue.append(np.arange(rel.n, dtype=np.int64))
+    final: list[tuple[np.ndarray, np.ndarray, float, bool]] = []
+    while queue:
+        members = queue.popleft()
+        centroid, radius = _reference_group_stats(points, members)
+        if len(members) <= params.tau and radius <= params.omega:
+            final.append((members, centroid, radius, False))
+            continue
+        codes = (points[members] >= centroid) @ weights
+        order = np.argsort(codes, kind="stable")
+        codes_sorted = codes[order]
+        cuts = np.nonzero(np.diff(codes_sorted))[0] + 1
+        if len(cuts) == 0:
+            # all members share a quadrant: identical points, cannot split
+            final.append((members, centroid, radius, True))
+            continue
+        for part in np.split(members[order], cuts):
+            queue.append(part)
+
+    gid = np.zeros(rel.n, dtype=np.int64)
+    groups, sizes, radii, reps, degenerate = [], [], [], [], set()
+    for g, (members, centroid, radius, degen) in enumerate(final):
+        members = np.sort(members)
+        gid[members] = g + 1
+        groups.append(members)
+        sizes.append(len(members))
+        radii.append(radius)
+        reps.append(centroid)
+        if degen:
+            degenerate.add(g)
+    return Partitioning(
+        attrs=params.attrs, tau=params.tau, omega=params.omega, gid=gid,
+        groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
+        radii=np.asarray(radii), degenerate=frozenset(degenerate),
+        representatives=np.asarray(reps).reshape(len(final), k),
+        points=points)

@@ -30,6 +30,8 @@ class TestCli:
         assert rc == 0
         info = json.loads(capsys.readouterr().out)
         assert info["omega"] == "inf"
+        for key in ("load_ms", "partition_ms", "save_ms"):
+            assert info[key] >= 0
         p = load_partitioning(part_path, rel)
         assert p.sizes.max() <= 50
 
@@ -230,8 +232,12 @@ class TestCli:
         (lambda d: d.pop("attrs"), "malformed partitioning file (KeyError: 'attrs')"),
         (lambda d: d.update(radii=[[0.5, 0.5]]),
          "malformed partitioning file (ValueError: cannot reshape"),
-        (lambda d: d.update(gids=[[1, 1], [2, 2]]), "gids and sizes must be flat lists"),
-    ], ids=["no-attrs", "radii-shape", "gids-shape"])
+        (lambda d: d.update(gids="not base64!"), "malformed partitioning file"),
+        (lambda d: d.update(sizes=[[1], [2]]), "sizes must be a flat list"),
+        # a version 1 file: no version key, gids as a JSON list
+        (lambda d: (d.pop("version"), d.update(gids=[1, 1, 2, 2])),
+         "has no version, this build reads version 2; re-run `pkgquery partition`"),
+    ], ids=["no-attrs", "radii-shape", "gids-shape", "sizes-shape", "version-1"])
     def test_run_malformed_partitioning_exits_1(self, tmp_path, capsys, edit, message):
         csv_path, part_path, qpath = self._small(
             tmp_path, "SELECT PACKAGE(R) AS P FROM R REPEAT 0 MAXIMIZE SUM(P.a)")

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import partition_reference
 from pkgquery.partitioning import (
     PartitionError,
     PartitionParams,
+    Partitioning,
     group_means,
     load_partitioning,
     partition,
@@ -24,6 +27,43 @@ def grid_rel(n, k, seed, lo=0.5, hi=2.0):
     rng = np.random.default_rng(seed)
     data = rng.uniform(lo, hi, size=(n, k))
     return from_columns("D", {f"a{j}": data[:, j] for j in range(k)})
+
+
+def assert_same(a, b):
+    """Every field of two partitionings equal, floats bit for bit."""
+    assert (a.attrs, a.tau, a.omega) == (b.attrs, b.tau, b.omega)
+    assert a.gid.dtype == b.gid.dtype and np.array_equal(a.gid, b.gid)
+    assert len(a.groups) == len(b.groups)
+    for mine, theirs in zip(a.groups, b.groups):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    for name in ("sizes", "radii", "representatives", "points"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    assert a.degenerate == b.degenerate
+
+
+def identity_rel(seed):
+    """A seeded relation of 1 to 10 attributes on a coarse grid (values tie
+    with centroids), with blocks of duplicates spliced in: of a grid row, of
+    an off-grid row (whose mean may round off it, for a nonzero radius) and
+    of an off-grid row with one copy an ulp higher."""
+    rng = np.random.default_rng(seed)
+    k = 1 + seed % 10
+    n = int(rng.integers(1, 400))
+    data = np.round(rng.uniform(0.0, 4.0, size=(n, k)) * 4) / 4
+    for kind in rng.integers(0, 3, size=int(rng.integers(0, 4))):
+        row = data[rng.integers(n)] if kind == 0 else rng.uniform(0.0, 4.0, k)
+        block = np.repeat(row[None, :], int(rng.integers(2, 60)), axis=0)
+        if kind == 2:
+            block[0] = np.nextafter(row, np.inf)
+        data = np.vstack([data, block])
+    data = data[rng.permutation(len(data))]
+    return from_columns("D", {f"a{j}": data[:, j] for j in range(k)}), rng
+
+
+def wide_data_rel(n, k, seed):
+    rng = np.random.default_rng(seed)
+    return from_columns("D", {f"a{j}": rng.uniform(-1.0, 1.0, n) for j in range(k)})
 
 
 def check_valid(p, tau=None, omega=None):
@@ -99,6 +139,30 @@ class TestPartition:
         p = partition(rel, PartitionParams(tuple(f"a{j}" for j in range(k)), tau, omega))
         assert sorted(np.concatenate(p.groups).tolist()) == list(range(n))
         check_valid(p, tau=tau, omega=omega)
+
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_matches_reference_split_loop(self, seed):
+        rel, rng = identity_rel(seed)
+        attrs = tuple(rel.numeric_attrs())
+        tau = 1 if seed % 3 == 0 else int(rng.integers(1, rel.n + 1))
+        omega = [math.inf, 0.0, 0.25, 1.0][seed % 4]
+        params = PartitionParams(attrs, tau, omega)
+        assert_same(partition(rel, params), partition_reference(rel, params))
+
+    @pytest.mark.parametrize("k", [1, 8, 9, 10])
+    def test_matches_reference_on_wide_codes(self, k):
+        # 2^k quadrant codes of 8 bits and of 16 bits, and deep trees
+        rel = wide_data_rel(3000, k, seed=k)
+        attrs = tuple(rel.numeric_attrs())
+        for tau, omega in [(1, math.inf), (40, math.inf), (3000, 0.3), (200, 0.5)]:
+            params = PartitionParams(attrs, tau, omega)
+            assert_same(partition(rel, params), partition_reference(rel, params))
+
+    def test_empty_relation_matches_reference(self):
+        rel = from_columns("D", {"x": np.zeros(0), "y": np.zeros(0)})
+        params = PartitionParams(("x", "y"), 1)
+        assert_same(partition(rel, params), partition_reference(rel, params))
 
 
 class TestRadiusLimit:
@@ -177,10 +241,30 @@ class TestIo:
                                  "y": [0.0, 0.0, 0.0, 1.0, 0.5, 0.7, 3.0]})
         p = partition(rel, PartitionParams(("x", "y"), 2, omega=1.5))
         save_partitioning(p, tmp_path / "p.json")
+        # gids [3, 3, 3, 2, 1, 4, 2] as one byte each, since m = 4 fits in one
         assert (tmp_path / "p.json").read_bytes() == (
-            b'{"attrs": ["x", "y"], "tau": 2, "omega": 1.5, "gids": [3, 3, 3, 2, 1, 4, 2], '
+            b'{"version": 2, "attrs": ["x", "y"], "tau": 2, "omega": 1.5, '
+            b'"gids": "AwMDAgEEAg==", '
             b'"representatives": [[1.0, 0.5], [2.0, 2.0], [0.0, 0.0], [0.1, 0.7]], '
             b'"radii": [0.0, 1.0, 0.0, 0.0], "sizes": [1, 2, 3, 1], "degenerate": [3]}')
+
+    @pytest.mark.parametrize("m, width", [(1, 1), (255, 1), (256, 2), (65535, 2), (65536, 4)])
+    def test_gid_width_follows_group_count(self, tmp_path, m, width):
+        # m singleton groups in reverse id order, built directly: partitioning
+        # 65,536 tuples down to singletons takes seconds
+        x = np.arange(m, dtype=np.float64)
+        rel = from_columns("D", {"a0": x})
+        ids = np.arange(m, dtype=np.int64)
+        p = Partitioning(
+            attrs=("a0",), tau=1, omega=math.inf, gid=m - ids,
+            groups=tuple(np.split(ids[::-1].copy(), m)), sizes=np.ones(m, dtype=np.int64),
+            radii=np.zeros(m), representatives=x[::-1].reshape(m, 1).copy(),
+            degenerate=frozenset(), points=x.reshape(m, 1))
+        save_partitioning(p, tmp_path / "p.json")
+        raw = base64.b64decode(json.loads((tmp_path / "p.json").read_text())["gids"])
+        assert len(raw) == m * width
+        assert np.array_equal(np.frombuffer(raw, dtype=f"<u{width}"), p.gid)
+        assert_same(load_partitioning(tmp_path / "p.json", rel), p)
 
     def test_infinite_omega_io(self, tmp_path):
         rel = grid_rel(20, 1, seed=2)
@@ -212,11 +296,57 @@ class TestIo:
         rel = grid_rel(6, 1, seed=1)
         path = tmp_path / "p.json"
         path.write_text(json.dumps({
-            "attrs": ["a0"], "tau": 3, "omega": "inf",
-            "gids": [2, 0, 1, 5, 2, -1], "representatives": [[1.0], [1.0]],
+            "version": 2, "attrs": ["a0"], "tau": 3, "omega": "inf",
+            "gids": base64.b64encode(bytes([2, 0, 1, 5, 2, 255])).decode(),
+            "representatives": [[1.0], [1.0]],
             "radii": [0.0, 0.0], "sizes": [1, 2], "degenerate": []}))
         back = load_partitioning(path, rel)
         assert [g.tolist() for g in back.groups] == [[2], [0, 4]]
+
+    @pytest.mark.parametrize("k, tau, omega", [(1, 5, math.inf), (3, 1, 0.2), (4, 64, 0.5)])
+    def test_roundtrip_is_exact(self, tmp_path, k, tau, omega):
+        rel = grid_rel(700, k, seed=k)
+        p = partition(rel, PartitionParams(tuple(f"a{j}" for j in range(k)), tau, omega))
+        save_partitioning(p, tmp_path / "p.json")
+        assert_same(load_partitioning(tmp_path / "p.json", rel), p)
+
+    @pytest.mark.parametrize("version", [1, 3, "2"])
+    def test_other_versions_rejected(self, tmp_path, version):
+        rel = grid_rel(20, 1, seed=2)
+        path = tmp_path / "p.json"
+        save_partitioning(partition(rel, PartitionParams(("a0",), 5)), path)
+        d = json.loads(path.read_text())
+        d["version"] = version
+        path.write_text(json.dumps(d))
+        with pytest.raises(PartitionError, match=f"has version {version!r}, this build "
+                                                 "reads version 2; re-run `pkgquery partition`"):
+            load_partitioning(path, rel)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        rel = grid_rel(7, 1, seed=2)
+        path = tmp_path / "p.json"
+        path.write_text(
+            '{"attrs": ["a0"], "tau": 7, "omega": "inf", "gids": [1, 1, 1, 1, 1, 1, 1], '
+            '"representatives": [[1.0]], "radii": [0.5], "sizes": [7], "degenerate": []}')
+        with pytest.raises(PartitionError, match=r"has no version, this build reads "
+                                                 r"version 2; re-run `pkgquery partition`"):
+            load_partitioning(path, rel)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:-1], "covers 599 bytes of 2-byte gids, relation has 300"),
+        (lambda raw: raw + b"\0", "covers 601 bytes of 2-byte gids, relation has 300"),
+        (lambda raw: raw[:-4], "covers 298 tuples, relation has 300"),
+    ], ids=["byte-short", "byte-long", "tuples-short"])
+    def test_gid_payload_length_mismatch_detected(self, tmp_path, edit, message):
+        # 300 singleton groups: two bytes per gid
+        rel = grid_rel(300, 1, seed=2)
+        path = tmp_path / "p.json"
+        save_partitioning(partition(rel, PartitionParams(("a0",), 1)), path)
+        d = json.loads(path.read_text())
+        d["gids"] = base64.b64encode(edit(base64.b64decode(d["gids"]))).decode()
+        path.write_text(json.dumps(d))
+        with pytest.raises(PartitionError, match=message):
+            load_partitioning(path, rel)
 
     def test_tampered_sizes_detected(self, tmp_path):
         rel = grid_rel(60, 1, seed=2)
