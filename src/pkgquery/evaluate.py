@@ -23,6 +23,7 @@ import random
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
@@ -41,7 +42,7 @@ from .ilp import (
     translate,
 )
 from .partitioning import Partitioning, PartitionParams, group_means, partition, restrict_to_ids
-from .relation import Relation, apply_base_predicate, from_columns
+from .relation import NUMERIC, Relation, RelationError, Schema, apply_base_predicate
 from .solver import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -196,14 +197,15 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
     """
     if q.base_predicate is not None:
         raise EvalError("sketch queries operate on pre-filtered relations")
-    categorical = sorted(q.attrs_used() - set(rel.numeric_attrs()))
+    used = q.attrs_used()
+    categorical = sorted(used - set(rel.numeric_attrs()))
     if categorical:
         raise UnsketchableQueryError(
             f"cannot sketch categorical attribute(s) {categorical}: a group "
             f"representative holds means; use the direct method")
     flags: tuple[str, ...] = ()
-    needed = sorted(set(p.attrs) | q.attrs_used())
-    uncovered = sorted(q.attrs_used() - set(p.attrs))
+    needed = sorted(set(p.attrs) | used)
+    uncovered = sorted(used - set(p.attrs))
     if uncovered:
         warnings.warn(
             f"query attributes {uncovered} are outside the partitioning "
@@ -211,8 +213,13 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
             f"approximation guarantee does not cover them", stacklevel=2)
         flags = ("partial_coverage",)
     means = group_means(p, rel, needed)
-    rep_rel = from_columns(
-        "representatives", {a: means[:, i] for i, a in enumerate(needed)})
+    if not np.isfinite(means).all():
+        bad = np.isfinite(means).all(axis=0).argmin()
+        raise RelationError(f"non-finite value in numeric column {needed[bad]!r}")
+    # the checks of ``from_columns`` hold already: the columns are float64,
+    # finite and m long
+    rep_rel = Relation(Schema("representatives", tuple((a, NUMERIC) for a in needed)),
+                       {a: means[:, i] for i, a in enumerate(needed)}, p.m)
     sketch_q = replace(q, repeat=None)
     caps = np.full(p.m, np.inf) if q.repeat is None else p.sizes * float(1 + q.repeat)
     if upper is not None:  # gid holds each tuple's 1-based group, 0 for none
@@ -224,7 +231,7 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
 class _Level:
     """One SketchRefine level, from which its refine and hybrid models are
     built: the query over a relation's groups and its sketch, translated
-    once, with the level's own budget and rng."""
+    once, with the level's own budget and rng (seeded on first use)."""
 
     q: paql.PackageQuery  # no base predicate: the groups are pre-filtered
     rel: Relation
@@ -235,7 +242,11 @@ class _Level:
     sketch: IlpModel  # before derive_bounds; its upper bounds are the capacities
     depth: int
     budget: int  # refine and hybrid solves, this level's and those below it
-    rng: random.Random
+    seed: int
+
+    @cached_property
+    def rng(self) -> random.Random:
+        return random.Random(self.seed)
 
     def group_model(self, g: int) -> IlpModel:
         """The query's ILP over group g's tuples."""
@@ -252,10 +263,14 @@ def fixed_activity(refined: Iterable[np.ndarray], sketch: IlpModel,
     """Row activity of the part held fixed while one group is refined: the
     refined groups' stored activities, plus the sketch columns of the other
     unrefined groups (``rep_part``) times their multiplicities."""
-    idx = np.fromiter(rep_part.keys(), dtype=np.int64, count=len(rep_part))
-    mult = np.fromiter(rep_part.values(), dtype=np.float64, count=len(rep_part))
-    orig = sum(refined, np.zeros(len(sketch.rows)))
-    return orig + activity(sketch, idx, mult)
+    total = np.zeros(len(sketch.rows))
+    for act in refined:
+        total += act
+    if rep_part:
+        idx = np.fromiter(rep_part.keys(), dtype=np.int64, count=len(rep_part))
+        mult = np.fromiter(rep_part.values(), dtype=np.float64, count=len(rep_part))
+        total += activity(sketch, idx, mult)
+    return total
 
 
 def _solved_part(model: IlpModel, x: np.ndarray) -> tuple[dict[int, int], np.ndarray]:
@@ -344,7 +359,8 @@ class _Refiner:
         if not rep_part:
             return True, orig_part
         queue = sorted(rep_part)
-        self.level.rng.shuffle(queue)
+        if len(queue) > 1:  # shuffling one group draws nothing from the rng
+            self.level.rng.shuffle(queue)
         failed: list[int] = []
         while queue:
             g = queue.pop(0)
@@ -446,7 +462,7 @@ def _sketch_refine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
     if p.degenerate:
         ctx.flags.append("degenerate_groups")
     cfg = ctx.cfg
-    level_q = replace(q, base_predicate=None)
+    level_q = q if q.base_predicate is None else replace(q, base_predicate=None)
     budget = cfg.backtrack_limit if cfg.backtrack_limit is not None else 10 * p.m
     t0 = time.perf_counter()
     try:
@@ -454,7 +470,7 @@ def _sketch_refine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
         ctx.flags.extend(sketch_flags)
         level = _Level(level_q, rel, p, upper, sketch_q, rep_rel,
                        translate(sketch_q, rep_rel, upper_override=caps),
-                       depth, budget, random.Random(cfg.seed))
+                       depth, budget, cfg.seed)
         rep_part, orig_part = _solve_sketch(level, ctx)
     finally:
         timings["sketch_ms"] = (time.perf_counter() - t0) * 1000.0
@@ -489,14 +505,15 @@ def _verify_package(q: paql.PackageQuery, rel: Relation,
     to any constraint, so this agrees with checking the whole model."""
     ids = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
     mult = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
-    if len(ids) and (ids.min() < 0 or ids.max() >= rel.n):
+    order = ids.argsort()  # ids are distinct; translate keeps them ascending
+    ids, x = ids[order], mult[order]
+    if len(ids) and (ids[0] < 0 or ids[-1] >= rel.n):
         raise EvalError(
             "internal error: package holds a tuple id outside the relation")
     model = translate(q, rel, ids=ids, upper_override=upper_override)
     if model.n_vars != len(ids):
         raise EvalError(
             "internal error: package holds a tuple the base predicate drops")
-    x = mult[np.argsort(ids)]  # ids are distinct
     if not feasible(model, x, tol=VERIFY_TOL):
         raise EvalError("internal error: package violates the query")
 

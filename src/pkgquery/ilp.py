@@ -46,27 +46,37 @@ class IlpModel:
         return len(self.var_ids)
 
 
-def _column(rel: Relation, attr: str, ids: Optional[np.ndarray]) -> np.ndarray:
-    """A numeric column at ``ids``; for None, the relation's own array."""
+def _column(rel: Relation, attr: str, ids: Optional[np.ndarray],
+            gathered: Optional[dict] = None) -> np.ndarray:
+    """A numeric column at ``ids``; for None, the relation's own array.
+    ``gathered`` keeps each attribute's gather for the next read."""
     col = rel.column(attr)
-    return col if ids is None else col[ids]
+    if ids is None:
+        return col
+    if gathered is None:
+        return col[ids]
+    if attr not in gathered:
+        gathered[attr] = col[ids]
+    return gathered[attr]
 
 
 def _aggregate_coeffs(expr: paql.AggregateExpr, rel: Relation,
-                      ids: Optional[np.ndarray]) -> np.ndarray:
+                      ids: Optional[np.ndarray],
+                      gathered: Optional[dict] = None) -> np.ndarray:
     """One coefficient per id in ``ids``, or per tuple for None; a SUM over
     the whole relation is the relation's column itself."""
     if expr.kind == paql.COUNT:
         return np.ones(rel.n if ids is None else len(ids))
     if expr.kind == paql.SUM:
-        return _column(rel, expr.attr, ids)
+        return _column(rel, expr.attr, ids, gathered)
     if expr.kind == paql.FILTERED_COUNT:
         return predicate_mask(rel, expr.filter, ids).astype(np.float64)
     raise IlpError(f"no linear coefficients for aggregate {expr.kind!r}")
 
 
 def _predicate_row(g: paql.GlobalPredicate, rel: Relation,
-                   ids: Optional[np.ndarray]) -> tuple[np.ndarray, str, float]:
+                   ids: Optional[np.ndarray],
+                   gathered: Optional[dict] = None) -> tuple[np.ndarray, str, float]:
     """Linearize one global predicate into (coeffs, op, rhs)."""
     if isinstance(g.rhs, paql.AggregateExpr):
         # filtered-count vs filtered-count: indicator difference against 0
@@ -75,10 +85,10 @@ def _predicate_row(g: paql.GlobalPredicate, rel: Relation,
     elif g.lhs.kind == paql.AVG:
         # AVG(attr) op v  <=>  sum((attr - v) * x) op 0
         v = float(g.rhs)
-        coeffs = _column(rel, g.lhs.attr, ids) - v
+        coeffs = _column(rel, g.lhs.attr, ids, gathered) - v
         rhs = 0.0
     else:
-        coeffs = _aggregate_coeffs(g.lhs, rel, ids)
+        coeffs = _aggregate_coeffs(g.lhs, rel, ids, gathered)
         rhs = float(g.rhs)
     return coeffs, g.op, rhs - g.linear_shift
 
@@ -123,7 +133,9 @@ def translate(q: paql.PackageQuery, rel: Relation,
         raise IlpError("query must be validated before translation")
 
     if ids is not None:
-        pool = np.sort(np.asarray(ids, dtype=np.int64))
+        pool = np.asarray(ids, dtype=np.int64)
+        if not (pool[1:] >= pool[:-1]).all():  # groups come ascending already
+            pool = np.sort(pool)
         if q.base_predicate is not None:
             pool = pool[predicate_mask(rel, q.base_predicate, pool)]
     elif q.base_predicate is not None:
@@ -133,18 +145,17 @@ def translate(q: paql.PackageQuery, rel: Relation,
     var_ids = np.arange(rel.n, dtype=np.int64) if pool is None else pool
 
     n = len(var_ids)
-    upper = np.full(n, np.inf)
-    if q.repeat is not None:
-        upper[:] = q.repeat + 1
+    upper = np.empty(n)
+    upper.fill(np.inf if q.repeat is None else q.repeat + 1)
     if upper_override is not None:
         upper = np.minimum(upper, upper_override if pool is None else upper_override[pool])
 
     k = len(q.global_predicates)
     rows = np.empty((k, n))
-    row_lo = np.full(k, -np.inf)
-    row_hi = np.full(k, np.inf)
+    row_lo, row_hi = [-np.inf] * k, [np.inf] * k
+    gathered: dict = {}  # one gather per attribute: a window reads its column twice
     for i, g in enumerate(q.global_predicates):
-        rows[i], op, rhs = _predicate_row(g, rel, pool)
+        rows[i], op, rhs = _predicate_row(g, rel, pool, gathered)
         if op != ">=":
             row_hi[i] = rhs
         if op != "<=":
@@ -152,14 +163,15 @@ def translate(q: paql.PackageQuery, rel: Relation,
 
     maximize = True
     if q.objective is not None:
-        objective = _aggregate_coeffs(q.objective.expr, rel, pool)
+        objective = _aggregate_coeffs(q.objective.expr, rel, pool, gathered)
         if pool is None and q.objective.expr.kind == paql.SUM:
             objective = objective.copy()  # a model never holds a relation column
         maximize = q.objective.direction == paql.MAXIMIZE
     else:
         objective = np.zeros(n)
 
-    return IlpModel(var_ids, upper, rows, row_lo, row_hi, objective, maximize)
+    return IlpModel(var_ids, upper, rows, np.array(row_lo), np.array(row_hi),
+                    objective, maximize)
 
 
 def activity(m: IlpModel, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -192,10 +204,10 @@ def derive_bounds(m: IlpModel) -> IlpModel:
     wherever a_i > 0; a row sum(a_i x_i) >= L with every a_i <= 0 is the
     same rule for -a and -L. Fails if any variable stays unbounded.
     """
-    upper = m.upper.copy()
-    unbounded = ~np.isfinite(upper)
-    if not unbounded.any():
+    finite = np.isfinite(m.upper)
+    if finite.all():
         return m
+    upper, unbounded = m.upper.copy(), ~finite
     for a, lo, hi in zip(m.rows, m.row_lo, m.row_hi):
         for coeffs, cap in ((a, hi), (-a, -lo)):
             if not np.isfinite(cap) or np.any(coeffs < 0):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .relation import CATEGORICAL, NUMERIC, Schema, read_utf8
 
@@ -160,48 +160,53 @@ _KEYWORDS = {
 
 _AGGREGATES = {"COUNT": COUNT, "SUM": SUM, "AVG": AVG}
 
+# Each match takes the whitespace before its token, and its one capturing
+# group is the token: the group's number gives the kind, and ``eof``
+# matches the whitespace at the end of the text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+\.\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?|\d+([eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<op><=|>=|!=|<>|[<>=(),.*;+-])
+    \s*(?:
+      (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<string>'(?:[^']|'')*')
+    | (?P<op><=|>=|!=|<>|[<>=(),.*;+-])
+    | (?P<eof>\Z)
+    )
     """,
     re.VERBOSE,
 )
+_KINDS = (None, "number", "ident", "string", "op", "eof")  # by group number
+_IDENT, _STRING, _EOF = 2, 3, 5
+
+# A token is a plain (kind, value, offset) tuple, read by index: kind is
+# 'kw', 'ident', 'number', 'string', 'op' or 'eof', offset is into the text.
+_KIND, _VALUE, _OFFSET = 0, 1, 2
 
 
-class _Token(NamedTuple):
-    kind: str  # 'kw', 'ident', 'number', 'string', 'op', 'eof'
-    value: str
-    offset: int  # into the query text
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
     for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:  # a gap: no token matches at pos
+        start, end = m.span()
+        if start != pos:  # a gap: no token matches at pos
             break
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        lexeme = m.group()
-        if kind == "ident":
+        pos = end
+        group = m.lastindex
+        kind, lexeme = _KINDS[group], m[group]
+        if group == _IDENT:
             upper = lexeme.upper()
             if upper in _KEYWORDS:
                 kind, lexeme = "kw", upper
-        elif kind == "string":
+        elif group == _STRING:
             lexeme = lexeme[1:-1].replace("''", "'")
+        elif group == _EOF:
+            tokens.append((kind, lexeme, pos))
+            return tokens
         elif lexeme == "<>":
             lexeme = "!="
-        tokens.append(_Token(kind, lexeme, m.start()))
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
-    tokens.append(_Token("eof", "", pos))
-    return tokens
+        tokens.append((kind, lexeme, m.start(group)))
+    pos = len(text) - len(text[pos:].lstrip())  # the first character after spaces
+    raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -217,65 +222,62 @@ class _Parser:
         self.qualifiers: set[str] = set()
         self.package_name = ""  # the one name a subquery may read FROM
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def error(self, message: str, tok: Optional[_Token] = None):
-        raise ParseError(message, self.text, (tok or self.cur).offset)
+    def error(self, message: str, tok: Optional[tuple] = None):
+        raise ParseError(message, self.text, (tok or self.tokens[self.i])[_OFFSET])
 
     def at(self, kind: str, *values: str) -> bool:
-        tok = self.cur
-        return tok.kind == kind and (not values or tok.value in values)
+        tok = self.tokens[self.i]
+        return tok[_KIND] == kind and (not values or tok[_VALUE] in values)
 
-    def advance(self) -> _Token:
-        tok = self.cur
-        if tok.kind != "eof":
+    def advance(self) -> tuple:
+        tok = self.tokens[self.i]
+        if tok[_KIND] != "eof":
             self.i += 1
         return tok
 
-    def accept(self, kind: str, value: Optional[str] = None) -> Optional[_Token]:
-        tok = self.cur
-        if tok.kind == kind and (value is None or tok.value == value):
-            return self.advance()
+    def accept(self, kind: str, value: Optional[str] = None) -> Optional[tuple]:
+        tok = self.tokens[self.i]
+        if tok[_KIND] == kind and (value is None or tok[_VALUE] == value):
+            if kind != "eof":
+                self.i += 1
+            return tok
         return None
 
-    def expect(self, kind: str, value: Optional[str] = None) -> _Token:
+    def expect(self, kind: str, value: Optional[str] = None) -> tuple:
         tok = self.accept(kind, value)
         if tok is None:
-            want = value or kind
-            got = self.cur.value or self.cur.kind
-            self.error(f"expected {want!r}, got {got!r}")
+            tok = self.tokens[self.i]
+            self.error(f"expected {value or kind!r}, got {tok[_VALUE] or tok[_KIND]!r}")
         return tok
 
     def parse_query(self) -> PackageQuery:
         self.expect("kw", "SELECT")
         self.expect("kw", "PACKAGE")
         self.expect("op", "(")
-        package_name = self.expect("ident").value
+        package_name = self.expect("ident")[_VALUE]
         if self.at("op", ","):
             self.error("unsupported: multiple relation aliases in PACKAGE(...)")
         self.expect("op", ")")
         if self.accept("kw", "AS"):
-            package_name = self.expect("ident").value
+            package_name = self.expect("ident")[_VALUE]
         elif self.at("ident"):
-            package_name = self.advance().value
+            package_name = self.advance()[_VALUE]
 
         self.expect("kw", "FROM")
-        relation_name = self.expect("ident").value
+        relation_name = self.expect("ident")[_VALUE]
         relation_alias = relation_name
         if self.accept("kw", "AS"):
-            relation_alias = self.expect("ident").value
+            relation_alias = self.expect("ident")[_VALUE]
         elif self.at("ident"):
-            relation_alias = self.advance().value
+            relation_alias = self.advance()[_VALUE]
         self.qualifiers = {relation_name, relation_alias, package_name}
         self.package_name = package_name
         repeat = None
         if self.accept("kw", "REPEAT"):
             tok = self.expect("number")
-            if "." in tok.value or "e" in tok.value.lower():
+            if "." in tok[_VALUE] or "e" in tok[_VALUE].lower():
                 self.error("REPEAT bound must be a non-negative integer", tok)
-            repeat = int(tok.value)
+            repeat = int(tok[_VALUE])
         if self.at("op", ","):
             self.error("unsupported: joins (multiple relations in FROM)")
 
@@ -292,12 +294,12 @@ class _Parser:
 
         objective = None
         if self.at("kw", "MINIMIZE", "MAXIMIZE"):
-            direction = MINIMIZE if self.advance().value == "MINIMIZE" else MAXIMIZE
+            direction = MINIMIZE if self.advance()[_VALUE] == "MINIMIZE" else MAXIMIZE
             objective = Objective(direction, self.parse_aggregate())
 
         self.accept("op", ";")
         if not self.at("eof"):
-            self.error(f"unexpected trailing input {self.cur.value!r}")
+            self.error(f"unexpected trailing input {self.tokens[self.i][_VALUE]!r}")
 
         return PackageQuery(
             relation_name=relation_name,
@@ -320,24 +322,24 @@ class _Parser:
     def parse_comparison(self) -> Comparison:
         attr = self.parse_attr_ref()
         op_tok = self.expect("op")
-        if op_tok.value not in _BASE_OPS:
-            self.error(f"bad comparison operator {op_tok.value!r}", op_tok)
+        if op_tok[_VALUE] not in _BASE_OPS:
+            self.error(f"bad comparison operator {op_tok[_VALUE]!r}", op_tok)
         value: Union[float, str]
         if self.at("string"):
-            value = self.advance().value
+            value = self.advance()[_VALUE]
         else:
             value = self.parse_number()
-        return Comparison(attr, op_tok.value, value)
+        return Comparison(attr, op_tok[_VALUE], value)
 
     def parse_attr_ref(self) -> str:
         """Attribute reference, optionally qualified: attr, alias.attr. A
         known qualifier is dropped, so that shorthand aggregates and their
         subquery forms parse to the same AST; an unknown one is kept for
         validation to reject."""
-        first = self.expect("ident").value
+        first = self.expect("ident")[_VALUE]
         if not self.accept("op", "."):
             return first
-        attr = self.expect("ident").value
+        attr = self.expect("ident")[_VALUE]
         return attr if first in self.qualifiers else f"{first}.{attr}"
 
     def parse_number(self) -> float:
@@ -347,11 +349,11 @@ class _Parser:
         elif self.accept("op", "+"):
             pass
         tok = self.expect("number")
-        return sign * float(tok.value)
+        return sign * float(tok[_VALUE])
 
     def parse_global_predicate(self) -> GlobalPredicate:
         lhs = self.parse_aggregate()
-        tok = self.cur
+        tok = self.tokens[self.i]
         if self.accept("kw", "BETWEEN"):
             lo = self.parse_number()
             self.expect("kw", "AND")
@@ -363,14 +365,14 @@ class _Parser:
         if self.at("op", "<", ">"):
             self.error("unsupported: strict global inequality (use <= or >=)")
         if not self.at("op", *_GLOBAL_OPS):
-            self.error(f"expected a global comparison, got {tok.value!r}")
+            self.error(f"expected a global comparison, got {tok[_VALUE]!r}")
         self.advance()
         rhs: Union[float, AggregateExpr]
         if self.at("op", "(") or self.at("kw", *_AGGREGATES):
             rhs = self.parse_aggregate()
         else:
             rhs = self.parse_number()
-        return GlobalPredicate(lhs, tok.value, rhs)
+        return GlobalPredicate(lhs, tok[_VALUE], rhs)
 
     def parse_aggregate(self) -> AggregateExpr:
         """Shorthand aggregate, or the same aggregate as a parenthesized
@@ -381,11 +383,11 @@ class _Parser:
         expr = self.parse_aggregate_call(shorthand=False)
         self.expect("kw", "FROM")
         tok = self.expect("ident")
-        if tok.value != self.package_name:
+        if tok[_VALUE] != self.package_name:
             self.error(f"a subquery reads the package {self.package_name!r}, "
-                       f"not {tok.value!r}", tok)
+                       f"not {tok[_VALUE]!r}", tok)
         if self.accept("kw", "WHERE"):
-            where_tok = self.cur
+            where_tok = self.tokens[self.i]
             filt = self.parse_base_predicate()
             if expr.kind != COUNT:
                 self.error("only COUNT(*) subqueries may carry WHERE", where_tok)
@@ -397,9 +399,9 @@ class _Parser:
         """COUNT(*), SUM(attr) or AVG(attr); the shorthand also takes
         COUNT(pkg.*)."""
         tok = self.expect("kw")
-        kind = _AGGREGATES.get(tok.value)
+        kind = _AGGREGATES.get(tok[_VALUE])
         if kind is None:
-            self.error(f"expected an aggregate, got {tok.value!r}", tok)
+            self.error(f"expected an aggregate, got {tok[_VALUE]!r}", tok)
         self.expect("op", "(")
         if kind == COUNT:
             if shorthand and not self.at("op", "*"):

@@ -2,8 +2,9 @@
 
 Solves  max c.x  s.t.  row_lo <= A x <= row_hi,  l <= x <= u; each row has
 one finite bound (a '<=' or '>=' row) or two equal ones (an '=' row).
-It keeps the k x k basis inverse and reads A in place: a pivot costs
-O(k^2) and a pricing round one pass over A.
+It keeps the k x k basis inverse, with the row signs folded into its
+columns, and reads A in place: a pivot costs O(k^2) and a pricing round
+one pass over A.
 Variable bounds are handled implicitly (nonbasic variables sit at either
 bound), so branch-and-bound can tighten bounds without growing the problem.
 Dantzig pricing with a switch to Bland's rule after a degenerate stall.
@@ -57,6 +58,9 @@ class LpResult:
     # bound; basic variables carry ~0 reduced cost
     reduced_costs: Optional[np.ndarray] = None
     at_upper: Optional[np.ndarray] = None
+    # the basic structural columns, ascending (at most one per row); every
+    # other structural sits exactly on one of its bounds
+    basic: Optional[np.ndarray] = None
 
 
 def _pricing_order(idx, mag, chunk=_PRICE_CHUNK):
@@ -99,29 +103,34 @@ class _Revised:
 
     Columns are numbered structurals first, then slacks, then artificials;
     each row's '<=' slack or artificial starts basic, so the first inverse is I.
-    ``direction`` is +1 for a column that may enter from its lower bound,
-    -1 from its upper bound and 0 when it is basic or barred (numbered
-    ``barred`` or more). The n-length work buffers are allocated here, once."""
+    ``binv`` holds B^-1 diag(flip): a sign change is exact, so products with
+    it equal those of B^-1 with ``flip * A`` bit for bit, and A is read as
+    it is. ``direction`` is +1 for a column that may enter from its lower
+    bound, -1 from its upper bound and 0 when it is basic or barred
+    (numbered ``barred`` or more). The n-length work buffers are allocated
+    here, once."""
 
     def __init__(self, A, flip, slacks, arts, upper, lower, b):
         """``slacks``: (row, sign) per inequality row, -1 for '>='; ``arts``:
         the rows that are not '<='. Rows are few, so this is Python work."""
         m, n = A.shape
-        self.A, self.flip, self.n = A, np.array(flip), n
+        self.A, self.n = A, n
         self.art0 = n + len(slacks)
         units = slacks + [(i, 1.0) for i in arts]
-        self.units = np.zeros((m, len(units)))  # the unit columns, dense
+        # unit column j is sign * e_row; against B^-1 diag(flip) it reads
+        # column ``row`` times ``flip[row] * sign``
+        self.units = [(i, flip[i] * sign) for i, sign in units]
         self.basis = basis = [0] * m  # the basic column of each row
-        for j, (i, sign) in enumerate(units):  # an artificial overrides a '>=' slack
-            self.units[i, j] = sign
+        for j, (i, _) in enumerate(units):  # an artificial overrides a '>=' slack
             basis[i] = n + j
         n_total = self.barred = n + len(units)
         self.ub = np.empty(n_total)  # upper bounds after the shift to 0
         np.subtract(upper, lower, out=self.ub[:n])
         self.ub[n:] = np.inf
-        self.binv = np.eye(m)
+        self.binv = np.diag(flip)
         self.xB = b  # basic values as Python floats: k is small
-        self.direction = np.ones(n_total)
+        self.direction = np.empty(n_total)
+        self.direction.fill(1.0)
         self.direction[basis] = 0.0
         self.c = np.empty(n_total)  # the phase's objective
         self.s = np.empty(n_total)  # the pricing buffer
@@ -130,21 +139,25 @@ class _Revised:
         """c - c_B B^-1 [flip * A, units], in the pricing buffer."""
         n, s = self.n, self.s
         y = self.cB @ self.binv
-        np.matmul(y * self.flip, self.A, out=s[:n])
-        np.matmul(y, self.units, out=s[n:])
+        np.matmul(y, self.A, out=s[:n])
+        y = y.tolist()
+        s[n:] = [y[i] * sign for i, sign in self.units]  # priced by row: few
         np.subtract(self.c, s, out=s)
         return s
 
     def column(self, e):
         """Column ``e`` of B^-1 [flip * A, units]."""
         if e < self.n:
-            return self.binv @ (self.flip * self.A[:, e])
-        return self.binv @ self.units[:, e - self.n]
+            return self.binv @ self.A[:, e]
+        i, sign = self.units[e - self.n]
+        return self.binv[:, i] * sign
 
     def run(self, max_iter):
         """Pivot to optimality for max c.x; returns ('optimal'|'unbounded',
         iterations). Reduced costs depend only on the basis, so every bound
-        flip of a pricing round shares its buffer; a pivot ends the round."""
+        flip of a pricing round shares its buffer; a pivot ends the round.
+        A round's first candidate is its argmax; ``_entering_order`` yields
+        the rest only after a bound flip."""
         direction, ub, basis, xB = self.direction, self.ub, self.basis, self.xB
         self.cB = cB = self.c[basis]  # the objective's basic entries
         ub_basic = ub[basis].tolist()
@@ -158,18 +171,31 @@ class _Revised:
                 raise SimplexError("simplex iteration cap exceeded (cycling?)")
             s = self.reduced_costs()
             s *= direction  # each column's gain: eligible where s > tol
-            entered = False
-            for e in _entering_order(s, bland):
-                entered = True
+            if bland:
+                order = _entering_order(s, True)
+                e = next(order, -1)
+            else:
+                order = None
+                e = int(s.argmax())
+                if not s[e] > _ENTER_TOL:
+                    e = -1
+            if e < 0:
+                return OPTIMAL, max(iters, rounds)
+            while e >= 0:
                 iters += 1
                 alpha = self.column(e)
                 up = direction[e] > 0  # entering from its lower bound
                 dy = (alpha if up else -alpha).tolist()
 
                 # largest step before a basic variable hits one of its bounds
-                lim = [max(x, 0.0) / d if d > _PIVOT_TOL else
-                       max(u - x, 0.0) / -d if d < -_PIVOT_TOL else math.inf
-                       for d, x, u in zip(dy, xB, ub_basic)]
+                lim = []
+                for d, x, u in zip(dy, xB, ub_basic):
+                    if d > _PIVOT_TOL:
+                        lim.append(max(x, 0.0) / d)
+                    elif d < -_PIVOT_TOL:
+                        lim.append(max(u - x, 0.0) / -d)
+                    else:
+                        lim.append(math.inf)
                 t_row = min(lim, default=math.inf)
                 t_flip = float(ub[e])  # internal lower bounds are all 0
                 t = min(t_row, t_flip)
@@ -181,6 +207,9 @@ class _Revised:
                     xB[:] = [x - t_flip * d for x, d in zip(xB, dy)]
                     direction[e] = -direction[e]
                     s[e] = -s[e]
+                    if order is None:
+                        order = _entering_order(s, False)
+                    e = next(order, -1)
                     continue
 
                 if t <= _PIVOT_TOL:
@@ -191,8 +220,11 @@ class _Revised:
                     stall = 0
 
                 # pivot: among limiting rows pick the smallest variable index
-                r = min((i for i, v in enumerate(lim) if v <= t_row + _PIVOT_TOL),
-                        key=basis.__getitem__)
+                cut = t_row + _PIVOT_TOL
+                r = -1
+                for i, v in enumerate(lim):
+                    if v <= cut and (r < 0 or basis[i] < basis[r]):
+                        r = i
                 leaving = basis[r]
                 hit_upper = dy[r] < 0  # leaving variable rose to its upper bound
 
@@ -213,9 +245,6 @@ class _Revised:
                 ub_basic[r] = t_flip
                 direction[e] = 0.0
                 break  # basis changed; reprice
-            else:
-                if not entered:
-                    return OPTIMAL, max(iters, rounds)
 
 
 def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
@@ -245,12 +274,14 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
         return LpResult(INFEASIBLE, None, None, 0)
 
     # shift to zero lower bounds: y = x - l
-    b_shift = (np.array(b) - A @ lower).tolist()
-    const = float(obj @ lower)
+    shifted = lower.any()
+    if shifted:
+        b = (np.array(b) - A @ lower).tolist()
+    const = float(obj @ lower) if shifted else 0.0
 
     # rows with a negative right side are negated, which swaps '<=' and '>='
     flip, rhs, slacks, arts = [], [], [], []
-    for i, ((has_lo, has_hi), b_i) in enumerate(zip(ops, b_shift)):
+    for i, ((has_lo, has_hi), b_i) in enumerate(zip(ops, b)):
         neg = b_i < 0
         flip.append(-1.0 if neg else 1.0)
         rhs.append(-b_i if neg else b_i)
@@ -299,7 +330,7 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
 
     at_upper = lp.direction[:n] < 0
     x = np.where(at_upper, span, 0.0)
-    basic = [(j, v) for j, v in zip(lp.basis, lp.xB) if j < n]
+    basic = sorted((j, v) for j, v in zip(lp.basis, lp.xB) if j < n)
     for j, v in basic:
         x[j] = v
     objective = float(obj @ x) + const
@@ -312,4 +343,5 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
         d[j] = 0.0
     x += lower
     return LpResult(OPTIMAL, x, objective, total_iters,
-                    reduced_costs=d, at_upper=at_upper)
+                    reduced_costs=d, at_upper=at_upper,
+                    basic=np.array([j for j, _ in basic], dtype=np.intp))

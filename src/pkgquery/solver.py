@@ -46,32 +46,57 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _round_candidates(x: np.ndarray, frac_idx: np.ndarray, lo: np.ndarray,
+def _round_candidates(x: np.ndarray, frac_idx, lo: np.ndarray,
                       hi: np.ndarray, A: np.ndarray, row_lo: np.ndarray,
                       row_hi: np.ndarray, c: np.ndarray):
-    """Best feasible floor/ceil rounding of an LP point's fractional support.
+    """Best feasible floor/ceil rounding of an LP point's fractional
+    entries ``frac_idx`` (ascending); every other entry of ``x`` is integral.
 
     A basic LP solution has at most one fractional variable per constraint
-    row, so the 2^f combinations stay tiny and are scored all at once as
-    deltas from the all-floor base. Ties go to the lowest combination
-    number. Returns the best vector in the caller's objective sense, or None.
+    row, so the 2^f combinations stay tiny and are scored on Python floats
+    as deltas from the all-floor base. Ties go to the lowest combination
+    number (bit j set: entry frac_idx[j] rounds up). Returns the best
+    vector in the caller's objective sense, or None.
     """
     f = len(frac_idx)
     if f > 12:
         return None
-    floor = np.floor(x[frac_idx])
-    base = np.round(x)  # near-integral entries become exactly integral
+    floor = [math.floor(v) for v in x[frac_idx].tolist()]
+    base = x.copy()
     base[frac_idx] = floor
-    bits = ((np.arange(1 << f)[:, None] >> np.arange(f)) & 1).astype(np.float64)
-    cand = floor + bits  # one row per combination
-    lhs = (A @ base)[:, None] + A[:, frac_idx] @ bits.T  # rows x combinations
-    ok = ((cand >= lo[frac_idx]) & (cand <= hi[frac_idx])).all(axis=1)
-    ok &= ((lhs <= (row_hi + _FEASIBILITY_TOL)[:, None])
-           & (lhs >= (row_lo - _FEASIBILITY_TOL)[:, None])).all(axis=0)
-    if not ok.any():
+    lhs0 = (A @ base).tolist()
+    val0 = float(c @ base)
+    # bit j may be clear only if the floor lies in the box, set only if the ceil does
+    must_up = no_up = 0
+    for j, (i, fl) in enumerate(zip(frac_idx, floor)):
+        if not lo[i] <= fl <= hi[i]:
+            must_up |= 1 << j
+        if not lo[i] <= fl + 1 <= hi[i]:
+            no_up |= 1 << j
+    cols = A[:, frac_idx].T.tolist()  # per fractional entry, its row coefficients
+    c_f = c[frac_idx].tolist()
+    bounds = [(l - _FEASIBILITY_TOL, b, h + _FEASIBILITY_TOL)
+              for l, b, h in zip(row_lo.tolist(), lhs0, row_hi.tolist())]
+    # each combination's deltas: its highest bit added to those of the rest
+    deltas = [([0.0] * len(lhs0), 0.0)]
+    best, best_val = -1, -math.inf
+    for combo in range(1 << f):
+        if combo:
+            high = combo.bit_length() - 1
+            rows, val = deltas[combo ^ (1 << high)]
+            deltas.append(([d + a for d, a in zip(rows, cols[high])], val + c_f[high]))
+        if combo & no_up or combo & must_up != must_up:
+            continue
+        rows, val = deltas[combo]
+        val += val0
+        if val > best_val and all(lo_i <= b + d <= hi_i
+                                  for (lo_i, b, hi_i), d in zip(bounds, rows)):
+            best, best_val = combo, val
+    if best < 0:
         return None
-    val = np.where(ok, float(c @ base) + bits @ c[frac_idx], -np.inf)
-    base[frac_idx] = cand[int(np.argmax(val))]
+    for j in range(f):
+        if best >> j & 1:
+            base[frac_idx[j]] += 1.0
     return base
 
 
@@ -79,13 +104,14 @@ def _objective_grid(c: np.ndarray) -> Optional[float]:
     """Largest power-of-two grid (down to 2^-24) that every objective
     coefficient lies on exactly, or None. Integer coefficients yield 1.0."""
     scaled = np.abs(c)
-    if not scaled.max(initial=0.0) <= 1e12:  # also catches nan
+    scaled *= 2.0 ** 24  # exact
+    if not (scaled <= 2.0 ** 24 * 1e12).all():  # below 2^64; also catches nan
         return None
-    scaled *= 2.0 ** 24  # exact, and below 2^64
-    if not np.all(scaled == np.rint(scaled)):
+    ints = scaled.astype(np.uint64)
+    if not (ints == scaled).all():  # off the 2^-24 grid
         return None
     # the grid is 2^-24 times the lowest set bit any scaled value has
-    low = int(np.bitwise_or.reduce(scaled.astype(np.uint64)))
+    low = int(np.bitwise_or.reduce(ints))
     if low == 0:
         return 1.0
     return 2.0 ** -(24 - min((low & -low).bit_length() - 1, 24))
@@ -116,7 +142,9 @@ class _Search:
         self.best_val = -math.inf
         self.best_x: Optional[np.ndarray] = None
         self.hit_limit = False
-        self.set_box(np.zeros(m.n_vars), m.upper.copy())
+        # integral bounds, as brute_force reads them: an integer variable
+        # loses nothing, and every nonbasic LP value is then integral
+        self.set_box(np.zeros(m.n_vars), np.floor(m.upper + 1e-9))
 
     def set_box(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Make [lo, hi] (model coordinates) the box and build its core."""
@@ -168,8 +196,6 @@ class _Search:
             self.hit_limit = True
             return None
         self.stats.nodes += 1
-        if np.any(lo > hi):
-            return None
         res = lp_solve(self.c, self.A, self.row_lo, self.row_hi, lo, hi)
         self.stats.lp_iterations += res.iterations
         if res.status == INFEASIBLE:
@@ -180,16 +206,22 @@ class _Search:
         bound = self.snap(res.objective + self.const)
         if bound <= self.best_val + _BOUND_TOL:
             return None
-        x = res.x
-        frac_idx = np.nonzero(np.abs(x - np.round(x)) > _INTEGRALITY_TOL)[0]
-        if len(frac_idx) == 0:
-            vec = np.round(x)
+        # the box is integral, so only basic entries can be fractional
+        vec = res.x.copy()
+        frac_idx = []
+        for j, v in zip(res.basic.tolist(), res.x[res.basic].tolist()):
+            r = round(v)
+            if abs(v - r) > _INTEGRALITY_TOL:
+                frac_idx.append(j)
+            else:
+                vec[j] = r
+        if not frac_idx:
             # integral solutions beneath a node never beat its bound
             if float(self.c @ vec) + self.const > bound + 1e-6:
                 raise SolverError("integral LP point exceeds its node bound")
             self.offer(vec)
             return None
-        rounded = _round_candidates(x, frac_idx, lo, hi, self.A, self.row_lo,
+        rounded = _round_candidates(vec, frac_idx, lo, hi, self.A, self.row_lo,
                                     self.row_hi, self.c)
         if rounded is not None:
             self.offer(rounded)
@@ -221,14 +253,17 @@ class _Search:
         stack = []
         while True:
             if res is not None:
-                x = res.x
-                frac = np.abs(x - np.round(x))
-                frac[frac <= _INTEGRALITY_TOL] = -1.0
-                j = int(np.argmax(frac))  # argmax keeps the lowest index on ties
+                # the most fractional basic entry; the lowest index on ties
+                j, most = -1, _INTEGRALITY_TOL
+                for i, v in zip(res.basic.tolist(), res.x[res.basic].tolist()):
+                    frac = abs(v - round(v))
+                    if frac > most:
+                        j, most = i, frac
+                v = float(res.x[j])
                 down_hi = hi.copy()
-                down_hi[j] = math.floor(x[j])
+                down_hi[j] = math.floor(v)
                 up_lo = lo.copy()
-                up_lo[j] = math.ceil(x[j])
+                up_lo[j] = math.ceil(v)
                 stack.append((up_lo, hi))
                 stack.append((lo, down_hi))  # LIFO: round-down child first
             if not stack or self.hit_limit:
@@ -252,7 +287,7 @@ def solve(m: IlpModel, time_limit: float = 3600.0) -> SolveResult:
         raise SolverError(f"time limit must be >= 0 seconds, got {time_limit}")
     if m.n_vars == 0:
         return _empty_model_result(m)
-    if not np.all(np.isfinite(m.upper)):
+    if not np.isfinite(m.upper).all():
         raise SolverError("solve requires finite variable bounds; run derive_bounds")
 
     s = _Search(m, time_limit)

@@ -286,12 +286,13 @@ def test_criterion_7_speedup_trend(speedup_fixture):
     med_s = statistics.median(sr_times)
     med_ratio = statistics.median(ratios)
     elapsed = time.perf_counter() - t0
-    assert med_s <= 0.5 * med_d, f"median {med_s:.1f}ms vs direct {med_d:.1f}ms"
+    assert med_s <= 0.5 * med_d, (f"median {med_s:.2f}ms vs direct {med_d:.2f}ms, "
+                                  f"ratio {med_s / med_d:.3f}")
     assert med_ratio <= 2.0, f"median approximation ratio {med_ratio}"
     assert elapsed <= 600, f"criterion 7 took {elapsed:.0f}s"
-    _report(7, f"sketch-based median {med_s:.1f}ms <= 0.5 x direct median "
-               f"{med_d:.1f}ms on the 50k-row workload; median ratio "
-               f"{med_ratio:.3f} (elapsed {elapsed:.0f}s)")
+    _report(7, f"sketch-based median {med_s:.2f}ms <= 0.5 x direct median "
+               f"{med_d:.2f}ms (ratio {med_s / med_d:.3f}) on the 50k-row workload; "
+               f"median approximation ratio {med_ratio:.3f} (elapsed {elapsed:.0f}s)")
 
 
 def test_criterion_8_tau_sweep_u_shape(speedup_fixture):

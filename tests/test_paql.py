@@ -276,3 +276,40 @@ class TestValidate:
         q = parse("SELECT PACKAGE(R) AS P FROM Recipes R WHERE R.kcal = 'free'")
         with pytest.raises(ValidationError, match="string"):
             validate(q, SCHEMA)
+
+
+_KEYWORD_CASES = st.sampled_from(sorted(paql._KEYWORDS)).flatmap(
+    lambda kw: st.lists(st.booleans(), min_size=len(kw), max_size=len(kw)).map(
+        lambda ups: "".join(ch.upper() if up else ch.lower() for ch, up in zip(kw, ups))))
+_NUMBERS = st.builds(
+    lambda whole, frac, exp: whole + frac + exp,
+    st.sampled_from(["", "0", "7", "12"]),
+    st.sampled_from(["", ".", ".5", ".25"]),
+    st.sampled_from(["", "e3", "E-2", "e+10", "e"]))
+_PIECES = st.one_of(
+    _KEYWORD_CASES,
+    st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,5}", fullmatch=True),
+    _NUMBERS,
+    st.lists(st.sampled_from(["a", "b", " ", "''", "\n"]), max_size=4).map(
+        lambda parts: "'" + "".join(parts) + "'"),
+    st.sampled_from(["<=", ">=", "!=", "<>", "<", ">", "=", "(", ")", ",", ".",
+                     "*", ";", "+", "-"]),
+    st.sampled_from(["@", "#", "$", "?", '"', "!", "'", "\\", "é"]),  # stray
+)
+_SPACES = st.text(alphabet=" \t\n\r\x0b\x0c\x1c  ", max_size=3)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.lists(st.tuples(_SPACES, _PIECES), max_size=12), _SPACES)
+def test_tokenizer_matches_reference(pieces, tail):
+    from helpers import tokenize_reference
+
+    text = "".join(space + piece for space, piece in pieces) + tail
+    try:
+        want = tokenize_reference(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            paql._tokenize(text)
+        assert (err.value.line, err.value.col, str(err.value)) == (exc.line, exc.col, str(exc))
+        return
+    assert paql._tokenize(text) == want

@@ -360,3 +360,111 @@ def _check_against_highs(lp, ops):
     assert np.all(x[up] == hi[up])
     # at most one basic (possibly fractional) column per row
     assert np.count_nonzero((x > lo) & (x < hi)) <= len(ops)
+
+
+def _shaped_lp(seed):
+    """A package-shaped LP: k = 0-5 COUNT, SUM, AVG-style and window rows
+    ('<=', '>=', '=' and a '>='/'<=' pair) over 1 to about 3,200 columns;
+    right sides that go negative after the shift, so rows flip; REPEAT 0 or
+    finite caps as upper bounds, and branch-and-bound child boxes with
+    nonzero lower bounds; values on the 1/64 grid or unquantized."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, 6))
+    n = int(np.exp(rng.uniform(0.0, np.log(3_200))))
+    quantized = bool(rng.integers(0, 2))
+
+    def values():
+        v = rng.uniform(0.5, 2.0, size=n)
+        return np.round(v * 64) / 64 if quantized else v
+
+    size = float(rng.integers(1, 12))
+    rows, ops, rhs = [], [], []
+    while len(rows) < k:
+        shape = int(rng.integers(0, 3))
+        if shape == 0:  # COUNT
+            a, center = np.ones(n), size
+        elif shape == 1:  # SUM
+            a, center = values(), 1.25 * size
+        else:  # AVG(a) op v, as SUM(a - v) op 0; a negative side flips
+            a, center = values() - float(rng.uniform(0.8, 1.6)), float(rng.uniform(-2, 2))
+        op = str(rng.choice(["<=", ">=", "=", "window"]))
+        if op == "window" and len(rows) + 2 <= k:
+            rows += [a, a]
+            ops += [">=", "<="]
+            rhs += [center - float(rng.uniform(0, 2)), center + float(rng.uniform(0, 2))]
+        else:
+            rows.append(a)
+            ops.append("=" if op == "window" else op)
+            rhs.append(center * float(rng.uniform(0.5, 1.5)))
+    A = np.array(rows).reshape(k, n)
+    repeat = int(rng.integers(0, 3))
+    hi = (np.ones(n) if repeat == 0 else
+          rng.integers(1, 2 + 2 * repeat, size=n).astype(float))
+    lo = np.zeros(n)
+    if rng.integers(0, 2):  # a child box: some bounds moved by branching
+        moved = rng.random(n) < 0.3
+        lo[moved] = np.minimum(hi[moved], rng.integers(0, 3, size=n)[moved])
+        pinned = rng.random(n) < 0.1
+        hi[pinned] = lo[pinned]
+    c = values() * float(rng.choice([1.0, -1.0]))
+    if rng.integers(0, 8) == 0:
+        c = np.zeros(n)  # a vacuous objective
+    return c, A, *row_bounds(ops, rhs), lo, hi
+
+
+def _same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRevisedIdentity:
+    """``lp_solve`` gives the same LpResult, bit for bit, as the revised
+    simplex before B^-1 absorbed the row signs (tests/helpers.py)."""
+
+    def test_matches_reference(self):
+        from helpers import lp_solve_reference
+
+        statuses = set()
+        for seed in range(120):
+            lp = _shaped_lp(seed)
+            got, want = lp_solve(*lp), lp_solve_reference(*lp)
+            statuses.add(want.status)
+            assert got.status == want.status, seed
+            assert got.iterations == want.iterations, seed
+            assert _same_bits(got.objective, want.objective), seed
+            for field in ("x", "reduced_costs", "at_upper"):
+                assert _same_bits(getattr(got, field), getattr(want, field)), (seed, field)
+        assert statuses == {OPTIMAL, INFEASIBLE}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference_on_flip_heavy_lps(self, seed):
+        from helpers import lp_solve_reference
+
+        lp = _flip_heavy_lp(seed)
+        got, want = lp_solve(*lp), lp_solve_reference(*lp)
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        for field in ("x", "objective", "reduced_costs", "at_upper"):
+            assert _same_bits(getattr(got, field), getattr(want, field)), field
+
+
+class TestBasis:
+    def test_basic_columns_and_bounds(self):
+        checked = 0
+        for seed in range(120):
+            c, A, row_lo, row_hi, lo, hi = _shaped_lp(seed)
+            res = lp_solve(c, A, row_lo, row_hi, lo, hi)
+            if res.status != OPTIMAL:
+                assert res.basic is None
+                continue
+            checked += 1
+            basic = res.basic.tolist()
+            assert basic == sorted(set(basic)) and len(basic) <= len(A)
+            assert all(0 <= j < len(c) for j in basic)
+            rest = np.ones(len(c), dtype=bool)
+            rest[basic] = False
+            x = res.x[rest]
+            assert np.all((x == lo[rest]) | (x == hi[rest]))
+            assert np.array_equal(x == hi[rest], res.at_upper[rest] | (lo[rest] == hi[rest]))
+        assert checked > 60

@@ -349,3 +349,25 @@ def test_round_candidates_matches_reference(seed):
     assert (got is None) == (want is None)
     if want is not None:
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model", [
+    # no rows: the LP point sits at the fractional upper bounds, off the basis
+    IlpModel(np.arange(3), np.array([2.5, 1.75, 0.5]), np.zeros((0, 3)),
+             np.zeros(0), np.zeros(0), np.array([1.0, 2.0, 3.0]), True),
+    # a knapsack row and a minimized cover row over fractional caps
+    IlpModel(np.arange(4), np.array([1.5, 2.25, 3.999, 0.75]),
+             np.array([[2.0, 3.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]),
+             np.array([-np.inf, 3.0]), np.array([9.5, np.inf]),
+             np.array([3.0, 4.0, 1.0, 5.0]), True),
+    IlpModel(np.arange(4), np.array([1.5, 2.25, 3.999, 0.75]),
+             np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([4.0]), np.array([np.inf]),
+             np.array([3.0, 4.0, 1.0, 5.0]), False),
+], ids=["no-rows", "knapsack", "cover"])
+def test_fractional_upper_bounds_match_brute_force(model):
+    # only the basic LP entries are read as fractional, so the root box
+    # must be integral: its upper bounds are floored as brute_force floors them
+    res, oracle = solve(model), brute_force(model)
+    assert res.status == oracle.status == "optimal"
+    assert res.objective == oracle.objective
+    assert res.x.tolist() == oracle.x.tolist()
