@@ -57,10 +57,9 @@ from .ilp import (
     derive_bounds,
     feasible,
     ilp_to_paql,
-    model_from_raw,
     translate,
 )
-from .solver import SolveResult, SolverError, brute_force, solve
+from .solver import SolveResult, SolverError, solve
 from .partitioning import (
     PartitionError,
     Partitioning,

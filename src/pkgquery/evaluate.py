@@ -428,7 +428,7 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
     if not q.validated:
         raise EvalError("query must be validated")
     if q.base_predicate is not None:
-        p = restrict_to_ids(p, apply_base_predicate(rel, q.base_predicate))
+        p = restrict_to_ids(p, rel, apply_base_predicate(rel, q.base_predicate))
     ctx = _Context(cfg, solver_fn)
     status, entries, objective = INFEASIBLE, None, None
     try:

@@ -1,4 +1,4 @@
-"""Synthetic datasets, randomized query workloads, and raw ILP instances.
+"""Synthetic datasets and randomized query workloads.
 
 Workload queries follow the benchmark recipe: REPEAT 0, a COUNT >= 1
 guard, and SUM constraints whose bounds are drawn uniformly from the
@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import paql
-from .ilp import RawIlp
 from .relation import Relation, from_columns
 
 
@@ -149,26 +148,6 @@ def gen_workload(rel: Relation, count: int, seed: int, expected_size: int = 5,
         )
         queries.append(paql.validate(q, rel.schema))
     return queries
-
-
-def gen_raw_ilp(seed: int) -> RawIlp:
-    """Random small integer program, always bounded.
-
-    It has 1-10 variables and 1-4 constraints, with integer coefficients
-    in [-5, 5]. One constraint row is a cardinality cap (all-ones
-    coefficients with a bound of 1-3) so that every variable has a
-    derivable finite upper bound.
-    """
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 11))
-    k = int(rng.integers(1, 5))
-    a = rng.integers(-5, 6, size=n).astype(float)
-    b = rng.integers(-5, 6, size=(n, k)).astype(float)
-    c = rng.integers(-3, 16, size=k).astype(float)
-    bound_j = int(rng.integers(0, k))
-    b[:, bound_j] = 1.0
-    c[bound_j] = float(rng.integers(1, 4))
-    return RawIlp(tuple(a), tuple(tuple(row) for row in b), tuple(c))
 
 
 def queries_to_files(queries: Sequence[paql.PackageQuery], out_dir) -> list[str]:

@@ -247,7 +247,7 @@ def package_from_solution(m: IlpModel, x: Sequence[float]) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Generic-ILP reduction (test generator)
+# Generic-ILP reduction: the `pkgquery gen --from-ilp` file format
 
 
 @dataclass(frozen=True)
@@ -319,14 +319,3 @@ def ilp_to_paql(raw: RawIlp) -> tuple[Relation, paql.PackageQuery]:
             paql.MAXIMIZE, paql.AggregateExpr(paql.SUM, attr="attr_obj")),
     )
     return rel, paql.validate(q, rel.schema)
-
-
-def model_from_raw(raw: RawIlp) -> IlpModel:
-    """Direct model of a RawIlp, bypassing the query layer (oracle path)."""
-    n, k = raw.n, raw.k
-    cols = np.asarray(raw.b, dtype=np.float64).reshape(n, k)
-    return IlpModel(
-        np.arange(n, dtype=np.int64), np.full(n, np.inf),
-        np.ascontiguousarray(cols.T), np.full(k, -np.inf),
-        np.asarray(raw.c, dtype=np.float64), np.asarray(raw.a, dtype=np.float64),
-        maximize=True)

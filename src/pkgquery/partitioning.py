@@ -15,7 +15,9 @@ maximization objectives and eps / (1 + eps) for minimization.
 A partitioning is saved as a JSON object of format version 2, whose
 ``gids`` field packs the gid column as base64 of little-endian unsigned
 ints just wide enough for m groups. Loading accepts version 2 only and
-asks for a rebuild with ``pkgquery partition`` otherwise.
+asks for a rebuild with ``pkgquery partition`` otherwise. A partitioning
+keeps no copy of the data: whatever needs the members' values reads them
+from the relation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import base64
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -75,18 +77,21 @@ class Partitioning:
     radii: np.ndarray
     representatives: np.ndarray  # m x k
     degenerate: frozenset[int]   # 0-based group indices violating conditions
-    points: np.ndarray = field(repr=False)  # n x k source matrix over attrs
 
     @property
     def m(self) -> int:
         return len(self.groups)
 
 
-def _attr_matrix(rel: Relation, attrs: Sequence[str]) -> np.ndarray:
+def _require_numeric(rel: Relation, attrs: Sequence[str]) -> None:
     for attr in attrs:
         if rel.schema.kind_of(attr) != NUMERIC:
             raise PartitionError(
                 f"partitioning attribute {attr!r} is not numeric")
+
+
+def _attr_matrix(rel: Relation, attrs: Sequence[str]) -> np.ndarray:
+    _require_numeric(rel, attrs)
     if rel.n == 0:
         return np.zeros((0, len(attrs)))
     return np.column_stack([rel.column(a) for a in attrs])
@@ -96,12 +101,6 @@ def _radius(sub: np.ndarray, centroid: np.ndarray) -> float:
     """Largest per-attribute absolute deviation from the centroid."""
     dev = sub - centroid
     return float(np.abs(dev, out=dev).max())
-
-
-def _group_stats(points: np.ndarray, ids: np.ndarray):
-    sub = points[ids]
-    centroid = sub.mean(axis=0)
-    return centroid, _radius(sub, centroid) if len(ids) else 0.0
 
 
 def partition(rel: Relation, params: PartitionParams) -> Partitioning:
@@ -153,8 +152,7 @@ def partition(rel: Relation, params: PartitionParams) -> Partitioning:
         attrs=params.attrs, tau=params.tau, omega=params.omega, gid=gid,
         groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
         radii=np.asarray(radii), degenerate=frozenset(degenerate),
-        representatives=np.asarray(reps).reshape(len(final), k),
-        points=points)
+        representatives=np.asarray(reps).reshape(len(final), k))
 
 
 def radius_limit_from_epsilon(representatives: np.ndarray, epsilon: float,
@@ -205,21 +203,24 @@ def partition_with_epsilon(rel: Relation, attrs: Sequence[str], tau: int,
         if omega <= required * (1 + 1e-12) + 1e-300:
             return p
         omega = required
-    data_min = float(p.points.min()) if p.points.size else 0.0
-    if data_min > 0:
-        gamma = epsilon if direction == MAXIMIZE_DIRECTION else epsilon / (1 + epsilon)
-        omega = gamma * float(np.abs(p.points).min())
+    # the loop above has partitioned a non-empty relation
+    points = _attr_matrix(rel, attrs)
+    if points.min() > 0:
+        omega = radius_limit_from_epsilon(points, epsilon, direction)
         return partition(rel, PartitionParams(attrs, tau, omega))
     return p
 
 
-def restrict_to_ids(p: Partitioning, keep_ids: Sequence[int]) -> Partitioning:
+def restrict_to_ids(p: Partitioning, rel: Relation,
+                    keep_ids: Sequence[int]) -> Partitioning:
     """Partitioning over a tuple subset, keeping the original id space.
 
     Group memberships are preserved for survivors; centroids, radii, and
-    sizes are recomputed; empty groups are dropped. A surviving group whose
-    recomputed radius exceeds the stored limit is flagged degenerate (the
-    centroid may move when members are removed)."""
+    sizes are recomputed from ``rel``, the relation ``p`` partitions; empty
+    groups are dropped. A surviving group whose recomputed radius exceeds
+    the stored limit is flagged degenerate (the centroid may move when
+    members are removed)."""
+    cols = [rel.column(a) for a in p.attrs]
     keep = np.zeros(len(p.gid), dtype=bool)
     keep[np.asarray(keep_ids, dtype=np.int64)] = True
     gid = np.zeros(len(p.gid), dtype=np.int64)
@@ -229,7 +230,9 @@ def restrict_to_ids(p: Partitioning, keep_ids: Sequence[int]) -> Partitioning:
         if len(members) == 0:
             continue
         g = len(groups)
-        centroid, radius = _group_stats(p.points, members)
+        sub = np.column_stack([col[members] for col in cols])
+        centroid = sub.mean(axis=0)
+        radius = _radius(sub, centroid)
         gid[members] = g + 1
         groups.append(members)
         sizes.append(len(members))
@@ -241,8 +244,7 @@ def restrict_to_ids(p: Partitioning, keep_ids: Sequence[int]) -> Partitioning:
         attrs=p.attrs, tau=p.tau, omega=p.omega, gid=gid,
         groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
         radii=np.asarray(radii), degenerate=frozenset(degenerate),
-        representatives=np.asarray(reps).reshape(len(groups), len(p.attrs)),
-        points=p.points)
+        representatives=np.asarray(reps).reshape(len(groups), len(p.attrs)))
 
 
 def group_means(p: Partitioning, rel: Relation,
@@ -321,7 +323,7 @@ def load_partitioning(path, rel: Relation) -> Partitioning:
         raise PartitionError(
             f"{path}: gid column covers {covers}, relation has {rel.n}")
     packed = np.frombuffer(raw, dtype=width)
-    points = _attr_matrix(rel, attrs)
+    _require_numeric(rel, attrs)  # as partition requires of its attrs
     # one stable sort keeps each group's members in ascending id order
     # (numpy sorts keys of at most 16 bits by radix); gids outside 1..m
     # (0 = not covered) join no group
@@ -335,4 +337,4 @@ def load_partitioning(path, rel: Relation) -> Partitioning:
     return Partitioning(
         attrs=attrs, tau=tau, omega=omega, gid=packed.astype(np.int64),
         groups=groups, sizes=sizes, radii=radii, representatives=reps,
-        degenerate=degenerate, points=points)
+        degenerate=degenerate)

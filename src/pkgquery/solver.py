@@ -1,10 +1,8 @@
-"""Exact ILP solving: branch-and-bound and a brute-force oracle.
+"""Exact ILP solving by branch-and-bound over the LP relaxation.
 
 ``solve`` is the default black-box solver behind both evaluation methods;
 anything with the same (IlpModel, time limit in seconds) -> SolveResult
-signature can stand in for it. ``brute_force`` enumerates the whole
-multiplicity box and is the independent oracle used throughout the test
-suite.
+signature can stand in for it.
 """
 
 from __future__ import annotations
@@ -117,12 +115,6 @@ def _objective_grid(c: np.ndarray) -> Optional[float]:
     return 2.0 ** -(24 - min((low & -low).bit_length() - 1, 24))
 
 
-def _empty_model_result(m: IlpModel) -> SolveResult:
-    if not feasible(m, np.zeros(0)):
-        return SolveResult(STATUS_INFEASIBLE, None, None)
-    return SolveResult(STATUS_OPTIMAL, np.zeros(0), 0.0)
-
-
 class _Search:
     """Branch-and-bound state in maximize space.
 
@@ -142,8 +134,8 @@ class _Search:
         self.best_val = -math.inf
         self.best_x: Optional[np.ndarray] = None
         self.hit_limit = False
-        # integral bounds, as brute_force reads them: an integer variable
-        # loses nothing, and every nonbasic LP value is then integral
+        # integral bounds: an integer variable loses nothing, and every
+        # nonbasic LP value is then integral
         self.set_box(np.zeros(m.n_vars), np.floor(m.upper + 1e-9))
 
     def set_box(self, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -286,7 +278,9 @@ def solve(m: IlpModel, time_limit: float = 3600.0) -> SolveResult:
     if not time_limit >= 0:  # NaN included: it would never expire
         raise SolverError(f"time limit must be >= 0 seconds, got {time_limit}")
     if m.n_vars == 0:
-        return _empty_model_result(m)
+        if not feasible(m, np.zeros(0)):
+            return SolveResult(STATUS_INFEASIBLE, None, None)
+        return SolveResult(STATUS_OPTIMAL, np.zeros(0), 0.0)
     if not np.isfinite(m.upper).all():
         raise SolverError("solve requires finite variable bounds; run derive_bounds")
 
@@ -301,57 +295,3 @@ def solve(m: IlpModel, time_limit: float = 3600.0) -> SolveResult:
         return SolveResult(status, None, None, s.stats)
     status = STATUS_TIME_LIMIT if s.hit_limit else STATUS_OPTIMAL
     return SolveResult(status, s.best_x, s.sign * s.best_val, s.stats)
-
-
-_BRUTE_SPACE_LIMIT = 10_000_000
-_CHUNK = 1 << 18
-
-
-def brute_force(m: IlpModel) -> SolveResult:
-    """Exhaustive enumeration of every multiplicity vector in the bound box.
-
-    Independent of the LP machinery; requires the search space to hold at
-    most 10^7 vectors. Ties keep the enumeration-first vector (all-zeros
-    first), matching the solver's vacuous-objective behavior.
-    """
-    if m.n_vars == 0:
-        return _empty_model_result(m)
-    if not np.all(np.isfinite(m.upper)):
-        raise SolverError("brute_force requires finite variable bounds")
-    hi = np.floor(m.upper + 1e-9).astype(np.int64)
-    if np.any(hi < 0):
-        return SolveResult(STATUS_INFEASIBLE, None, None)
-    sizes = hi + 1
-    space = float(np.prod(sizes.astype(np.float64)))
-    if space > _BRUTE_SPACE_LIMIT:
-        raise SolverError(
-            f"search space too large for brute force ({space:.3g} > "
-            f"{_BRUTE_SPACE_LIMIT})")
-    total = int(round(space))
-
-    n = m.n_vars
-    strides = np.ones(n, dtype=np.int64)
-    for j in range(n - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-    sign = 1.0 if m.maximize else -1.0
-
-    best_val = -math.inf
-    best_x = None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        Xf = ((idx[:, None] // strides[None, :]) % sizes[None, :]).astype(np.float64)
-        ok = np.ones(len(idx), dtype=bool)
-        for a, row_lo, row_hi in zip(m.rows, m.row_lo, m.row_hi):
-            lhs = Xf @ a
-            ok &= (lhs <= row_hi + 1e-9) & (lhs >= row_lo - 1e-9)
-        if not ok.any():
-            continue
-        vals = sign * (Xf[ok] @ m.objective)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_x = Xf[ok][k]
-    stats = SolveStats(nodes=total)
-    if best_x is None:
-        return SolveResult(STATUS_INFEASIBLE, None, None, stats)
-    return SolveResult(STATUS_OPTIMAL, best_x, sign * best_val, stats)

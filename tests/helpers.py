@@ -3,14 +3,19 @@
 Everything here evaluates queries by direct aggregation with exact
 rational arithmetic, deliberately bypassing the translation and solver
 machinery it is used to check; ``highs_optimum`` solves a translated model
-with scipy's HiGHS instead of the engine's solver. ``reference_load_csv``
+with scipy's HiGHS instead of the engine's solver, and ``brute_force``
+enumerates every multiplicity vector in a model's bound box.
+``gen_raw_ilp`` draws small random ILP instances and ``model_from_raw``
+builds their models without the query layer. ``reference_load_csv``
 reads a CSV file cell by cell with ``csv.reader`` and ``float()``. The
 engine has no use for the last three: ``lp_relax`` (a model's LP bound in
 its own sense), ``verify_result`` (a solve's vector checked against its
 model) and ``var_index`` (tuple id -> variable position).
 ``partition_reference`` is the quad-tree split loop as it stood before
 ``partition`` gathered each node's points once and sorted narrow codes;
-``partition`` must return exactly what it returns.
+``partition`` must return exactly what it returns. ``restrict_reference``
+is ``restrict_to_ids`` as it stood when a partitioning kept an n x k copy
+of its attributes' values; ``restrict_to_ids`` must agree with it exactly.
 ``lp_solve_reference`` is the revised simplex as it stood before the basis
 inverse absorbed the row signs and ``LpResult`` carried its basis, and
 ``tokenize_reference`` the PaQL tokenizer before whitespace was folded into
@@ -28,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from pkgquery import paql
-from pkgquery.ilp import feasible
+from pkgquery.ilp import IlpModel, RawIlp, feasible
 from pkgquery.partitioning import (
     PartitionError,
     PartitionParams,
@@ -36,6 +41,13 @@ from pkgquery.partitioning import (
     _attr_matrix,
 )
 from pkgquery.relation import CATEGORICAL, NUMERIC, Relation, RelationError, Schema
+from pkgquery.solver import (
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    SolveResult,
+    SolverError,
+    SolveStats,
+)
 from pkgquery.simplex import (
     _ARGMAX_PICKS,
     _ENTER_TOL,
@@ -253,6 +265,93 @@ def var_index(m) -> dict:
     return {int(t): i for i, t in enumerate(m.var_ids)}
 
 
+_BRUTE_SPACE_LIMIT = 10_000_000
+_CHUNK = 1 << 18
+
+
+def brute_force(m: IlpModel) -> SolveResult:
+    """Exhaustive enumeration of every multiplicity vector in the bound box.
+
+    Independent of the LP machinery; requires the search space to hold at
+    most 10^7 vectors. Ties keep the enumeration-first vector (all-zeros
+    first), matching the solver's vacuous-objective behavior.
+    """
+    if m.n_vars == 0:
+        if not feasible(m, np.zeros(0)):
+            return SolveResult(STATUS_INFEASIBLE, None, None)
+        return SolveResult(STATUS_OPTIMAL, np.zeros(0), 0.0)
+    if not np.all(np.isfinite(m.upper)):
+        raise SolverError("brute_force requires finite variable bounds")
+    hi = np.floor(m.upper + 1e-9).astype(np.int64)
+    if np.any(hi < 0):
+        return SolveResult(STATUS_INFEASIBLE, None, None)
+    sizes = hi + 1
+    space = float(np.prod(sizes.astype(np.float64)))
+    if space > _BRUTE_SPACE_LIMIT:
+        raise SolverError(
+            f"search space too large for brute force ({space:.3g} > "
+            f"{_BRUTE_SPACE_LIMIT})")
+    total = int(round(space))
+
+    n = m.n_vars
+    strides = np.ones(n, dtype=np.int64)
+    for j in range(n - 2, -1, -1):
+        strides[j] = strides[j + 1] * sizes[j + 1]
+    sign = 1.0 if m.maximize else -1.0
+
+    best_val = -math.inf
+    best_x = None
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        Xf = ((idx[:, None] // strides[None, :]) % sizes[None, :]).astype(np.float64)
+        ok = np.ones(len(idx), dtype=bool)
+        for a, row_lo, row_hi in zip(m.rows, m.row_lo, m.row_hi):
+            lhs = Xf @ a
+            ok &= (lhs <= row_hi + 1e-9) & (lhs >= row_lo - 1e-9)
+        if not ok.any():
+            continue
+        vals = sign * (Xf[ok] @ m.objective)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val = float(vals[k])
+            best_x = Xf[ok][k]
+    stats = SolveStats(nodes=total)
+    if best_x is None:
+        return SolveResult(STATUS_INFEASIBLE, None, None, stats)
+    return SolveResult(STATUS_OPTIMAL, best_x, sign * best_val, stats)
+
+
+def gen_raw_ilp(seed: int) -> RawIlp:
+    """Random small integer program, always bounded.
+
+    It has 1-10 variables and 1-4 constraints, with integer coefficients
+    in [-5, 5]. One constraint row is a cardinality cap (all-ones
+    coefficients with a bound of 1-3) so that every variable has a
+    derivable finite upper bound.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 11))
+    k = int(rng.integers(1, 5))
+    a = rng.integers(-5, 6, size=n).astype(float)
+    b = rng.integers(-5, 6, size=(n, k)).astype(float)
+    c = rng.integers(-3, 16, size=k).astype(float)
+    bound_j = int(rng.integers(0, k))
+    b[:, bound_j] = 1.0
+    c[bound_j] = float(rng.integers(1, 4))
+    return RawIlp(tuple(a), tuple(tuple(row) for row in b), tuple(c))
+
+
+def model_from_raw(raw: RawIlp) -> IlpModel:
+    """Direct model of a RawIlp, bypassing the query layer (oracle path)."""
+    n, k = raw.n, raw.k
+    cols = np.asarray(raw.b, dtype=np.float64).reshape(n, k)
+    return IlpModel(
+        np.arange(n, dtype=np.int64), np.full(n, np.inf),
+        np.ascontiguousarray(cols.T), np.full(k, -np.inf),
+        np.asarray(raw.c, dtype=np.float64), np.asarray(raw.a, dtype=np.float64),
+        maximize=True)
+
+
 def _reference_group_stats(points: np.ndarray, ids: np.ndarray):
     sub = points[ids]
     centroid = sub.mean(axis=0)
@@ -306,8 +405,34 @@ def partition_reference(rel: Relation, params: PartitionParams) -> Partitioning:
         attrs=params.attrs, tau=params.tau, omega=params.omega, gid=gid,
         groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
         radii=np.asarray(radii), degenerate=frozenset(degenerate),
-        representatives=np.asarray(reps).reshape(len(final), k),
-        points=points)
+        representatives=np.asarray(reps).reshape(len(final), k))
+
+
+def restrict_reference(p: Partitioning, points: np.ndarray, keep_ids) -> Partitioning:
+    """``restrict_to_ids`` reading the members' values from ``points``, the
+    n x k matrix of ``p.attrs`` over the relation."""
+    keep = np.zeros(len(p.gid), dtype=bool)
+    keep[np.asarray(keep_ids, dtype=np.int64)] = True
+    gid = np.zeros(len(p.gid), dtype=np.int64)
+    groups, sizes, radii, reps, degenerate = [], [], [], [], set()
+    for members in p.groups:
+        members = members[keep[members]]
+        if len(members) == 0:
+            continue
+        g = len(groups)
+        centroid, radius = _reference_group_stats(points, members)
+        gid[members] = g + 1
+        groups.append(members)
+        sizes.append(len(members))
+        radii.append(radius)
+        reps.append(centroid)
+        if len(members) > p.tau or radius > p.omega * (1 + 1e-12):
+            degenerate.add(g)
+    return Partitioning(
+        attrs=p.attrs, tau=p.tau, omega=p.omega, gid=gid,
+        groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
+        radii=np.asarray(radii), degenerate=frozenset(degenerate),
+        representatives=np.asarray(reps).reshape(len(groups), len(p.attrs)))
 
 
 def _pricing_order_reference(idx, mag, chunk=_PRICE_CHUNK):

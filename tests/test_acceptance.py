@@ -14,7 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import dyadic, package_satisfies, var_index
+from helpers import (
+    brute_force,
+    dyadic,
+    gen_raw_ilp,
+    model_from_raw,
+    package_satisfies,
+    var_index,
+)
 from pkgquery import paql
 from pkgquery.evaluate import (
     FEASIBLE,
@@ -24,11 +31,11 @@ from pkgquery.evaluate import (
     eval_direct,
     eval_sketchrefine,
 )
-from pkgquery.generate import gen_dataset, gen_raw_ilp, gen_workload
-from pkgquery.ilp import derive_bounds, feasible, ilp_to_paql, model_from_raw, translate
+from pkgquery.generate import gen_dataset, gen_workload
+from pkgquery.ilp import derive_bounds, feasible, ilp_to_paql, translate
 from pkgquery.partitioning import PartitionParams, partition, partition_with_epsilon
 from pkgquery.relation import from_columns
-from pkgquery.solver import brute_force, solve
+from pkgquery.solver import solve
 
 
 def q_of(text, rel):
@@ -239,7 +246,7 @@ def test_criterion_6_partitioner_contract():
         attrs = tuple(f"a{j}" for j in range(k))
         p = partition(rel, PartitionParams(attrs, tau, omega))
         assert sorted(np.concatenate(p.groups).tolist()) == list(range(n))
-        pts = p.points
+        pts = np.column_stack([rel.column(a) for a in attrs])
         for g, members in enumerate(p.groups):
             sub = pts[members]
             centroid = sub.mean(axis=0)

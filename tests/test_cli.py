@@ -248,6 +248,21 @@ class TestCli:
                                  "--input", str(csv_path), "--partitioning", str(part_path)],
                         1, message)
 
+    @pytest.mark.parametrize("attr, message", [
+        ("zz", "unknown attribute 'zz'"),
+        ("c", "partitioning attribute 'c' is not numeric"),
+    ])
+    def test_run_partitioning_bad_attribute_exits_1(self, tmp_path, capsys, attr, message):
+        # the file names one attribute, with a representatives column to match
+        csv_path, part_path, qpath = self._small(
+            tmp_path, "SELECT PACKAGE(R) AS P FROM R REPEAT 0 MAXIMIZE SUM(P.a)")
+        saved = json.loads(part_path.read_text())
+        saved.update(attrs=[attr], representatives=[r[:1] for r in saved["representatives"]])
+        part_path.write_text(json.dumps(saved))
+        self._run_error(capsys, ["run", "--method", "sketchrefine", "--query", str(qpath),
+                                 "--input", str(csv_path), "--partitioning", str(part_path)],
+                        1, message)
+
     @pytest.mark.parametrize("attrs, message", [
         ("a,zz", "unknown attribute 'zz'"),
         ("a,c", "attribute 'c' is not numeric"),
@@ -341,9 +356,8 @@ class TestCli:
         assert a.read_text() == b.read_text()
 
     def test_gen_from_ilp_roundtrip(self, tmp_path, capsys, monkeypatch):
-        from pkgquery.generate import gen_raw_ilp
-        from pkgquery.ilp import derive_bounds, model_from_raw, save_raw_ilp, translate
-        from pkgquery.solver import brute_force
+        from helpers import brute_force, gen_raw_ilp, model_from_raw
+        from pkgquery.ilp import derive_bounds, save_raw_ilp, translate
 
         raw = gen_raw_ilp(3)
         ilp_path = tmp_path / "i.json"

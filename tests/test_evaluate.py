@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dyadic, package_satisfies, var_index
+from helpers import brute_force, dyadic, package_satisfies, var_index
 from pkgquery import paql
 from pkgquery.evaluate import (
     FEASIBLE,
@@ -34,7 +34,6 @@ from pkgquery.solver import (
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
     SolveResult,
-    brute_force,
     solve,
 )
 
@@ -520,7 +519,6 @@ class TestHybrid:
                  "SUCH THAT COUNT(P.*) = 1 AND SUM(P.x) BETWEEN 8.5 AND 9.5 "
                  "MAXIMIZE SUM(P.x)", rel)
         gid = np.array([1, 1, 2, 2])
-        p = partition(rel, PartitionParams(("x",), 4))
         # force the adversarial grouping: {1.0, 9.0} and {5.0, 5.0}
         import pkgquery.partitioning as pt
         groups = (np.array([0, 1]), np.array([2, 3]))
@@ -528,7 +526,7 @@ class TestHybrid:
         p = pt.Partitioning(
             attrs=("x",), tau=4, omega=np.inf, gid=gid, groups=groups,
             sizes=np.array([2, 2]), radii=np.array([4.0, 0.0]),
-            representatives=reps, degenerate=frozenset(), points=p.points)
+            representatives=reps, degenerate=frozenset())
         return rel, q, p
 
     def test_hybrid_rescues_outlier(self):

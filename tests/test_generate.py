@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from helpers import brute_force, gen_raw_ilp, model_from_raw
 from pkgquery import paql
 from pkgquery.generate import (
     GenerateError,
     gen_dataset,
-    gen_raw_ilp,
     gen_workload,
     queries_to_files,
 )
-from pkgquery.ilp import derive_bounds, ilp_to_paql, model_from_raw, translate
-from pkgquery.solver import brute_force
+from pkgquery.ilp import derive_bounds, ilp_to_paql, translate
 
 
 class TestDataset:

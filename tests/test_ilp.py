@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dyadic, enumerate_vectors, package_satisfies
+from helpers import (
+    brute_force,
+    dyadic,
+    enumerate_vectors,
+    model_from_raw,
+    package_satisfies,
+)
 from pkgquery import generate, paql
 from pkgquery.ilp import (
     IlpModel,
@@ -16,13 +22,11 @@ from pkgquery.ilp import (
     feasible,
     ilp_to_paql,
     load_raw_ilp,
-    model_from_raw,
     package_from_solution,
     save_raw_ilp,
     translate,
 )
 from pkgquery.relation import Relation, from_columns
-from pkgquery.solver import brute_force
 
 
 def q_of(text, rel):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import partition_reference
+from helpers import partition_reference, restrict_reference
+import pkgquery.partitioning as partitioning
 from pkgquery.partitioning import (
     PartitionError,
     PartitionParams,
@@ -36,7 +37,7 @@ def assert_same(a, b):
     assert len(a.groups) == len(b.groups)
     for mine, theirs in zip(a.groups, b.groups):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
-    for name in ("sizes", "radii", "representatives", "points"):
+    for name in ("sizes", "radii", "representatives"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
     assert a.degenerate == b.degenerate
@@ -66,14 +67,20 @@ def wide_data_rel(n, k, seed):
     return from_columns("D", {f"a{j}": rng.uniform(-1.0, 1.0, n) for j in range(k)})
 
 
-def check_valid(p, tau=None, omega=None):
+def attr_matrix(rel, attrs):
+    """The n x k matrix of a relation's values over ``attrs``."""
+    return np.column_stack([rel.column(a) for a in attrs])
+
+
+def check_valid(p, rel, tau=None, omega=None):
     """Recompute every invariant from raw data."""
+    points = attr_matrix(rel, p.attrs)
     seen = np.concatenate(p.groups) if p.m else np.array([], dtype=np.int64)
     assert len(seen) == len(set(seen.tolist()))  # disjoint
     for g, members in enumerate(p.groups):
         assert np.array_equal(np.sort(members), members)
         assert (p.gid[members] == g + 1).all()
-        sub = p.points[members]
+        sub = points[members]
         centroid = sub.mean(axis=0)
         np.testing.assert_allclose(centroid, p.representatives[g], rtol=1e-9, atol=1e-12)
         radius = np.abs(sub - centroid).max()
@@ -127,7 +134,7 @@ class TestPartition:
         rel = grid_rel(400, 2, seed=3)
         p = partition(rel, PartitionParams(("a0", "a1"), 400, omega=0.2))
         assert p.m > 1
-        check_valid(p, tau=400, omega=0.2)
+        check_valid(p, rel, tau=400, omega=0.2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(10, 300))
@@ -138,7 +145,7 @@ class TestPartition:
         rel = grid_rel(n, k, seed)
         p = partition(rel, PartitionParams(tuple(f"a{j}" for j in range(k)), tau, omega))
         assert sorted(np.concatenate(p.groups).tolist()) == list(range(n))
-        check_valid(p, tau=tau, omega=omega)
+        check_valid(p, rel, tau=tau, omega=omega)
 
 
     @pytest.mark.parametrize("seed", range(120))
@@ -201,9 +208,36 @@ class TestRadiusLimit:
     def test_group_closeness_after_fixed_point(self, eps, direction):
         rel = grid_rel(300, 2, seed=11)
         p = partition_with_epsilon(rel, ("a0", "a1"), 40, eps, direction)
+        points = attr_matrix(rel, p.attrs)
         for g, members in enumerate(p.groups):
             rep = p.representatives[g]
-            vals = p.points[members]
+            vals = points[members]
+            assert np.all(vals >= (1 - eps) * rep - 1e-12)
+            assert np.all(rep >= (1 - eps) * vals - 1e-12)
+
+    @pytest.mark.parametrize("seed, n, k, tau, eps, direction", [
+        (19, 185, 2, 66, 0.6, "max"),
+        (59, 241, 2, 180, 0.6, "min"),
+    ])
+    def test_fallback_to_the_raw_value_limit(self, monkeypatch, seed, n, k, tau,
+                                             eps, direction):
+        # seeds on which the re-partitioning reaches no fixed point, so the
+        # limit falls back to gamma times the smallest raw value
+        rel = grid_rel(n, k, seed, lo=0.05, hi=2.0)
+        attrs = tuple(f"a{j}" for j in range(k))
+        calls = []
+        real_partition = partitioning.partition
+        monkeypatch.setattr(partitioning, "partition",
+                            lambda *args: calls.append(args) or real_partition(*args))
+        p = partition_with_epsilon(rel, attrs, tau, eps, direction)
+        assert len(calls) == 2 + partitioning._EPSILON_ROUNDS
+        gamma = eps if direction == "max" else eps / (1 + eps)
+        points = attr_matrix(rel, attrs)
+        omega = gamma * float(np.abs(points).min())
+        assert_same(p, real_partition(rel, PartitionParams(attrs, tau, omega)))
+        for g, members in enumerate(p.groups):
+            rep = p.representatives[g]
+            vals = points[members]
             assert np.all(vals >= (1 - eps) * rep - 1e-12)
             assert np.all(rep >= (1 - eps) * vals - 1e-12)
 
@@ -218,9 +252,29 @@ class TestShrink:
     def test_empty_groups_dropped(self):
         rel = from_columns("T", {"x": [0.0, 0.0, 10.0, 10.0]})
         p = partition(rel, PartitionParams(("x",), 2))
-        p2 = restrict_to_ids(p, [0, 1])
+        p2 = restrict_to_ids(p, rel, [0, 1])
         assert p2.m == 1
         assert p2.sizes.tolist() == [2]
+
+    def test_matches_reference(self):
+        # seeded relations and keep sets, the empty one included; the
+        # reference reads an n x k matrix where restrict_to_ids reads columns
+        dropped = grown = empty = 0
+        for seed in range(60):
+            rel, rng = identity_rel(seed)
+            attrs = tuple(rel.numeric_attrs())
+            tau = int(rng.integers(1, rel.n + 1))
+            omega = [math.inf, 0.25, 1.0][seed % 3]
+            p = partition(rel, PartitionParams(attrs, tau, omega))
+            points = attr_matrix(rel, attrs)
+            for share in (0.0, 0.2, 0.7, 1.0):
+                keep = np.nonzero(rng.random(rel.n) < share)[0]
+                got = restrict_to_ids(p, rel, keep)
+                assert_same(got, restrict_reference(p, points, keep))
+                dropped += got.m < p.m
+                grown += any(r > omega * (1 + 1e-12) for r in got.radii)
+                empty += got.m == 0
+        assert dropped and grown and empty
 
 
 class TestIo:
@@ -259,7 +313,7 @@ class TestIo:
             attrs=("a0",), tau=1, omega=math.inf, gid=m - ids,
             groups=tuple(np.split(ids[::-1].copy(), m)), sizes=np.ones(m, dtype=np.int64),
             radii=np.zeros(m), representatives=x[::-1].reshape(m, 1).copy(),
-            degenerate=frozenset(), points=x.reshape(m, 1))
+            degenerate=frozenset())
         save_partitioning(p, tmp_path / "p.json")
         raw = base64.b64decode(json.loads((tmp_path / "p.json").read_text())["gids"])
         assert len(raw) == m * width
@@ -290,7 +344,7 @@ class TestIo:
         for mine, theirs in zip(back.groups, p.groups):
             assert mine.tolist() == theirs.tolist()
         assert back.sizes.tolist() == p.sizes.tolist()
-        check_valid(back, tau=7)
+        check_valid(back, rel, tau=7)
 
     def test_gid_outside_range_joins_no_group(self, tmp_path):
         rel = grid_rel(6, 1, seed=1)

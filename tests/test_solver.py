@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dyadic, lp_relax, verify_result
+from helpers import brute_force, dyadic, lp_relax, verify_result
 from pkgquery import paql, solver
 from pkgquery.ilp import IlpModel, derive_bounds, package_from_solution, translate
 from pkgquery.relation import from_columns
 from pkgquery.solver import (
     SolverError,
     _objective_grid,
-    brute_force,
     solve,
 )
 

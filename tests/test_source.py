@@ -126,10 +126,8 @@ def _only_inside(uses, path: Path, node) -> bool:
 # ``GlobalPredicate.linear_shift`` (a field) and ``_Refiner._refine_group``
 # (private); the check below covers neither
 TEST_ONLY_NAMES = {
-    "brute_force": "the exhaustive oracle the solver and evaluation tests compare against",
-    "model_from_raw": "the oracle model of a raw ILP, built without the query layer",
-    "gen_raw_ilp": "the generator of the raw-ILP test data",
-    "save_raw_ilp": "the writer of the file that `pkgquery gen --from-ilp` reads",
+    "save_raw_ilp": "the writer of the file that `pkgquery gen --from-ilp` reads; "
+                    "`ilp` owns that format, next to `load_raw_ilp`",
     "predicate_linear_value": "perfbench/tracing.py wraps it by name",
 }
 

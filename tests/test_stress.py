@@ -138,8 +138,7 @@ class TestEngineeredRefinement:
             attrs=("x",), tau=2, omega=np.inf, gid=np.array([1, 1, 2, 2]),
             groups=groups, sizes=np.array([2, 2]),
             radii=np.array([1.0, 0.0]), representatives=np.array([[5.0], [2.0]]),
-            degenerate=frozenset(),
-            points=rel.column("x").reshape(-1, 1))
+            degenerate=frozenset())
         for seed in range(6):
             report = eval_sketchrefine(q, rel, p, EvalConfig(seed=seed))
             assert report.status == FEASIBLE, f"seed {seed}: {report.flags}"
