@@ -10,9 +10,10 @@ reduced by the fixed part's activity, and a hybrid model stacks the group's
 columns beside the sketch columns of the other groups. A sketch with too
 many groups is itself partitioned and solved by the same method, one level
 deeper. All levels of one evaluation share a context: the solver, the
-deadline, the solve counters and the report flags. Each level keeps its own
-budget, rng and phase timings; since the levels below a level run before
-its refine phase, its budget also counts their refine and hybrid solves.
+deadline, the solve counters and the report flags. Each level is one
+``_Refiner``, which keeps its own budget, rng and phase timings; since the
+levels below a level run before its refine phase, its budget also counts
+their refine and hybrid solves.
 Every package returned here is verified feasible for the original query
 before it leaves.
 """
@@ -227,33 +228,6 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
     return rep_rel, sketch_q, caps, flags
 
 
-@dataclass(frozen=True)
-class _Level:
-    """One SketchRefine level, from which its refine and hybrid models are
-    built: the query over a relation's groups and its sketch, translated
-    once, with the level's own budget and rng (seeded on first use)."""
-
-    q: paql.PackageQuery  # no base predicate: the groups are pre-filtered
-    rel: Relation
-    p: Partitioning
-    upper: Optional[np.ndarray]  # per-tuple caps from an enclosing sketch
-    sketch_q: paql.PackageQuery
-    rep_rel: Relation
-    sketch: IlpModel  # before derive_bounds; its upper bounds are the capacities
-    depth: int
-    budget: int  # refine and hybrid solves, this level's and those below it
-    seed: int
-
-    @cached_property
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
-
-    def group_model(self, g: int) -> IlpModel:
-        """The query's ILP over group g's tuples."""
-        return translate(self.q, self.rel, ids=self.p.groups[g],
-                         upper_override=self.upper)
-
-
 # ---------------------------------------------------------------------------
 # Refine
 
@@ -280,6 +254,10 @@ def _solved_part(model: IlpModel, x: np.ndarray) -> tuple[dict[int, int], np.nda
     return package_from_solution(model, x), activity(model, keep, k[keep])
 
 
+# ---------------------------------------------------------------------------
+# SketchRefine
+
+
 class _Context:
     """State every level of one evaluation shares: the solver, the
     deadline, the solve counters and the report flags."""
@@ -294,7 +272,6 @@ class _Context:
         self.backtracks = 0
         self.stats = SolveStats()
         self.flags: list[str] = []
-        self.timings: list[dict] = []  # one per level, the top level first
 
     def solve(self, model: IlpModel) -> SolveResult:
         """Solve within what is left of the deadline."""
@@ -308,51 +285,128 @@ class _Context:
             raise _TimeExceeded()
         return res
 
-    def charge(self, level: _Level, hybrid: bool = False) -> None:
-        """Count one refine (or hybrid) solve against the level's budget.
-        The counters also hold the solves of the levels below it: they all
-        ran before this level's first charge."""
-        if self.refine_solves + self.hybrid_solves >= level.budget:
-            raise _BudgetExceeded()
-        if hybrid:
-            self.hybrid_solves += 1
-        else:
-            self.refine_solves += 1
-
 
 class _Refiner:
-    """Greedy backtracking over group refinement orders (depth-first).
+    """One SketchRefine level: sketch the groups of ``p``, which hold only
+    tuples that pass q's base predicate, refine them into tuples of ``rel``
+    and check the package against ``q`` under ``upper``, the per-tuple caps
+    of an enclosing sketch. The level translates its sketch once and keeps
+    its own budget, rng (seeded on first use) and phase timings.
 
-    Failure of a non-root refine propagates the failed group upward; the
-    parent then prioritizes failed groups (most recent failure first) and
-    retries. Refine solves count against the level's budget. A refined
-    group is kept as (package entries, row activity).
+    Refining is greedy backtracking over group orders (depth-first). Failure
+    of a non-root refine propagates the failed group upward; the parent then
+    prioritizes failed groups (most recent failure first) and retries. A
+    refined group is kept as (package entries, row activity).
     """
 
-    def __init__(self, level: _Level, ctx: _Context):
-        self.level = level
-        self.ctx = ctx
+    sketch: IlpModel  # set by ``run``; before derive_bounds, its upper bounds are the capacities
 
-    # ``perfbench`` wraps this method by name to count refine solves
-    def _refine_group(self, g: int, rep_part: dict, orig_part: dict
-                      ) -> Optional[tuple[dict[int, int], np.ndarray]]:
-        """Solve the refine model for group g; None when infeasible."""
-        self.ctx.charge(self.level)
-        others = {h: mult for h, mult in rep_part.items() if h != g}
-        fixed = fixed_activity((act for _, act in orig_part.values()),
-                               self.level.sketch, others)
-        model = derive_bounds(shift_rhs(self.level.group_model(g), fixed))
-        res = self.ctx.solve(model)
-        if res.status != STATUS_OPTIMAL:
+    def __init__(self, q: paql.PackageQuery, rel: Relation, p: Partitioning,
+                 upper: Optional[np.ndarray], ctx: _Context, depth: int):
+        self.q, self.rel, self.p, self.upper, self.ctx, self.depth = q, rel, p, upper, ctx, depth
+        # the groups are pre-filtered, so the level's models drop the base predicate
+        self.level_q = q if q.base_predicate is None else replace(q, base_predicate=None)
+        # refine and hybrid solves, this level's and those below it
+        self.budget = ctx.cfg.backtrack_limit if ctx.cfg.backtrack_limit is not None \
+            else 10 * p.m
+        self.timings = {"sketch_ms": 0.0, "refine_ms": 0.0}  # each written once, on phase exit
+
+    @cached_property
+    def rng(self) -> random.Random:
+        return random.Random(self.ctx.cfg.seed)
+
+    def run(self) -> Optional[dict[int, int]]:
+        """Returns the package entries, or None after adding a flag that
+        says why; raises ``_TimeExceeded`` at the deadline."""
+        ctx = self.ctx
+        if self.p.degenerate:
+            ctx.flags.append("degenerate_groups")
+        t0 = time.perf_counter()
+        try:
+            rep_rel, sketch_q, caps, sketch_flags = build_sketch_query(
+                self.level_q, self.p, self.rel, self.upper)
+            ctx.flags.extend(sketch_flags)
+            self.sketch = translate(sketch_q, rep_rel, upper_override=caps)
+            found = self._solve_sketch(sketch_q, rep_rel)
+        finally:
+            self.timings["sketch_ms"] = (time.perf_counter() - t0) * 1000.0
+        if found is None:
+            ctx.flags.append("sketch_infeasible")
             return None
-        return _solved_part(model, res.x)
 
-    def run(self, rep_part: dict[int, int], orig_part: dict[int, tuple]
-            ) -> Optional[dict[int, tuple]]:
-        # groups without representatives in the sketch need no refinement
-        rep_part = {g: mult for g, mult in rep_part.items() if mult > 0}
-        outcome = self._refine_rec(rep_part, orig_part, is_root=True)
-        return outcome[1] if outcome[0] else None
+        t0 = time.perf_counter()
+        try:
+            ok, refined = self._refine_rec(*found, is_root=True)
+        except _BudgetExceeded:
+            ctx.flags.append("backtrack_limit_exceeded")
+            return None
+        finally:
+            self.timings["refine_ms"] = (time.perf_counter() - t0) * 1000.0
+        if not ok:
+            ctx.flags.append("refine_exhausted")
+            return None
+
+        entries: dict[int, int] = {}
+        for sol, _ in refined.values():
+            entries.update(sol)
+        _verify_package(self.q, self.rel, entries, self.upper)
+        return entries
+
+    def _solve_sketch(self, sketch_q: paql.PackageQuery, rep_rel: Relation
+                      ) -> Optional[tuple[dict[int, int], dict[int, tuple]]]:
+        """Solve the sketch, as a SketchRefine level one deeper when it has
+        too many groups, and fall back to the hybrid sketch when it finds no
+        package.
+
+        Returns (rep_part, orig_part): representative multiplicities per
+        group, plus the refined part of one group when the hybrid ran; None
+        when neither found a package.
+        """
+        ctx, p = self.ctx, self.p
+        threshold = ctx.cfg.recursion_threshold if ctx.cfg.recursion_threshold is not None \
+            else p.tau
+        if p.m > threshold and self.depth < MAX_RECURSION_DEPTH:
+            sub_p = partition(rep_rel, PartitionParams(p.attrs, min(p.tau, rep_rel.n), p.omega))
+            entries = _Refiner(sketch_q, rep_rel, sub_p, self.sketch.upper, ctx,
+                               self.depth + 1).run()
+        else:
+            ctx.sketch_solves += 1
+            model = derive_bounds(self.sketch)
+            res = ctx.solve(model)  # optimal or infeasible: it raises at the time limit
+            entries = package_from_solution(model, res.x) \
+                if res.status == STATUS_OPTIMAL else None
+        if entries is not None:  # every multiplicity in it is positive
+            return entries, {}
+        try:
+            hybrid = self._hybrid_sketch()
+        except _BudgetExceeded:
+            ctx.flags.append("backtrack_limit_exceeded")
+            return None
+        if hybrid is not None:
+            ctx.flags.append("hybrid_used")
+        return hybrid
+
+    def _hybrid_sketch(self) -> Optional[tuple[dict[int, int], dict[int, tuple]]]:
+        """Try merging the sketch with one group's refine problem: for each
+        group in seeded-random order, solve its translated columns beside the
+        other groups' sketch columns (bounds derived on the stack), charging
+        the budget. The first feasible solve wins; returns (rep_part,
+        orig_part) as ``_solve_sketch`` does."""
+        m = self.p.m
+        order = list(range(m))
+        self.rng.shuffle(order)
+        for g in order:
+            self._charge(hybrid=True)
+            group = self._group_model(g)
+            others = np.delete(np.arange(m), g)
+            res = self.ctx.solve(derive_bounds(hstack(group, self.sketch, others)))
+            if res.status != STATUS_OPTIMAL:
+                continue
+            n = group.n_vars
+            k = np.rint(res.x[n:])
+            rep_part = {int(h): int(mult) for h, mult in zip(others, k) if mult > 0}
+            return rep_part, {g: _solved_part(group, res.x[:n])}
+        return None
 
     def _refine_rec(self, rep_part: dict[int, int], orig_part: dict[int, tuple],
                     is_root: bool):
@@ -360,7 +414,7 @@ class _Refiner:
             return True, orig_part
         queue = sorted(rep_part)
         if len(queue) > 1:  # shuffling one group draws nothing from the rng
-            self.level.rng.shuffle(queue)
+            self.rng.shuffle(queue)
         failed: list[int] = []
         while queue:
             g = queue.pop(0)
@@ -382,37 +436,35 @@ class _Refiner:
             queue = recent + [h for h in queue if h not in recent]
         return False, failed
 
-
-# ---------------------------------------------------------------------------
-# Hybrid sketch fallback
-
-
-def hybrid_sketch(level: _Level, ctx: _Context
-                  ) -> Optional[tuple[dict[int, int], dict[int, tuple]]]:
-    """Try merging the sketch with one group's refine problem: for each
-    group in seeded-random order, solve its translated columns beside the
-    other groups' sketch columns (bounds derived on the stack), charging
-    the budget. The first feasible solve wins; returns (rep_part, orig_part)
-    as ``_solve_sketch`` does."""
-    order = list(range(level.p.m))
-    level.rng.shuffle(order)
-    for g in order:
-        ctx.charge(level, hybrid=True)
-        group = level.group_model(g)
-        others = np.delete(np.arange(level.p.m), g)
-        model = derive_bounds(hstack(group, level.sketch, others))
-        res = ctx.solve(model)
+    # ``perfbench`` wraps this method by name to count refine solves
+    def _refine_group(self, g: int, rep_part: dict, orig_part: dict
+                      ) -> Optional[tuple[dict[int, int], np.ndarray]]:
+        """Solve the refine model for group g; None when infeasible."""
+        self._charge()
+        others = {h: mult for h, mult in rep_part.items() if h != g}
+        fixed = fixed_activity((act for _, act in orig_part.values()), self.sketch, others)
+        model = derive_bounds(shift_rhs(self._group_model(g), fixed))
+        res = self.ctx.solve(model)
         if res.status != STATUS_OPTIMAL:
-            continue
-        n = group.n_vars
-        k = np.rint(res.x[n:])
-        rep_part = {int(h): int(mult) for h, mult in zip(others, k) if mult > 0}
-        return rep_part, {g: _solved_part(group, res.x[:n])}
-    return None
+            return None
+        return _solved_part(model, res.x)
 
+    def _group_model(self, g: int) -> IlpModel:
+        """The query's ILP over group g's tuples."""
+        return translate(self.level_q, self.rel, ids=self.p.groups[g],
+                         upper_override=self.upper)
 
-# ---------------------------------------------------------------------------
-# SketchRefine
+    def _charge(self, hybrid: bool = False) -> None:
+        """Count one refine (or hybrid) solve against the level's budget.
+        The counters also hold the solves of the levels below it: they all
+        ran before this level's first charge."""
+        ctx = self.ctx
+        if ctx.refine_solves + ctx.hybrid_solves >= self.budget:
+            raise _BudgetExceeded()
+        if hybrid:
+            ctx.hybrid_solves += 1
+        else:
+            ctx.refine_solves += 1
 
 
 def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
@@ -430,16 +482,17 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
     if q.base_predicate is not None:
         p = restrict_to_ids(p, rel, apply_base_predicate(rel, q.base_predicate))
     ctx = _Context(cfg, solver_fn)
+    top = _Refiner(q, rel, p, None, ctx, 0)
     status, entries, objective = INFEASIBLE, None, None
     try:
-        entries = _sketch_refine(q, rel, p, None, ctx, 0)
+        entries = top.run()
     except _TimeExceeded:
         status = TIME_LIMIT
     else:
         if entries is not None:  # {} is a feasible empty package
             status = FEASIBLE
             objective = package_objective(q, rel, entries)
-    timings = ctx.timings[0]
+    timings = top.timings
     return EvalReport(
         METHOD_SKETCHREFINE, status, package=entries, objective=objective,
         timings_ms={**timings, "total_ms": timings["sketch_ms"] + timings["refine_ms"]},
@@ -447,54 +500,6 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
         subproblems={"sketch": ctx.sketch_solves, "refine": ctx.refine_solves,
                      "hybrid": ctx.hybrid_solves},
         flags=tuple(dict.fromkeys(ctx.flags)), solver=ctx.stats)
-
-
-def _sketch_refine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
-                   upper: Optional[np.ndarray], ctx: _Context, depth: int
-                   ) -> Optional[dict[int, int]]:
-    """One SketchRefine level: sketch the groups of ``p``, which hold only
-    tuples that pass q's base predicate, refine them into tuples of ``rel``
-    and check the package against ``q`` under ``upper``, the per-tuple caps
-    of an enclosing sketch. Returns the package entries, or None after
-    adding a flag that says why; raises ``_TimeExceeded`` at the deadline."""
-    timings = {"sketch_ms": 0.0, "refine_ms": 0.0}  # each written once, on phase exit
-    ctx.timings.append(timings)
-    if p.degenerate:
-        ctx.flags.append("degenerate_groups")
-    cfg = ctx.cfg
-    level_q = q if q.base_predicate is None else replace(q, base_predicate=None)
-    budget = cfg.backtrack_limit if cfg.backtrack_limit is not None else 10 * p.m
-    t0 = time.perf_counter()
-    try:
-        rep_rel, sketch_q, caps, sketch_flags = build_sketch_query(level_q, p, rel, upper)
-        ctx.flags.extend(sketch_flags)
-        level = _Level(level_q, rel, p, upper, sketch_q, rep_rel,
-                       translate(sketch_q, rep_rel, upper_override=caps),
-                       depth, budget, cfg.seed)
-        rep_part, orig_part = _solve_sketch(level, ctx)
-    finally:
-        timings["sketch_ms"] = (time.perf_counter() - t0) * 1000.0
-    if rep_part is None:
-        ctx.flags.append("sketch_infeasible")
-        return None
-
-    t0 = time.perf_counter()
-    try:
-        refined = _Refiner(level, ctx).run(rep_part, orig_part)
-    except _BudgetExceeded:
-        ctx.flags.append("backtrack_limit_exceeded")
-        return None
-    finally:
-        timings["refine_ms"] = (time.perf_counter() - t0) * 1000.0
-    if refined is None:
-        ctx.flags.append("refine_exhausted")
-        return None
-
-    entries: dict[int, int] = {}
-    for sol, _ in refined.values():
-        entries.update(sol)
-    _verify_package(q, rel, entries, upper)
-    return entries
 
 
 def _verify_package(q: paql.PackageQuery, rel: Relation,
@@ -516,44 +521,6 @@ def _verify_package(q: paql.PackageQuery, rel: Relation,
             "internal error: package holds a tuple the base predicate drops")
     if not feasible(model, x, tol=VERIFY_TOL):
         raise EvalError("internal error: package violates the query")
-
-
-def _solve_sketch(level: _Level, ctx: _Context):
-    """Solve the sketch, as a SketchRefine level one deeper when it has too
-    many groups.
-
-    Returns (rep_part, orig_part): representative multiplicities per group,
-    plus the refined part of one group when the hybrid fallback ran.
-    """
-    cfg, p = ctx.cfg, level.p
-    threshold = cfg.recursion_threshold if cfg.recursion_threshold is not None \
-        else p.tau
-    if p.m > threshold and level.depth < MAX_RECURSION_DEPTH:
-        sub_tau = min(p.tau, level.rep_rel.n)
-        sub_p = partition(level.rep_rel, PartitionParams(p.attrs, sub_tau, p.omega))
-        entries = _sketch_refine(level.sketch_q, level.rep_rel, sub_p,
-                                 level.sketch.upper, ctx, level.depth + 1)
-        if entries is not None:
-            return entries, {}
-        res_status = STATUS_INFEASIBLE
-    else:
-        ctx.sketch_solves += 1
-        model = derive_bounds(level.sketch)
-        res = ctx.solve(model)
-        if res.status == STATUS_OPTIMAL:
-            return package_from_solution(model, res.x), {}
-        res_status = res.status
-
-    if res_status == STATUS_INFEASIBLE:
-        try:
-            hybrid = hybrid_sketch(level, ctx)
-        except _BudgetExceeded:
-            ctx.flags.append("backtrack_limit_exceeded")
-            return None, {}
-        if hybrid is not None:
-            ctx.flags.append("hybrid_used")
-            return hybrid
-    return None, {}
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,8 @@ def load_raw_ilp(path) -> RawIlp:
             f"{path}: malformed ILP file ({type(exc).__name__}: {exc})") from None
     if raw.n != n or raw.k != k:
         raise IlpError(f"{path}: inconsistent n/k fields")
+    if len(raw.b) != n:
+        raise IlpError(f"{path}: b has {len(raw.b)} rows, expected n = {n}")
     return raw
 
 

@@ -155,29 +155,31 @@ def partition(rel: Relation, params: PartitionParams) -> Partitioning:
         representatives=np.asarray(reps).reshape(len(final), k))
 
 
-def radius_limit_from_epsilon(representatives: np.ndarray, epsilon: float,
-                              direction: str) -> float:
-    """Radius limit yielding the target approximation factor.
-
-    gamma = epsilon for maximization (0 <= epsilon < 1) and
-    epsilon / (1 + epsilon) for minimization (epsilon >= 0); the limit is
-    the minimum of gamma * |representative value| over groups and attrs.
-    """
-    reps = np.asarray(representatives, dtype=np.float64)
-    if reps.size == 0:
-        raise PartitionError("no representatives to derive a radius limit from")
+def _gamma(epsilon: float, direction: str) -> float:
+    """The radius limit's share of a representative value: epsilon for
+    maximization (0 <= epsilon < 1), epsilon / (1 + epsilon) for
+    minimization (epsilon >= 0)."""
     if direction == MAXIMIZE_DIRECTION:
         if not 0 <= epsilon < 1:
             raise PartitionError(
                 f"maximization needs 0 <= epsilon < 1, got {epsilon}")
-        gamma = epsilon
-    elif direction == MINIMIZE_DIRECTION:
+        return epsilon
+    if direction == MINIMIZE_DIRECTION:
         if not epsilon >= 0:  # NaN included
             raise PartitionError(f"minimization needs epsilon >= 0, got {epsilon}")
-        gamma = epsilon / (1.0 + epsilon)
-    else:
-        raise PartitionError(f"direction must be 'max' or 'min', got {direction!r}")
-    return float(gamma * np.abs(reps).min())
+        return epsilon / (1.0 + epsilon)
+    raise PartitionError(f"direction must be 'max' or 'min', got {direction!r}")
+
+
+def radius_limit_from_epsilon(representatives: np.ndarray, epsilon: float,
+                              direction: str) -> float:
+    """Radius limit yielding the target approximation factor: the minimum
+    of gamma * |representative value| over groups and attrs (``_gamma``).
+    """
+    reps = np.asarray(representatives, dtype=np.float64)
+    if reps.size == 0:
+        raise PartitionError("no representatives to derive a radius limit from")
+    return float(_gamma(epsilon, direction) * np.abs(reps).min())
 
 
 def partition_with_epsilon(rel: Relation, attrs: Sequence[str], tau: int,
@@ -193,9 +195,9 @@ def partition_with_epsilon(rel: Relation, attrs: Sequence[str], tau: int,
     representative is guaranteed to satisfy.
     """
     attrs = tuple(attrs)
-    p = partition(rel, PartitionParams(attrs, tau, math.inf))
-    if epsilon == 0:
+    if _gamma(epsilon, direction) == 0:  # the limit is 0 whatever the groups
         return partition(rel, PartitionParams(attrs, tau, 0.0))
+    p = partition(rel, PartitionParams(attrs, tau, math.inf))
     omega = radius_limit_from_epsilon(p.representatives, epsilon, direction)
     for _ in range(_EPSILON_ROUNDS):
         p = partition(rel, PartitionParams(attrs, tau, omega))

@@ -331,6 +331,19 @@ class TestCli:
         (tmp_path / "bad.json").write_text("{")
         self._run_error(capsys, ["gen"] + [a.format(tmp=tmp_path) for a in args], 2, message)
 
+    @pytest.mark.parametrize("b", [[[1.0]], [[1.0], [2.0], [3.0]]], ids=["short", "long"])
+    def test_gen_from_ilp_needs_n_rows_of_b(self, tmp_path, capsys, b):
+        # one row too few used to end in an IndexError, one too many in a
+        # CSV that silently dropped it
+        ilp_path = tmp_path / "i.json"
+        ilp_path.write_text(json.dumps({"n": 2, "k": 1, "a": [1.0, 2.0], "b": b,
+                                        "c": [4.0]}))
+        out = tmp_path / "d.csv"
+        self._run_error(capsys, ["gen", "--from-ilp", str(ilp_path), "--out", str(out),
+                                 "--out-query", str(tmp_path / "q.paql")],
+                        2, f"b has {len(b)} rows, expected n = 2")
+        assert not out.exists()
+
     def test_gen_workload_on_empty_relation_exits_2(self, tmp_path, capsys):
         capsys.readouterr()
         assert main(["gen", "--rows", "0", "--out", str(tmp_path / "e.csv"),

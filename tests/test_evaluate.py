@@ -509,6 +509,19 @@ class TestSketchRefine:
         assert report.status == INFEASIBLE
         assert "backtrack_limit_exceeded" in report.flags
 
+    @pytest.mark.parametrize("bound, status", [(1.0, FEASIBLE), (100.0, INFEASIBLE)])
+    def test_degenerate_groups_flag(self, bound, status):
+        # five identical points cannot be split below tau = 2, so their
+        # group stays above it, flagged degenerate, whatever the answer
+        rel = from_columns("R", {"x": [2.0] * 5 + [7.0, 9.0]})
+        p = partition(rel, PartitionParams(("x",), 2))
+        assert p.degenerate
+        q = q_of("SELECT PACKAGE(R) AS P FROM R REPEAT 0 SUCH THAT COUNT(P.*) = 2 "
+                 f"AND SUM(P.x) >= {bound} MAXIMIZE SUM(P.x)", rel)
+        report = eval_sketchrefine(q, rel, p)
+        assert report.status == status
+        assert "degenerate_groups" in report.flags
+
 
 class TestHybrid:
     def outlier_fixture(self):

@@ -247,6 +247,35 @@ class TestRadiusLimit:
         assert p.omega == 0.0
         assert all(r == 0.0 for r in p.radii)
 
+    @staticmethod
+    def _recording(monkeypatch):
+        """The radius limit of every ``partition`` call, from now on."""
+        omegas = []
+        real_partition = partitioning.partition
+        monkeypatch.setattr(partitioning, "partition",
+                            lambda rel, params: omegas.append(params.omega)
+                            or real_partition(rel, params))
+        return omegas
+
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    def test_epsilon_zero_partitions_once(self, monkeypatch, direction):
+        # at epsilon 0 the limit is 0 whatever the groups, so no partitioning
+        # without a limit is needed to derive it
+        rel = grid_rel(300, 2, seed=11)
+        real_partition = partitioning.partition
+        omegas = self._recording(monkeypatch)
+        p = partition_with_epsilon(rel, ("a0", "a1"), 40, 0.0, direction)
+        assert omegas == [0.0]
+        assert_same(p, real_partition(rel, PartitionParams(("a0", "a1"), 40, 0.0)))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_bad_direction_rejected_before_partitioning(self, monkeypatch, eps):
+        rel = grid_rel(50, 2, seed=2)
+        omegas = self._recording(monkeypatch)
+        with pytest.raises(PartitionError, match="direction"):
+            partition_with_epsilon(rel, ("a0", "a1"), 10, eps, "sideways")
+        assert omegas == []
+
 
 class TestShrink:
     def test_empty_groups_dropped(self):

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkgquery import simplex
-from pkgquery.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, SimplexError, lp_solve
+from pkgquery.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, SimplexError, lp_solve
 
 
 def row_bounds(ops, rhs):
@@ -447,6 +449,48 @@ class TestRevisedIdentity:
         assert (got.status, got.iterations) == (want.status, want.iterations)
         for field in ("x", "objective", "reduced_costs", "at_upper"):
             assert _same_bits(getattr(got, field), getattr(want, field)), field
+
+
+def _stalling_lp(seed):
+    """A package LP whose first pivots are degenerate: a COUNT '=' row and
+    an AVG-style row with right side 0 over 20-400 columns on the 1/64 grid,
+    upper bounds 1-3."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 400))
+    vals = np.round(rng.uniform(0.5, 2.0, size=(2, n)) * 64) / 64
+    size = float(rng.integers(2, 12))
+    A = np.vstack([np.ones(n), vals[1] - float(rng.uniform(0.9, 1.6))])
+    ops = ["=", str(rng.choice(["<=", ">="]))]
+    c = vals[0] * float(rng.choice([1.0, -1.0]))
+    hi = rng.integers(1, 4, size=n).astype(float)
+    return c, A, *row_bounds(ops, [size, 0.0]), np.zeros(n), hi
+
+
+class TestBlandsRule:
+    def test_matches_reference_and_highs(self, monkeypatch):
+        # with no stall allowed, the first degenerate pivot switches pricing
+        # to Bland's rule for the rest of the phase
+        import helpers
+
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", 0)
+        monkeypatch.setattr(helpers, "_STALL_LIMIT", 0)  # imported by value
+        modes = []
+        real_order = simplex._entering_order
+        monkeypatch.setattr(simplex, "_entering_order",
+                            lambda s, bland: modes.append(bland) or real_order(s, bland))
+        reached = 0
+        for seed in range(60):
+            modes.clear()
+            lp = _stalling_lp(seed)
+            got, want = lp_solve(*lp), helpers.lp_solve_reference(*lp)
+            reached += True in modes
+            for f in dataclasses.fields(LpResult):
+                if f.name != "basic":  # the reference predates the field
+                    assert _same_bits(getattr(got, f.name), getattr(want, f.name)), (seed, f.name)
+            ref = _highs(*lp)
+            assert ref.status == 0 and got.status == OPTIMAL, seed
+            assert got.objective == pytest.approx(-ref.fun, abs=1e-7), seed
+        assert reached >= 50
 
 
 class TestBasis:
