@@ -90,7 +90,7 @@ def _predicate_row(g: paql.GlobalPredicate, rel: Relation,
     else:
         coeffs = _aggregate_coeffs(g.lhs, rel, ids, gathered)
         rhs = float(g.rhs)
-    return coeffs, g.op, rhs - g.linear_shift
+    return coeffs, g.op, rhs
 
 
 def aggregate_value(expr: paql.AggregateExpr, rel: Relation,
@@ -114,8 +114,7 @@ def predicate_linear_value(g: paql.GlobalPredicate, rel: Relation,
         return 0.0
     ids = np.fromiter(package.keys(), dtype=np.int64)
     mult = np.fromiter(package.values(), dtype=np.float64)
-    coeffs, _, _ = _predicate_row(
-        paql.GlobalPredicate(g.lhs, g.op, g.rhs), rel, ids)
+    coeffs, _, _ = _predicate_row(g, rel, ids)
     return float(coeffs @ mult)
 
 

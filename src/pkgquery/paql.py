@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from .relation import CATEGORICAL, NUMERIC, Schema, read_utf8
 
@@ -95,18 +95,15 @@ class AggregateExpr:
 @dataclass(frozen=True)
 class GlobalPredicate:
     """lhs-aggregate compared to a constant bound, a (L, U) window, or
-    (for filtered counts only) another filtered count.
-
-    ``linear_shift`` is a constant already contributed to the predicate's
-    linearized left side by a fixed partial package; it is subtracted from
-    the linearized right side at translation time. Surface queries always
-    have shift 0 and the engine sets none; ``perfbench`` reads the field.
+    (for filtered counts only) another filtered count. ``validate`` splits
+    a window in two, and ``ilp.translate`` makes each predicate one row.
     """
 
     lhs: AggregateExpr
     op: str  # '<=', '>=', '=', 'between'
     rhs: Union[float, tuple[float, float], AggregateExpr]
-    linear_shift: float = 0.0  # perfbench/check.py reads it
+    # not a field: perfbench/check.py:47 reads it and checks it is 0
+    linear_shift: ClassVar[float] = 0.0
 
     def __post_init__(self):
         if self.op == "between":
@@ -494,13 +491,13 @@ def validate(q: PackageQuery, schema: Schema) -> PackageQuery:
                 raise ValidationError(
                     "aggregate-to-aggregate comparison is supported only "
                     "between filtered COUNT subqueries")
-            globals_out.append(GlobalPredicate(lhs, g.op, rhs, g.linear_shift))
+            globals_out.append(GlobalPredicate(lhs, g.op, rhs))
         elif g.op == "between":
             lo, hi = g.rhs
-            globals_out.append(GlobalPredicate(lhs, ">=", lo, g.linear_shift))
-            globals_out.append(GlobalPredicate(lhs, "<=", hi, g.linear_shift))
+            globals_out.append(GlobalPredicate(lhs, ">=", lo))
+            globals_out.append(GlobalPredicate(lhs, "<=", hi))
         else:
-            globals_out.append(GlobalPredicate(lhs, g.op, float(g.rhs), g.linear_shift))
+            globals_out.append(GlobalPredicate(lhs, g.op, float(g.rhs)))
 
     objective = None
     if q.objective is not None:

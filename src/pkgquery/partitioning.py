@@ -12,12 +12,14 @@ approximation factor is the minimum over groups and partitioning
 attributes of gamma * |representative value|, with gamma = eps for
 maximization objectives and eps / (1 + eps) for minimization.
 
-A partitioning is saved as a JSON object of format version 2, whose
-``gids`` field packs the gid column as base64 of little-endian unsigned
-ints just wide enough for m groups. Loading accepts version 2 only and
-asks for a rebuild with ``pkgquery partition`` otherwise. A partitioning
-keeps no copy of the data: whatever needs the members' values reads them
-from the relation.
+Partitionings are built, restricted and loaded through one constructor,
+``_partitioning``. A partitioning is saved as a JSON object of format
+version 2, whose ``gids`` field packs the gid column as base64 of
+little-endian unsigned ints just wide enough for m groups. Loading accepts
+version 2 only and asks for a rebuild with ``pkgquery partition``
+otherwise; a stored gid outside 1..m loads as 0, a tuple in no group. A
+partitioning keeps no copy of the data: whatever needs the members' values
+reads them from the relation.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class PartitionParams:
 class Partitioning:
     """Group assignment over tuple ids plus per-group statistics.
 
-    ``gid`` maps tuple id -> 1-based group index (0 = not covered, which
-    only happens for partitionings restricted to a tuple subset).
+    ``gid`` maps tuple id -> 1-based group index (0 = in no group: outside
+    a restricted subset, or stored outside 1..m in a loaded file).
     ``groups[g]`` holds member tuple ids for 0-based group index g;
     ``representatives[g]`` is the member centroid over ``attrs``.
     """
@@ -81,6 +83,18 @@ class Partitioning:
     @property
     def m(self) -> int:
         return len(self.groups)
+
+
+def _partitioning(attrs, tau, omega, gid, groups, reps, radii, degenerate) -> Partitioning:
+    """The one constructor: ``gid`` as the caller filled it, sizes counted
+    from ``groups``; per group a centroid, a radius, and the 0-based
+    indices of the degenerate ones."""
+    groups = tuple(groups)
+    return Partitioning(
+        attrs=attrs, tau=tau, omega=omega, gid=gid, groups=groups,
+        sizes=np.fromiter(map(len, groups), dtype=np.int64, count=len(groups)),
+        radii=np.asarray(radii, dtype=np.float64), degenerate=frozenset(degenerate),
+        representatives=np.asarray(reps, dtype=np.float64).reshape(len(groups), len(attrs)))
 
 
 def _require_numeric(rel: Relation, attrs: Sequence[str]) -> None:
@@ -138,21 +152,12 @@ def partition(rel: Relation, params: PartitionParams) -> Partitioning:
             continue
         queue.extend(zip(np.split(members[order], cuts), np.split(sub[order], cuts)))
 
+    groups, reps, radii, degen = zip(*final) if final else ((),) * 4
     gid = np.zeros(rel.n, dtype=np.int64)
-    groups, sizes, radii, reps, degenerate = [], [], [], [], set()
-    for g, (members, centroid, radius, degen) in enumerate(final):
+    for g, members in enumerate(groups):
         gid[members] = g + 1
-        groups.append(members)
-        sizes.append(len(members))
-        radii.append(radius)
-        reps.append(centroid)
-        if degen:
-            degenerate.add(g)
-    return Partitioning(
-        attrs=params.attrs, tau=params.tau, omega=params.omega, gid=gid,
-        groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
-        radii=np.asarray(radii), degenerate=frozenset(degenerate),
-        representatives=np.asarray(reps).reshape(len(final), k))
+    return _partitioning(params.attrs, params.tau, params.omega, gid, groups,
+                         reps, radii, (g for g, d in enumerate(degen) if d))
 
 
 def _gamma(epsilon: float, direction: str) -> float:
@@ -226,27 +231,21 @@ def restrict_to_ids(p: Partitioning, rel: Relation,
     keep = np.zeros(len(p.gid), dtype=bool)
     keep[np.asarray(keep_ids, dtype=np.int64)] = True
     gid = np.zeros(len(p.gid), dtype=np.int64)
-    groups, sizes, radii, reps, degenerate = [], [], [], [], set()
+    groups, reps, radii, degenerate = [], [], [], []
     for members in p.groups:
         members = members[keep[members]]
         if len(members) == 0:
             continue
-        g = len(groups)
         sub = np.column_stack([col[members] for col in cols])
         centroid = sub.mean(axis=0)
         radius = _radius(sub, centroid)
-        gid[members] = g + 1
-        groups.append(members)
-        sizes.append(len(members))
-        radii.append(radius)
-        reps.append(centroid)
         if len(members) > p.tau or radius > p.omega * (1 + 1e-12):
-            degenerate.add(g)
-    return Partitioning(
-        attrs=p.attrs, tau=p.tau, omega=p.omega, gid=gid,
-        groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
-        radii=np.asarray(radii), degenerate=frozenset(degenerate),
-        representatives=np.asarray(reps).reshape(len(groups), len(p.attrs)))
+            degenerate.append(len(groups))
+        groups.append(members)
+        gid[members] = len(groups)
+        reps.append(centroid)
+        radii.append(radius)
+    return _partitioning(p.attrs, p.tau, p.omega, gid, groups, reps, radii, degenerate)
 
 
 def group_means(p: Partitioning, rel: Relation,
@@ -328,15 +327,13 @@ def load_partitioning(path, rel: Relation) -> Partitioning:
     _require_numeric(rel, attrs)  # as partition requires of its attrs
     # one stable sort keeps each group's members in ascending id order
     # (numpy sorts keys of at most 16 bits by radix); gids outside 1..m
-    # (0 = not covered) join no group
+    # join no group and load as 0, not covered
     in_range = (packed >= 1) & (packed <= m)
     counts = np.bincount(packed[in_range] - 1, minlength=m)
     if not np.array_equal(sizes, counts):
         raise PartitionError(f"{path}: stored sizes disagree with gid column")
     order = np.nonzero(in_range)[0]
     order = order[np.argsort(packed[order], kind="stable")]
-    groups = tuple(np.split(order, np.cumsum(counts)[:-1])) if m else ()
-    return Partitioning(
-        attrs=attrs, tau=tau, omega=omega, gid=packed.astype(np.int64),
-        groups=groups, sizes=sizes, radii=radii, representatives=reps,
-        degenerate=degenerate)
+    groups = np.split(order, np.cumsum(counts)[:-1]) if m else ()
+    return _partitioning(attrs, tau, omega, np.where(in_range, packed, 0).astype(np.int64),
+                         groups, reps, radii, degenerate)

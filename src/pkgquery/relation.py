@@ -158,23 +158,19 @@ def load_csv(path, name: Optional[str] = None) -> Relation:
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         raise RelationError(f"{path}:{reader.line_num}: {exc}") from None
 
-    attrs = []
-    cols: dict = {}
+    cols, kinds = {}, {}
     for j, attr in enumerate(header):
         raw = [r[j] for r in rows]
         parsed = [_parse_float(c) for c in raw]
         if any(p is None for p in parsed):
-            cols[attr] = raw
-            attrs.append((attr, CATEGORICAL))
+            cols[attr], kinds[attr] = raw, CATEGORICAL
             continue
         for lineno, p in enumerate(parsed, start=2):
             if math.isnan(p) or math.isinf(p):
                 raise RelationError(
                     f"{path}:{lineno}: non-finite value in numeric column {attr!r}")
-        cols[attr] = np.asarray(parsed, dtype=np.float64)
-        attrs.append((attr, NUMERIC))
-
-    return Relation(Schema(name or "R", tuple(attrs)), cols, len(rows))
+        cols[attr] = parsed
+    return from_columns(name or "R", cols, kinds)
 
 
 def _numeric_table(text: str) -> Optional[tuple[list[str], np.ndarray]]:

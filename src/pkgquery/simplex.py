@@ -261,27 +261,20 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
     n, m = len(obj), len(row_lo)
     A = np.asarray(A, dtype=np.float64).reshape(m, n)
 
-    # each row's op: '<=' has only row_hi, '>=' only row_lo, '=' both equal
-    ops, b = [], []
-    for lo_i, hi_i in zip(map(float, row_lo), map(float, row_hi)):
+    # shift to zero lower bounds: y = x - l
+    shifted = lower.any()
+    shift = (A @ lower).tolist() if shifted else [0.0] * m
+    const = float(obj @ lower) if shifted else 0.0
+
+    # a '<=' row has only row_hi, '>=' only row_lo, '=' both equal; one whose
+    # shifted right side is negative is negated, which swaps '<=' and '>='
+    flip, rhs, slacks, arts = [], [], [], []
+    for i, (lo_i, hi_i, s_i) in enumerate(zip(map(float, row_lo), map(float, row_hi),
+                                              shift)):
         has_lo, has_hi = math.isfinite(lo_i), math.isfinite(hi_i)
         if not (has_lo or has_hi) or (has_lo and has_hi and lo_i != hi_i):
             raise SimplexError("each row needs exactly one finite bound or two equal ones")
-        ops.append((has_lo, has_hi))
-        b.append(hi_i if has_hi else lo_i)
-
-    if (lower > upper + 1e-12).any():
-        return LpResult(INFEASIBLE, None, None, 0)
-
-    # shift to zero lower bounds: y = x - l
-    shifted = lower.any()
-    if shifted:
-        b = (np.array(b) - A @ lower).tolist()
-    const = float(obj @ lower) if shifted else 0.0
-
-    # rows with a negative right side are negated, which swaps '<=' and '>='
-    flip, rhs, slacks, arts = [], [], [], []
-    for i, ((has_lo, has_hi), b_i) in enumerate(zip(ops, b)):
+        b_i = (hi_i if has_hi else lo_i) - s_i
         neg = b_i < 0
         flip.append(-1.0 if neg else 1.0)
         rhs.append(-b_i if neg else b_i)
@@ -290,6 +283,8 @@ def lp_solve(obj, A, row_lo, row_hi, lower, upper) -> LpResult:
             slacks.append((i, 1.0 if le else -1.0))
         if not le:
             arts.append(i)
+    if (lower > upper + 1e-12).any():
+        return LpResult(INFEASIBLE, None, None, 0)
     lp = _Revised(A, flip, slacks, arts, upper, lower, rhs)
     n_total, art0 = lp.barred, lp.art0
     span = lp.ub[:n]

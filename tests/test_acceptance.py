@@ -10,6 +10,7 @@ qualitative trend reproduction, per the stated thresholds.
 import math
 import statistics
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -167,8 +168,9 @@ def test_criterion_4_approximation_bound():
             seed = 0
             while done < want:
                 seed += 1
-                rel, q, p = _theorem_case(hash((eps, direction, seed)) % 10**6,
-                                          direction, eps)
+                # crc32, not hash(): a str's hash changes with PYTHONHASHSEED
+                case_seed = zlib.crc32(repr((eps, direction, seed)).encode()) % 10**6
+                rel, q, p = _theorem_case(case_seed, direction, eps)
                 direct = eval_direct(q, rel, cfg)
                 assert direct.status == FEASIBLE  # witness-anchored window
                 sr = eval_sketchrefine(q, rel, p, cfg)

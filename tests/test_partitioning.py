@@ -385,6 +385,10 @@ class TestIo:
             "radii": [0.0, 0.0], "sizes": [1, 2], "degenerate": []}))
         back = load_partitioning(path, rel)
         assert [g.tolist() for g in back.groups] == [[2], [0, 4]]
+        assert back.gid.tolist() == [2, 0, 1, 0, 2, 0]  # 0: in no group
+        save_partitioning(back, tmp_path / "again.json")
+        again = json.loads((tmp_path / "again.json").read_text())
+        assert base64.b64decode(again["gids"]) == bytes([2, 0, 1, 0, 2, 0])
 
     @pytest.mark.parametrize("k, tau, omega", [(1, 5, math.inf), (3, 1, 0.2), (4, 64, 0.5)])
     def test_roundtrip_is_exact(self, tmp_path, k, tau, omega):

@@ -94,12 +94,14 @@ class TestBasics:
         assert res.objective == pytest.approx(-2.0)
 
     def test_ranged_row_rejected(self):
-        with pytest.raises(SimplexError, match="finite bound"):
-            lp_solve([1.0], [[1.0]], [1.0], [2.0], [0.0], [5.0])
+        for lo, hi in (([0.0], [5.0]), ([6.0], [5.0])):  # also when lower > upper
+            with pytest.raises(SimplexError, match="finite bound"):
+                lp_solve([1.0], [[1.0]], [1.0], [2.0], lo, hi)
 
     def test_free_row_rejected(self):
-        with pytest.raises(SimplexError, match="finite bound"):
-            lp_solve([1.0], [[1.0]], [-np.inf], [np.inf], [0.0], [5.0])
+        for lo, hi in (([0.0], [5.0]), ([6.0], [5.0])):  # also when lower > upper
+            with pytest.raises(SimplexError, match="finite bound"):
+                lp_solve([1.0], [[1.0]], [-np.inf], [np.inf], lo, hi)
 
     def test_reduced_costs_exposed(self):
         res = solve([1.0, 3.0], [[1.0, 1.0]], ["<="], [1.0], [0, 0], [5, 5])
@@ -429,16 +431,21 @@ class TestRevisedIdentity:
         from helpers import lp_solve_reference
 
         statuses = set()
+        shift_flips = 0  # LPs whose lower bounds turn a right side negative
         for seed in range(120):
             lp = _shaped_lp(seed)
             got, want = lp_solve(*lp), lp_solve_reference(*lp)
             statuses.add(want.status)
+            c, A, row_lo, row_hi, lo, hi = lp
+            b = np.where(np.isfinite(row_hi), row_hi, row_lo)
+            shift_flips += bool(np.any((b >= 0) & (b - A @ lo < 0)))
             assert got.status == want.status, seed
             assert got.iterations == want.iterations, seed
             assert _same_bits(got.objective, want.objective), seed
             for field in ("x", "reduced_costs", "at_upper"):
                 assert _same_bits(getattr(got, field), getattr(want, field)), (seed, field)
         assert statuses == {OPTIMAL, INFEASIBLE}
+        assert shift_flips >= 20
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_reference_on_flip_heavy_lps(self, seed):

@@ -102,6 +102,30 @@ def test_search_solves_its_lps_at_one_call_site():
     assert len(sites) == 1 and sites[0][0] == "_Search", sites
 
 
+def test_one_partitioning_constructor():
+    # partition, restrict_to_ids and load_partitioning all build their
+    # result through ``_partitioning``, which derives what they share
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [(path.stem, top.name, node.lineno) for top in tree.body
+                  for node in ast.walk(top) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "Partitioning"]
+    assert [site[:2] for site in sites] == [("partitioning", "_partitioning")], sites
+
+
+def test_global_predicate_has_three_fields():
+    # nothing sets a shift on a predicate; ``perfbench/check.py`` still
+    # reads ``linear_shift``, so it stays as a class constant of 0
+    import dataclasses
+
+    from pkgquery.paql import GlobalPredicate
+
+    assert [f.name for f in dataclasses.fields(GlobalPredicate)] == ["lhs", "op", "rhs"]
+    assert GlobalPredicate.linear_shift == 0.0
+
+
 def _uses(paths):
     """The parsed trees of ``paths``, and where each name is read as a Name
     and as an Attribute: name -> [(path, lineno)]."""
@@ -123,8 +147,8 @@ def _only_inside(uses, path: Path, node) -> bool:
 
 # Public engine names that nothing in the engine or the benchmark calls,
 # kept for the tests, each with its reason. The benchmark also reads
-# ``GlobalPredicate.linear_shift`` (a field) and ``_Refiner._refine_group``
-# (private); the check below covers neither
+# ``GlobalPredicate.linear_shift`` (a class constant) and
+# ``_Refiner._refine_group`` (private); the check below covers neither
 TEST_ONLY_NAMES = {
     "save_raw_ilp": "the writer of the file that `pkgquery gen --from-ilp` reads; "
                     "`ilp` owns that format, next to `load_raw_ilp`",
@@ -161,7 +185,6 @@ UNPASSED_PARAMETERS = {
     "evaluate.eval_sketchrefine(solver_fn)": "perfbench passes it through `**extra`",
     "solver.solve(time_limit)": "called through variables, as `solver_fn(model, time_limit)`",
     "cli.main(argv)": "the CLI's test seam; the console script passes none",
-    "relation.from_columns(kinds)": "how the tests build categorical relations in memory",
 }
 
 
