@@ -47,22 +47,6 @@ from .partitioning import (
 from .relation import RelationError, load_csv, save_csv
 
 
-def _eval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--time-limit-s", type=float, default=3600.0)
-    parser.add_argument("--backtrack-limit", type=int, default=None)
-    parser.add_argument("--recursion-threshold", type=int, default=None)
-
-
-def _eval_config(args) -> EvalConfig:
-    return EvalConfig(
-        seed=args.seed,
-        time_limit=args.time_limit_s,
-        backtrack_limit=args.backtrack_limit,
-        recursion_threshold=args.recursion_threshold,
-    )
-
-
 def _csv_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
@@ -108,7 +92,9 @@ def cmd_partition(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        cfg = _eval_config(args)
+        cfg = EvalConfig(seed=args.seed, time_limit=args.time_limit_s,
+                         backtrack_limit=args.backtrack_limit,
+                         recursion_threshold=args.recursion_threshold)
     except EvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -201,7 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--query", required=True, help=".paql file")
     p_run.add_argument("--input", required=True, help="dataset CSV")
     p_run.add_argument("--partitioning", default=None)
-    _eval_flags(p_run)
+    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--time-limit-s", type=float, default=3600.0)
+    p_run.add_argument("--backtrack-limit", type=int, default=None)
+    p_run.add_argument("--recursion-threshold", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("gen", help="synthetic data / workloads / ILP pairs")

@@ -9,11 +9,12 @@ model is the query's ILP over the group's tuples with each row's bounds
 reduced by the fixed part's activity, and a hybrid model stacks the group's
 columns beside the sketch columns of the other groups. A sketch with too
 many groups is itself partitioned and solved by the same method, one level
-deeper. All levels of one evaluation share a context: the solver, the
-deadline, the solve counters and the report flags. Each level is one
-``_Refiner``, which keeps its own budget, rng and phase timings; since the
-levels below a level run before its refine phase, its budget also counts
-their refine and hybrid solves.
+deeper. Each evaluation, by either method, runs on one context: the
+solver, the deadline (counted from the call), the solve counters and the
+report flags; its ``solve`` is the one solve step. Each SketchRefine level
+is one ``_Refiner``, which keeps its own budget, rng and phase timings;
+since the levels below a level run before its refine phase, its budget
+also counts their refine and hybrid solves.
 Every package returned here is verified feasible for the original query
 before it leaves.
 """
@@ -43,7 +44,7 @@ from .ilp import (
     translate,
 )
 from .partitioning import Partitioning, PartitionParams, group_means, partition, restrict_to_ids
-from .relation import NUMERIC, Relation, RelationError, Schema, apply_base_predicate
+from .relation import Relation, apply_base_predicate, from_columns
 from .solver import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -137,6 +138,42 @@ class _BudgetExceeded(Exception):
     pass
 
 
+class _Context:
+    """State one evaluation shares across its solves (and SketchRefine's
+    levels): the solver, the deadline, the solve counters and the report
+    flags."""
+
+    def __init__(self, cfg: EvalConfig, solver_fn: SolverFn):
+        self.cfg = cfg
+        self.solver_fn = solver_fn
+        self.deadline = time.perf_counter() + cfg.time_limit
+        self.sketch_solves = 0
+        self.refine_solves = 0
+        self.hybrid_solves = 0
+        self.backtracks = 0
+        self.stats = SolveStats()
+        self.flags: list[str] = []
+
+    def solve(self, model: IlpModel) -> Optional[SolveResult]:
+        """Derive the bounds and solve within what is left of the deadline:
+        the result when optimal, None when infeasible; raises
+        ``_TimeExceeded`` at the deadline, ``EvalError`` on other statuses."""
+        model = derive_bounds(model)  # unbounded repetition raises even past the deadline
+        left = self.deadline - time.perf_counter()
+        if left <= 0:
+            raise _TimeExceeded()
+        res = self.solver_fn(model, left)
+        self.stats.nodes += res.stats.nodes
+        self.stats.lp_iterations += res.stats.lp_iterations
+        if res.status == STATUS_OPTIMAL:
+            return res
+        if res.status == STATUS_INFEASIBLE:
+            return None
+        if res.status == STATUS_TIME_LIMIT:
+            raise _TimeExceeded()
+        raise EvalError(f"unexpected solver status {res.status!r}")
+
+
 # ---------------------------------------------------------------------------
 # Direct
 
@@ -147,31 +184,30 @@ def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfi
     the package against the query."""
     if not q.validated:
         raise EvalError("query must be validated")
+    ctx = _Context(cfg, solver_fn)
+    status, entries, objective = INFEASIBLE, None, None
     t0 = time.perf_counter()
-    model = derive_bounds(translate(q, rel))
+    model = translate(q, rel)
     t1 = time.perf_counter()
-    res = solver_fn(model, cfg.time_limit)
+    try:
+        res = ctx.solve(model)
+    except _TimeExceeded:
+        status, res = TIME_LIMIT, None
     t2 = time.perf_counter()
+    if res is not None:
+        status = FEASIBLE
+        entries = package_from_solution(model, res.x)
+        _verify_package(q, rel, entries, None)
+        objective = package_objective(q, rel, entries)
+        if abs(objective - res.objective) > 1e-6 * max(1.0, abs(objective)):
+            raise EvalError(
+                f"solver objective {res.objective} disagrees with recomputed "
+                f"aggregate {objective}")
     timings = {"translate_ms": (t1 - t0) * 1000.0, "solve_ms": (t2 - t1) * 1000.0}
     timings["total_ms"] = timings["translate_ms"] + timings["solve_ms"]
-
-    if res.status in (STATUS_TIME_LIMIT, STATUS_INFEASIBLE):
-        status = TIME_LIMIT if res.status == STATUS_TIME_LIMIT else INFEASIBLE
-        return EvalReport(METHOD_DIRECT, status, timings_ms=timings, subproblems={"solves": 1},
-                          solver=res.stats)
-    if res.status != STATUS_OPTIMAL:
-        raise EvalError(f"unexpected solver status {res.status!r}")
-
-    entries = package_from_solution(model, res.x)
-    _verify_package(q, rel, entries, None)
-    objective = package_objective(q, rel, entries)
-    if abs(objective - res.objective) > 1e-6 * max(1.0, abs(objective)):
-        raise EvalError(
-            f"solver objective {res.objective} disagrees with recomputed "
-            f"aggregate {objective}")
     return EvalReport(
-        METHOD_DIRECT, FEASIBLE, package=entries, objective=objective,
-        timings_ms=timings, subproblems={"solves": 1}, solver=res.stats)
+        METHOD_DIRECT, status, package=entries, objective=objective,
+        timings_ms=timings, subproblems={"solves": 1}, solver=ctx.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +250,7 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
             f"approximation guarantee does not cover them", stacklevel=2)
         flags = ("partial_coverage",)
     means = group_means(p, rel, needed)
-    if not np.isfinite(means).all():
-        bad = np.isfinite(means).all(axis=0).argmin()
-        raise RelationError(f"non-finite value in numeric column {needed[bad]!r}")
-    # the checks of ``from_columns`` hold already: the columns are float64,
-    # finite and m long
-    rep_rel = Relation(Schema("representatives", tuple((a, NUMERIC) for a in needed)),
-                       {a: means[:, i] for i, a in enumerate(needed)}, p.m)
+    rep_rel = from_columns("representatives", {a: means[:, i] for i, a in enumerate(needed)})
     sketch_q = replace(q, repeat=None)
     caps = np.full(p.m, np.inf) if q.repeat is None else p.sizes * float(1 + q.repeat)
     if upper is not None:  # gid holds each tuple's 1-based group, 0 for none
@@ -258,34 +288,6 @@ def _solved_part(model: IlpModel, x: np.ndarray) -> tuple[dict[int, int], np.nda
 # SketchRefine
 
 
-class _Context:
-    """State every level of one evaluation shares: the solver, the
-    deadline, the solve counters and the report flags."""
-
-    def __init__(self, cfg: EvalConfig, solver_fn: SolverFn):
-        self.cfg = cfg
-        self.solver_fn = solver_fn
-        self.deadline = time.perf_counter() + cfg.time_limit
-        self.sketch_solves = 0
-        self.refine_solves = 0
-        self.hybrid_solves = 0
-        self.backtracks = 0
-        self.stats = SolveStats()
-        self.flags: list[str] = []
-
-    def solve(self, model: IlpModel) -> SolveResult:
-        """Solve within what is left of the deadline."""
-        left = self.deadline - time.perf_counter()
-        if left <= 0:
-            raise _TimeExceeded()
-        res = self.solver_fn(model, left)
-        self.stats.nodes += res.stats.nodes
-        self.stats.lp_iterations += res.stats.lp_iterations
-        if res.status == STATUS_TIME_LIMIT:
-            raise _TimeExceeded()
-        return res
-
-
 class _Refiner:
     """One SketchRefine level: sketch the groups of ``p``, which hold only
     tuples that pass q's base predicate, refine them into tuples of ``rel``
@@ -299,7 +301,7 @@ class _Refiner:
     refined group is kept as (package entries, row activity).
     """
 
-    sketch: IlpModel  # set by ``run``; before derive_bounds, its upper bounds are the capacities
+    sketch: IlpModel  # set by ``run``; its upper bounds are the capacities
 
     def __init__(self, q: paql.PackageQuery, rel: Relation, p: Partitioning,
                  upper: Optional[np.ndarray], ctx: _Context, depth: int):
@@ -371,10 +373,8 @@ class _Refiner:
                                self.depth + 1).run()
         else:
             ctx.sketch_solves += 1
-            model = derive_bounds(self.sketch)
-            res = ctx.solve(model)  # optimal or infeasible: it raises at the time limit
-            entries = package_from_solution(model, res.x) \
-                if res.status == STATUS_OPTIMAL else None
+            res = ctx.solve(self.sketch)
+            entries = None if res is None else package_from_solution(self.sketch, res.x)
         if entries is not None:  # every multiplicity in it is positive
             return entries, {}
         try:
@@ -399,8 +399,8 @@ class _Refiner:
             self._charge(hybrid=True)
             group = self._group_model(g)
             others = np.delete(np.arange(m), g)
-            res = self.ctx.solve(derive_bounds(hstack(group, self.sketch, others)))
-            if res.status != STATUS_OPTIMAL:
+            res = self.ctx.solve(hstack(group, self.sketch, others))
+            if res is None:
                 continue
             n = group.n_vars
             k = np.rint(res.x[n:])
@@ -443,11 +443,9 @@ class _Refiner:
         self._charge()
         others = {h: mult for h, mult in rep_part.items() if h != g}
         fixed = fixed_activity((act for _, act in orig_part.values()), self.sketch, others)
-        model = derive_bounds(shift_rhs(self._group_model(g), fixed))
+        model = shift_rhs(self._group_model(g), fixed)
         res = self.ctx.solve(model)
-        if res.status != STATUS_OPTIMAL:
-            return None
-        return _solved_part(model, res.x)
+        return None if res is None else _solved_part(model, res.x)
 
     def _group_model(self, g: int) -> IlpModel:
         """The query's ILP over group g's tuples."""
@@ -479,9 +477,9 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
     """
     if not q.validated:
         raise EvalError("query must be validated")
+    ctx = _Context(cfg, solver_fn)
     if q.base_predicate is not None:
         p = restrict_to_ids(p, rel, apply_base_predicate(rel, q.base_predicate))
-    ctx = _Context(cfg, solver_fn)
     top = _Refiner(q, rel, p, None, ctx, 0)
     status, entries, objective = INFEASIBLE, None, None
     try:

@@ -316,6 +316,9 @@ def load_partitioning(path, rel: Relation) -> Partitioning:
     except (KeyError, TypeError, ValueError) as exc:  # a JSON syntax error is a ValueError
         raise PartitionError(
             f"{path}: malformed partitioning file ({type(exc).__name__}: {exc})") from None
+    outside = sorted(g + 1 for g in degenerate if not 0 <= g < m)
+    if outside:
+        raise PartitionError(f"{path}: degenerate groups {outside} are outside 1..{m}")
     width = _gid_dtype(m)
     if len(raw) != rel.n * width.itemsize:
         tuples, spare = divmod(len(raw), width.itemsize)

@@ -142,10 +142,8 @@ def predicate_holds(g: paql.GlobalPredicate, rel: Relation, package) -> bool:
     """Direct-aggregation truth of one validated global predicate.
 
     AVG over the empty package follows the linearized convention (the
-    zero form satisfies <=, >=, and =). ``linear_shift`` contributes to
-    the linearized left side exactly as in translation.
+    zero form satisfies <=, >=, and =).
     """
-    shift = Fraction(g.linear_shift)
     if isinstance(g.rhs, paql.AggregateExpr):
         lhs = _agg_exact(g.lhs, rel, package) - _agg_exact(g.rhs, rel, package)
         rhs = Fraction(0)
@@ -159,7 +157,6 @@ def predicate_holds(g: paql.GlobalPredicate, rel: Relation, package) -> bool:
     else:
         lhs = _agg_exact(g.lhs, rel, package)
         rhs = Fraction(float(g.rhs))
-    lhs += shift
     if g.op == "<=":
         return lhs <= rhs
     if g.op == ">=":

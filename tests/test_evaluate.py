@@ -28,7 +28,7 @@ from pkgquery.ilp import (
     translate,
 )
 from pkgquery.partitioning import PartitionParams, partition, partition_with_epsilon
-from pkgquery.relation import from_columns
+from pkgquery.relation import RelationError, from_columns
 from pkgquery.solver import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -188,6 +188,18 @@ class TestSketchQuery:
         with pytest.warns(UserWarning, match="outside the partitioning"):
             _, _, _, flags = build_sketch_query(q, p, rel)
         assert "partial_coverage" in flags
+
+    def test_overflowing_group_mean_is_rejected(self):
+        # the group {0, 1} sums y to inf, so its mean is inf; the
+        # representative relation rejects it and names the column
+        rel = from_columns("R", {"x": [1.0, 1.0], "y": [1e308, 1e308]})
+        q = q_of("SELECT PACKAGE(R) AS P FROM R REPEAT 0 SUCH THAT COUNT(P.*) >= 1 "
+                 "MAXIMIZE SUM(P.y)", rel)
+        p = partition(rel, PartitionParams(("x",), 2))
+        with np.errstate(over="ignore"), \
+                pytest.warns(UserWarning, match="outside the partitioning"), \
+                pytest.raises(RelationError, match="non-finite value in numeric column 'y'"):
+            eval_sketchrefine(q, rel, p)
 
     def test_base_predicate_never_reaches_sketch(self, recipes, meal_query):
         p = partition(recipes, PartitionParams(("kcal",), 5))
@@ -749,6 +761,35 @@ class TestSolverStats:
         report = _sr(PICK_TWO, solver_fn=_refine_times_out())
         assert report.status == TIME_LIMIT
         assert report.solver.nodes >= 1  # the sketch's, before the refine ran out
+
+
+class TestOneSolveStep:
+    """Both methods solve through one step: it reads every solver status
+    and spends one deadline that counts from the call."""
+
+    @pytest.mark.parametrize("method", ["direct", "sketchrefine"])
+    def test_unexpected_status_raises(self, method):
+        def unbounded(model, time_limit):
+            return SolveResult("unbounded", None, None)
+
+        q, rel, p = _small(PICK_TWO)
+        with pytest.raises(EvalError, match="unexpected solver status 'unbounded'"):
+            if method == "direct":
+                eval_direct(q, rel, solver_fn=unbounded)
+            else:
+                eval_sketchrefine(q, rel, p, solver_fn=unbounded)
+
+    def test_direct_deadline_includes_translate(self):
+        given = []
+
+        def recording(model, time_limit):
+            given.append(time_limit)
+            return solve(model, time_limit)
+
+        q, rel, _ = _small(PICK_TWO)
+        cfg = EvalConfig(time_limit=10.0)
+        assert eval_direct(q, rel, cfg, solver_fn=recording).status == FEASIBLE
+        assert len(given) == 1 and 0 < given[0] < cfg.time_limit
 
 
 class TestNoGroupSurvives:

@@ -390,6 +390,19 @@ class TestIo:
         again = json.loads((tmp_path / "again.json").read_text())
         assert base64.b64decode(again["gids"]) == bytes([2, 0, 1, 0, 2, 0])
 
+    def test_degenerate_outside_range_rejected(self, tmp_path):
+        # 1-based group numbers: with m = 2 only 1 and 2 name a group
+        rel = grid_rel(6, 1, seed=1)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "version": 2, "attrs": ["a0"], "tau": 3, "omega": "inf",
+            "gids": base64.b64encode(bytes([1, 1, 1, 2, 2, 2])).decode(),
+            "representatives": [[1.0], [1.0]],
+            "radii": [0.0, 0.0], "sizes": [3, 3], "degenerate": [99, 0, -4]}))
+        with pytest.raises(PartitionError, match=r"p\.json: degenerate groups \[-4, 0, 99\] "
+                                                 r"are outside 1\.\.2"):
+            load_partitioning(path, rel)
+
     @pytest.mark.parametrize("k, tau, omega", [(1, 5, math.inf), (3, 1, 0.2), (4, 64, 0.5)])
     def test_roundtrip_is_exact(self, tmp_path, k, tau, omega):
         rel = grid_rel(700, k, seed=k)

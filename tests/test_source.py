@@ -102,6 +102,31 @@ def test_search_solves_its_lps_at_one_call_site():
     assert len(sites) == 1 and sites[0][0] == "_Search", sites
 
 
+def test_evaluation_has_one_solve_step():
+    # Direct and every SketchRefine solve derive bounds, call the solver and
+    # read its status in ``_Context.solve``, the one place a deadline is spent
+    tree = ast.parse((SRC / "evaluate.py").read_text(encoding="utf-8"))
+    scopes = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            scopes += [(f"{top.name}.{f.name}", f) for f in top.body
+                       if isinstance(f, ast.FunctionDef)]
+        else:
+            scopes.append((getattr(top, "name", "<module>"), top))
+    calls = {"derive_bounds": [], "solver_fn": []}
+    statuses = set()
+    for scope, node in scopes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                if name in calls:
+                    calls[name].append(scope)
+            elif isinstance(sub, ast.Name) and sub.id.startswith("STATUS_"):
+                statuses.add(scope)
+    assert calls == {"derive_bounds": ["_Context.solve"], "solver_fn": ["_Context.solve"]}
+    assert statuses == {"_Context.solve"}
+
+
 def test_one_partitioning_constructor():
     # partition, restrict_to_ids and load_partitioning all build their
     # result through ``_partitioning``, which derives what they share
