@@ -103,8 +103,9 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 2
     try:
+        q = paql.load_query(args.query)  # a bad query fails before the CSV load
         rel = load_csv(args.input)
-        q = paql.validate(paql.load_query(args.query), rel.schema)
+        q = paql.validate(q, rel.schema)
         if args.method == METHOD_DIRECT:
             report = eval_direct(q, rel, cfg)
         else:

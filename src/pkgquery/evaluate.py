@@ -143,25 +143,25 @@ class _Context:
     levels): the solver, the deadline, the solve counters and the report
     flags."""
 
-    def __init__(self, cfg: EvalConfig, solver_fn: SolverFn):
+    def __init__(self, cfg: EvalConfig, solver_fn: SolverFn, kinds: tuple[str, ...]):
         self.cfg = cfg
         self.solver_fn = solver_fn
         self.deadline = time.perf_counter() + cfg.time_limit
-        self.sketch_solves = 0
-        self.refine_solves = 0
-        self.hybrid_solves = 0
+        self.solves = dict.fromkeys(kinds, 0)  # the solves that ran, by kind
         self.backtracks = 0
         self.stats = SolveStats()
         self.flags: list[str] = []
 
-    def solve(self, model: IlpModel) -> Optional[SolveResult]:
-        """Derive the bounds and solve within what is left of the deadline:
-        the result when optimal, None when infeasible; raises
-        ``_TimeExceeded`` at the deadline, ``EvalError`` on other statuses."""
+    def solve(self, model: IlpModel, *, kind: str) -> Optional[SolveResult]:
+        """Derive the bounds and solve within what is left of the deadline,
+        counting the solve under ``kind``: the result when optimal, None when
+        infeasible; raises ``_TimeExceeded`` at the deadline, ``EvalError`` on
+        other statuses."""
         model = derive_bounds(model)  # unbounded repetition raises even past the deadline
         left = self.deadline - time.perf_counter()
         if left <= 0:
             raise _TimeExceeded()
+        self.solves[kind] += 1
         res = self.solver_fn(model, left)
         self.stats.nodes += res.stats.nodes
         self.stats.lp_iterations += res.stats.lp_iterations
@@ -184,13 +184,13 @@ def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfi
     the package against the query."""
     if not q.validated:
         raise EvalError("query must be validated")
-    ctx = _Context(cfg, solver_fn)
+    ctx = _Context(cfg, solver_fn, ("solves",))
     status, entries, objective = INFEASIBLE, None, None
     t0 = time.perf_counter()
     model = translate(q, rel)
     t1 = time.perf_counter()
     try:
-        res = ctx.solve(model)
+        res = ctx.solve(model, kind="solves")
     except _TimeExceeded:
         status, res = TIME_LIMIT, None
     t2 = time.perf_counter()
@@ -207,7 +207,7 @@ def eval_direct(q: paql.PackageQuery, rel: Relation, cfg: EvalConfig = EvalConfi
     timings["total_ms"] = timings["translate_ms"] + timings["solve_ms"]
     return EvalReport(
         METHOD_DIRECT, status, package=entries, objective=objective,
-        timings_ms=timings, subproblems={"solves": 1}, solver=ctx.stats)
+        timings_ms=timings, subproblems=ctx.solves, solver=ctx.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +372,7 @@ class _Refiner:
             entries = _Refiner(sketch_q, rep_rel, sub_p, self.sketch.upper, ctx,
                                self.depth + 1).run()
         else:
-            ctx.sketch_solves += 1
-            res = ctx.solve(self.sketch)
+            res = ctx.solve(self.sketch, kind="sketch")
             entries = None if res is None else package_from_solution(self.sketch, res.x)
         if entries is not None:  # every multiplicity in it is positive
             return entries, {}
@@ -389,17 +388,17 @@ class _Refiner:
     def _hybrid_sketch(self) -> Optional[tuple[dict[int, int], dict[int, tuple]]]:
         """Try merging the sketch with one group's refine problem: for each
         group in seeded-random order, solve its translated columns beside the
-        other groups' sketch columns (bounds derived on the stack), charging
-        the budget. The first feasible solve wins; returns (rep_part,
+        other groups' sketch columns (bounds derived on the stack), checking
+        the level's budget. The first feasible solve wins; returns (rep_part,
         orig_part) as ``_solve_sketch`` does."""
         m = self.p.m
         order = list(range(m))
         self.rng.shuffle(order)
         for g in order:
-            self._charge(hybrid=True)
+            self._check_budget()
             group = self._group_model(g)
             others = np.delete(np.arange(m), g)
-            res = self.ctx.solve(hstack(group, self.sketch, others))
+            res = self.ctx.solve(hstack(group, self.sketch, others), kind="hybrid")
             if res is None:
                 continue
             n = group.n_vars
@@ -440,11 +439,11 @@ class _Refiner:
     def _refine_group(self, g: int, rep_part: dict, orig_part: dict
                       ) -> Optional[tuple[dict[int, int], np.ndarray]]:
         """Solve the refine model for group g; None when infeasible."""
-        self._charge()
+        self._check_budget()
         others = {h: mult for h, mult in rep_part.items() if h != g}
         fixed = fixed_activity((act for _, act in orig_part.values()), self.sketch, others)
         model = shift_rhs(self._group_model(g), fixed)
-        res = self.ctx.solve(model)
+        res = self.ctx.solve(model, kind="refine")
         return None if res is None else _solved_part(model, res.x)
 
     def _group_model(self, g: int) -> IlpModel:
@@ -452,17 +451,13 @@ class _Refiner:
         return translate(self.level_q, self.rel, ids=self.p.groups[g],
                          upper_override=self.upper)
 
-    def _charge(self, hybrid: bool = False) -> None:
-        """Count one refine (or hybrid) solve against the level's budget.
-        The counters also hold the solves of the levels below it: they all
-        ran before this level's first charge."""
-        ctx = self.ctx
-        if ctx.refine_solves + ctx.hybrid_solves >= self.budget:
+    def _check_budget(self) -> None:
+        """Raise ``_BudgetExceeded`` when the refine and hybrid solves that
+        ran use up the level's budget. The counters also hold the solves of
+        the levels below it: they all ran before this level's first check."""
+        solves = self.ctx.solves
+        if solves["refine"] + solves["hybrid"] >= self.budget:
             raise _BudgetExceeded()
-        if hybrid:
-            ctx.hybrid_solves += 1
-        else:
-            ctx.refine_solves += 1
 
 
 def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
@@ -477,7 +472,7 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
     """
     if not q.validated:
         raise EvalError("query must be validated")
-    ctx = _Context(cfg, solver_fn)
+    ctx = _Context(cfg, solver_fn, ("sketch", "refine", "hybrid"))
     if q.base_predicate is not None:
         p = restrict_to_ids(p, rel, apply_base_predicate(rel, q.base_predicate))
     top = _Refiner(q, rel, p, None, ctx, 0)
@@ -495,8 +490,7 @@ def eval_sketchrefine(q: paql.PackageQuery, rel: Relation, p: Partitioning,
         METHOD_SKETCHREFINE, status, package=entries, objective=objective,
         timings_ms={**timings, "total_ms": timings["sketch_ms"] + timings["refine_ms"]},
         backtracks=ctx.backtracks,
-        subproblems={"sketch": ctx.sketch_solves, "refine": ctx.refine_solves,
-                     "hybrid": ctx.hybrid_solves},
+        subproblems=ctx.solves,
         flags=tuple(dict.fromkeys(ctx.flags)), solver=ctx.stats)
 
 

@@ -112,16 +112,20 @@ def _parse_float(text: str) -> Optional[float]:
         return None
 
 
-def read_utf8(path, error: type[Exception]) -> str:
-    """The text of a UTF-8 file; raises ``error`` naming the path and the
-    offset of the first byte that is not UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _decode_utf8(data: bytes, path, error: type[Exception]) -> str:
+    """``data`` as UTF-8 text; raises ``error`` naming the path and the offset
+    of the first byte that is not UTF-8."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(
             f"{path}: not UTF-8 text (invalid byte at offset {exc.start})") from None
+
+
+def read_utf8(path, error: type[Exception]) -> str:
+    """The text of a UTF-8 file, as ``_decode_utf8`` reads it."""
+    with open(path, "rb") as fh:
+        return _decode_utf8(fh.read(), path, error)
 
 
 def load_csv(path, name: Optional[str] = None) -> Relation:
@@ -130,18 +134,22 @@ def load_csv(path, name: Optional[str] = None) -> Relation:
     Column kinds are inferred: a column whose every cell parses as a float
     is numeric, any other column categorical. Numeric cells must be finite;
     NaN/inf cells are rejected. Tuple ids are 0-based row positions after
-    the header. An all-numeric file without quotes, carriage returns or
-    lines longer than ``csv.field_size_limit()`` is parsed in one vectorized
+    the header. An all-numeric file whose data lines are ASCII, without
+    quotes, carriage returns, blank lines or lines longer than
+    ``csv.field_size_limit()``, is parsed from its bytes in one vectorized
     pass; ``csv.reader`` reads every other file, with the same result
     wherever both apply.
     """
-    text = read_utf8(path, RelationError)
-    table = _numeric_table(text)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    table = _numeric_table(data)
     if table is not None:
+        del data  # free the file before the columns are copied out
         header, values = table
         cols = {a: np.ascontiguousarray(values[:, j]) for j, a in enumerate(header)}
         return Relation(Schema(name or "R", tuple((a, NUMERIC) for a in header)),
                         cols, len(values))
+    text = _decode_utf8(data, path, RelationError)
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -173,31 +181,49 @@ def load_csv(path, name: Optional[str] = None) -> Relation:
     return from_columns(name or "R", cols, kinds)
 
 
-def _numeric_table(text: str) -> Optional[tuple[list[str], np.ndarray]]:
+def _numeric_table(data: bytes) -> Optional[tuple[list[str], np.ndarray]]:
     """(header, n x k matrix) for a file the csv.reader path would load as
-    all-numeric, parsed in one ``np.loadtxt`` pass; None for any other file."""
-    if '"' in text or "\r" in text:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        del lines[-1]  # the newline that ends the last line
-    if not lines or not lines[0]:
-        return None
-    if max(map(len, lines)) > csv.field_size_limit():
+    all-numeric, its ASCII data lines parsed in one ``np.loadtxt`` pass; None
+    for any other file."""
+    start = data.find(b"\n") + 1  # where the first data line begins
+    if start <= 1 or start == len(data):
+        return None  # no header or no data line
+    if b'"' in data or b"\r" in data or b"\n\n" in data:
+        return None  # a quote, a carriage return or a blank line (loadtxt skips it)
+    if not (data.isascii() or data[start:].isascii()):
+        return None  # csv.reader decodes the data lines, or reports bad UTF-8
+    try:
+        header_line = data[:start - 1].decode("utf-8")
+    except UnicodeDecodeError:
+        return None  # the csv.reader path reports it
+    limit = csv.field_size_limit()
+    if len(header_line) > limit or not _lines_fit(data, start, limit):
         return None  # csv.reader rejects the cell, or reads the line's fields
-    header, body = lines[0].split(","), lines[1:]
+    header = header_line.split(",")
     if len(set(header)) != len(header):
         return None
-    if not body or "" in body:
-        return None  # loadtxt warns on no rows and skips blank lines
+    rows = data.count(b"\n", start) + (not data.endswith(b"\n"))
+    buf = io.BytesIO(data)  # shares the bytes until written
+    buf.seek(start)
     try:
-        values = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64,
-                            ndmin=2)
+        values = np.loadtxt(io.TextIOWrapper(buf, encoding="ascii", newline="\n"),
+                            delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:  # a cell float() may still accept, or a ragged row
         return None
-    if values.shape != (len(body), len(header)) or not np.isfinite(values).all():
+    if values.shape != (rows, len(header)) or not np.isfinite(values).all():
         return None
     return header, values
+
+
+def _lines_fit(data: bytes, start: int, limit: int) -> bool:
+    """Whether no line of ``data[start:]`` is longer than ``limit`` bytes;
+    each step skips to the last newline within reach of a line's start."""
+    while len(data) - start > limit:
+        end = data.rfind(b"\n", start, start + limit + 1)
+        if end < 0:
+            return False
+        start = end + 1
+    return True
 
 
 def save_csv(rel: Relation, path) -> None:

@@ -170,6 +170,14 @@ class TestCli:
         assert captured.err.startswith("error: ") and "expected 3 fields" in captured.err
         assert captured.out == ""
 
+    def test_run_parses_the_query_before_loading_the_csv(self, capsys, tmp_path):
+        # with both files bad, the query's error is the one reported
+        query, bad = tmp_path / "bad.paql", tmp_path / "bad.csv"
+        query.write_text("SELECT PACKAGE(R) AS P FROM R SUCH THAT")
+        bad.write_text("a0,a1,a2\n1,2,3\n4,5\n")
+        self._run_error(capsys, ["run", "--method", "direct", "--query", str(query),
+                                 "--input", str(bad)], 1, "1:40:")
+
     def test_run_partitioning_of_another_relation_exits_1(self, dataset, capsys, tmp_path):
         root, rel, csv_path, queries, qpaths = dataset
         other = tmp_path / "other.csv"

@@ -812,10 +812,24 @@ class TestNoGroupSurvives:
         assert report.timings_ms["sketch_ms"] > 0
 
     def test_zero_time_limit(self):
-        # as on every other SketchRefine query, the sketch solve finds no time
-        report = _sr(FILTERED_OUT, EvalConfig(time_limit=0.0))
+        # as on every other SketchRefine query, the sketch solve finds no
+        # time, so it never runs and is not counted
+        models = []
+        report = _sr(FILTERED_OUT, EvalConfig(time_limit=0.0),
+                     solver_fn=lambda model, left: models.append(model))
         assert report.status == TIME_LIMIT
-        assert report.subproblems == {"sketch": 1, "refine": 0, "hybrid": 0}
+        assert models == []
+        assert report.subproblems == {"sketch": 0, "refine": 0, "hybrid": 0}
+
+    def test_zero_time_limit_direct(self):
+        models = []
+        q, rel, _ = _small(FILTERED_OUT)
+        report = eval_direct(q, rel, EvalConfig(time_limit=0.0),
+                             solver_fn=lambda model, left: models.append(model))
+        assert report.status == TIME_LIMIT
+        assert models == []
+        assert report.subproblems == {"solves": 0}
+        assert report.solver.nodes == 0
 
 
 class TestApproximationRatio:

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,30 @@ class TestLoadCsvPath:
         monkeypatch.setattr(relation.csv, "reader", self._refuse)
         with pytest.raises(AssertionError, match="csv.reader called"):
             load_csv(write(tmp_path, "a,b\n1,x\n2,y\n"))
+
+    def test_utf8_header_keeps_the_vectorized_path(self, tmp_path, monkeypatch):
+        # only the data lines need to be ASCII
+        path = write(tmp_path, "kcal_\u00e9,fat\n1,2\n3,4\n")
+        expected = _outcome(lambda: reference_load_csv(path))
+        monkeypatch.setattr(relation.csv, "reader", self._refuse)
+        assert _outcome(lambda: load_csv(path)) == expected
+
+    def test_peak_memory_of_one_load(self, tmp_path):
+        # the file's bytes are parsed in place: no decoded copy of the text
+        # and no list of its lines sit beside them
+        data = np.random.default_rng(4).uniform(0.5, 2.0, size=(20_000, 4))
+        path = tmp_path / "d.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("a0,a1,a2,a3\n")
+            np.savetxt(fh, data, fmt="%.17g", delimiter=",")
+        tracemalloc.start()
+        try:
+            rel = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rel.n == 20_000
+        assert peak <= path.stat().st_size + 4 * data.nbytes
 
 
 class TestSchema:
