@@ -135,12 +135,12 @@ def cmd_gen(args) -> int:
             return 0
         rel = None
         if args.rows is not None:
-            rel = generate.gen_dataset(
-                args.rows, args.cols, args.seed, dist=args.dist,
-                low=args.low, high=args.high, mean=args.mean, sigma=args.sigma)
             if not args.out:
                 print("error: --rows needs --out for the CSV", file=sys.stderr)
                 return 2
+            rel = generate.gen_dataset(
+                args.rows, args.cols, args.seed, dist=args.dist,
+                low=args.low, high=args.high, mean=args.mean, sigma=args.sigma)
             save_csv(rel, args.out)
             print(json.dumps({"csv": args.out, "rows": rel.n,
                               "cols": len(rel.schema.attributes)}))

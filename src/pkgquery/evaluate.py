@@ -253,8 +253,8 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
     rep_rel = from_columns("representatives", {a: means[:, i] for i, a in enumerate(needed)})
     sketch_q = replace(q, repeat=None)
     caps = np.full(p.m, np.inf) if q.repeat is None else p.sizes * float(1 + q.repeat)
-    if upper is not None:  # gid holds each tuple's 1-based group, 0 for none
-        caps = np.minimum(caps, np.bincount(p.gid, upper, minlength=p.m + 1)[1:p.m + 1])
+    if upper is not None:  # integral or inf, so each sum is exact in any order
+        caps = np.minimum(caps, [upper[g].sum() for g in p.groups])
     return rep_rel, sketch_q, caps, flags
 
 

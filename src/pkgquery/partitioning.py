@@ -17,9 +17,10 @@ Partitionings are built, restricted and loaded through one constructor,
 version 2, whose ``gids`` field packs the gid column as base64 of
 little-endian unsigned ints just wide enough for m groups. Loading accepts
 version 2 only and asks for a rebuild with ``pkgquery partition``
-otherwise; a stored gid outside 1..m loads as 0, a tuple in no group. A
-partitioning keeps no copy of the data: whatever needs the members' values
-reads them from the relation.
+otherwise; a stored gid outside 1..m loads into no group. In memory a
+partitioning holds each group's member ids and statistics, not the gid
+column, and no copy of the data: whatever needs the members' values reads
+them from the relation.
 """
 
 from __future__ import annotations
@@ -62,18 +63,18 @@ class PartitionParams:
 
 @dataclass(frozen=True)
 class Partitioning:
-    """Group assignment over tuple ids plus per-group statistics.
+    """Group assignment over tuple ids 0..n-1 plus per-group statistics.
 
-    ``gid`` maps tuple id -> 1-based group index (0 = in no group: outside
-    a restricted subset, or stored outside 1..m in a loaded file).
-    ``groups[g]`` holds member tuple ids for 0-based group index g;
-    ``representatives[g]`` is the member centroid over ``attrs``.
+    ``groups[g]`` holds ascending member tuple ids for 0-based group index
+    g; a tuple outside a restricted subset, or stored with a gid outside
+    1..m in a loaded file, is in no group. ``representatives[g]`` is the
+    member centroid over ``attrs``.
     """
 
     attrs: tuple[str, ...]
     tau: int
     omega: float
-    gid: np.ndarray
+    n: int
     groups: tuple[np.ndarray, ...]
     sizes: np.ndarray
     radii: np.ndarray
@@ -85,13 +86,13 @@ class Partitioning:
         return len(self.groups)
 
 
-def _partitioning(attrs, tau, omega, gid, groups, reps, radii, degenerate) -> Partitioning:
-    """The one constructor: ``gid`` as the caller filled it, sizes counted
-    from ``groups``; per group a centroid, a radius, and the 0-based
-    indices of the degenerate ones."""
+def _partitioning(attrs, tau, omega, n, groups, reps, radii, degenerate) -> Partitioning:
+    """The one constructor: ``n`` tuples, sizes counted from ``groups``; per
+    group a centroid, a radius, and the 0-based indices of the degenerate
+    ones."""
     groups = tuple(groups)
     return Partitioning(
-        attrs=attrs, tau=tau, omega=omega, gid=gid, groups=groups,
+        attrs=attrs, tau=tau, omega=omega, n=n, groups=groups,
         sizes=np.fromiter(map(len, groups), dtype=np.int64, count=len(groups)),
         radii=np.asarray(radii, dtype=np.float64), degenerate=frozenset(degenerate),
         representatives=np.asarray(reps, dtype=np.float64).reshape(len(groups), len(attrs)))
@@ -153,10 +154,7 @@ def partition(rel: Relation, params: PartitionParams) -> Partitioning:
         queue.extend(zip(np.split(members[order], cuts), np.split(sub[order], cuts)))
 
     groups, reps, radii, degen = zip(*final) if final else ((),) * 4
-    gid = np.zeros(rel.n, dtype=np.int64)
-    for g, members in enumerate(groups):
-        gid[members] = g + 1
-    return _partitioning(params.attrs, params.tau, params.omega, gid, groups,
+    return _partitioning(params.attrs, params.tau, params.omega, rel.n, groups,
                          reps, radii, (g for g, d in enumerate(degen) if d))
 
 
@@ -228,9 +226,8 @@ def restrict_to_ids(p: Partitioning, rel: Relation,
     the stored limit is flagged degenerate (the centroid may move when
     members are removed)."""
     cols = [rel.column(a) for a in p.attrs]
-    keep = np.zeros(len(p.gid), dtype=bool)
+    keep = np.zeros(p.n, dtype=bool)
     keep[np.asarray(keep_ids, dtype=np.int64)] = True
-    gid = np.zeros(len(p.gid), dtype=np.int64)
     groups, reps, radii, degenerate = [], [], [], []
     for members in p.groups:
         members = members[keep[members]]
@@ -242,10 +239,9 @@ def restrict_to_ids(p: Partitioning, rel: Relation,
         if len(members) > p.tau or radius > p.omega * (1 + 1e-12):
             degenerate.append(len(groups))
         groups.append(members)
-        gid[members] = len(groups)
         reps.append(centroid)
         radii.append(radius)
-    return _partitioning(p.attrs, p.tau, p.omega, gid, groups, reps, radii, degenerate)
+    return _partitioning(p.attrs, p.tau, p.omega, p.n, groups, reps, radii, degenerate)
 
 
 def group_means(p: Partitioning, rel: Relation,
@@ -267,15 +263,18 @@ def group_means(p: Partitioning, rel: Relation,
 def save_partitioning(p: Partitioning, path) -> None:
     """Write the partitioning as a JSON object of format version 2.
 
-    ``gids`` is base64 of the gid column as little-endian unsigned ints of
-    ``np.min_scalar_type(m).itemsize`` bytes each; the other fields are
-    JSON lists."""
+    ``gids`` is base64 of the gid column (1-based group, 0 for none) as
+    little-endian unsigned ints of ``np.min_scalar_type(m).itemsize`` bytes
+    each; the other fields are JSON lists."""
+    gid = np.zeros(p.n, dtype=_gid_dtype(p.m))
+    for g, members in enumerate(p.groups, start=1):
+        gid[members] = g
     payload = {
         "version": _FORMAT_VERSION,
         "attrs": list(p.attrs),
         "tau": int(p.tau),
         "omega": "inf" if math.isinf(p.omega) else float(p.omega),
-        "gids": base64.b64encode(p.gid.astype(_gid_dtype(p.m))).decode("ascii"),
+        "gids": base64.b64encode(gid).decode("ascii"),
         "representatives": p.representatives.tolist(),
         "radii": p.radii.tolist(),
         "sizes": p.sizes.tolist(),
@@ -328,9 +327,8 @@ def load_partitioning(path, rel: Relation) -> Partitioning:
             f"{path}: gid column covers {covers}, relation has {rel.n}")
     packed = np.frombuffer(raw, dtype=width)
     _require_numeric(rel, attrs)  # as partition requires of its attrs
-    # one stable sort keeps each group's members in ascending id order
-    # (numpy sorts keys of at most 16 bits by radix); gids outside 1..m
-    # join no group and load as 0, not covered
+    # one stable sort keeps each group's members in ascending id order (numpy
+    # sorts keys of at most 16 bits by radix); gids outside 1..m join no group
     in_range = (packed >= 1) & (packed <= m)
     counts = np.bincount(packed[in_range] - 1, minlength=m)
     if not np.array_equal(sizes, counts):
@@ -338,5 +336,4 @@ def load_partitioning(path, rel: Relation) -> Partitioning:
     order = np.nonzero(in_range)[0]
     order = order[np.argsort(packed[order], kind="stable")]
     groups = np.split(order, np.cumsum(counts)[:-1]) if m else ()
-    return _partitioning(attrs, tau, omega, np.where(in_range, packed, 0).astype(np.int64),
-                         groups, reps, radii, degenerate)
+    return _partitioning(attrs, tau, omega, rel.n, groups, reps, radii, degenerate)

@@ -188,9 +188,9 @@ def _numeric_table(data: bytes) -> Optional[tuple[list[str], np.ndarray]]:
     start = data.find(b"\n") + 1  # where the first data line begins
     if start <= 1 or start == len(data):
         return None  # no header or no data line
-    if b'"' in data or b"\r" in data or b"\n\n" in data:
-        return None  # a quote, a carriage return or a blank line (loadtxt skips it)
-    if not (data.isascii() or data[start:].isascii()):
+    if b'"' in data or b"\r" in data or data[start] == 0x0A:
+        return None  # a quote, a CR, a leading blank line (the shape check finds others)
+    if np.frombuffer(data, np.uint8, offset=start).max() >= 0x80:  # read in place
         return None  # csv.reader decodes the data lines, or reports bad UTF-8
     try:
         header_line = data[:start - 1].decode("utf-8")

@@ -387,11 +387,9 @@ def partition_reference(rel: Relation, params: PartitionParams) -> Partitioning:
         for part in np.split(members[order], cuts):
             queue.append(part)
 
-    gid = np.zeros(rel.n, dtype=np.int64)
     groups, sizes, radii, reps, degenerate = [], [], [], [], set()
     for g, (members, centroid, radius, degen) in enumerate(final):
         members = np.sort(members)
-        gid[members] = g + 1
         groups.append(members)
         sizes.append(len(members))
         radii.append(radius)
@@ -399,7 +397,7 @@ def partition_reference(rel: Relation, params: PartitionParams) -> Partitioning:
         if degen:
             degenerate.add(g)
     return Partitioning(
-        attrs=params.attrs, tau=params.tau, omega=params.omega, gid=gid,
+        attrs=params.attrs, tau=params.tau, omega=params.omega, n=rel.n,
         groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
         radii=np.asarray(radii), degenerate=frozenset(degenerate),
         representatives=np.asarray(reps).reshape(len(final), k))
@@ -408,9 +406,8 @@ def partition_reference(rel: Relation, params: PartitionParams) -> Partitioning:
 def restrict_reference(p: Partitioning, points: np.ndarray, keep_ids) -> Partitioning:
     """``restrict_to_ids`` reading the members' values from ``points``, the
     n x k matrix of ``p.attrs`` over the relation."""
-    keep = np.zeros(len(p.gid), dtype=bool)
+    keep = np.zeros(p.n, dtype=bool)
     keep[np.asarray(keep_ids, dtype=np.int64)] = True
-    gid = np.zeros(len(p.gid), dtype=np.int64)
     groups, sizes, radii, reps, degenerate = [], [], [], [], set()
     for members in p.groups:
         members = members[keep[members]]
@@ -418,7 +415,6 @@ def restrict_reference(p: Partitioning, points: np.ndarray, keep_ids) -> Partiti
             continue
         g = len(groups)
         centroid, radius = _reference_group_stats(points, members)
-        gid[members] = g + 1
         groups.append(members)
         sizes.append(len(members))
         radii.append(radius)
@@ -426,7 +422,7 @@ def restrict_reference(p: Partitioning, points: np.ndarray, keep_ids) -> Partiti
         if len(members) > p.tau or radius > p.omega * (1 + 1e-12):
             degenerate.add(g)
     return Partitioning(
-        attrs=p.attrs, tau=p.tau, omega=p.omega, gid=gid,
+        attrs=p.attrs, tau=p.tau, omega=p.omega, n=p.n,
         groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
         radii=np.asarray(radii), degenerate=frozenset(degenerate),
         representatives=np.asarray(reps).reshape(len(groups), len(p.attrs)))

@@ -398,3 +398,12 @@ class TestCli:
 
     def test_gen_needs_some_mode(self, capsys):
         assert main(["gen"]) == 2
+
+    def test_gen_rows_checks_out_before_generating(self, capsys, monkeypatch):
+        # the missing --out is reported before any data is generated, so a
+        # bad --cols never gets the generator's own message in first
+        def never(*args, **kwargs):
+            raise AssertionError("gen_dataset called")
+        monkeypatch.setattr("pkgquery.generate.gen_dataset", never)
+        self._run_error(capsys, ["gen", "--rows", "5", "--cols", "0"], 2,
+                        "--rows needs --out for the CSV")

@@ -543,13 +543,12 @@ class TestHybrid:
         q = q_of("SELECT PACKAGE(R) AS P FROM R REPEAT 0 "
                  "SUCH THAT COUNT(P.*) = 1 AND SUM(P.x) BETWEEN 8.5 AND 9.5 "
                  "MAXIMIZE SUM(P.x)", rel)
-        gid = np.array([1, 1, 2, 2])
         # force the adversarial grouping: {1.0, 9.0} and {5.0, 5.0}
         import pkgquery.partitioning as pt
         groups = (np.array([0, 1]), np.array([2, 3]))
         reps = np.array([[5.0], [5.0]])
         p = pt.Partitioning(
-            attrs=("x",), tau=4, omega=np.inf, gid=gid, groups=groups,
+            attrs=("x",), tau=4, omega=np.inf, n=4, groups=groups,
             sizes=np.array([2, 2]), radii=np.array([4.0, 0.0]),
             representatives=reps, degenerate=frozenset())
         return rel, q, p

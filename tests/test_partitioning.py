@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,7 @@ def grid_rel(n, k, seed, lo=0.5, hi=2.0):
 
 def assert_same(a, b):
     """Every field of two partitionings equal, floats bit for bit."""
-    assert (a.attrs, a.tau, a.omega) == (b.attrs, b.tau, b.omega)
-    assert a.gid.dtype == b.gid.dtype and np.array_equal(a.gid, b.gid)
+    assert (a.attrs, a.tau, a.omega, a.n) == (b.attrs, b.tau, b.omega, b.n)
     assert len(a.groups) == len(b.groups)
     for mine, theirs in zip(a.groups, b.groups):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
@@ -77,9 +77,9 @@ def check_valid(p, rel, tau=None, omega=None):
     points = attr_matrix(rel, p.attrs)
     seen = np.concatenate(p.groups) if p.m else np.array([], dtype=np.int64)
     assert len(seen) == len(set(seen.tolist()))  # disjoint
+    assert p.n == rel.n and ((0 <= seen) & (seen < p.n)).all()
     for g, members in enumerate(p.groups):
         assert np.array_equal(np.sort(members), members)
-        assert (p.gid[members] == g + 1).all()
         sub = points[members]
         centroid = sub.mean(axis=0)
         np.testing.assert_allclose(centroid, p.representatives[g], rtol=1e-9, atol=1e-12)
@@ -100,7 +100,7 @@ class TestPartition:
         assert p.sizes.tolist() == [1, 1, 1, 1]
         assert p.radii.tolist() == [0.0] * 4
         assert not p.degenerate
-        assert sorted(p.gid.tolist()) == [1, 2, 3, 4]
+        assert sorted(np.concatenate(p.groups).tolist()) == [0, 1, 2, 3]
 
     def test_tau_n_single_group(self):
         rel = from_columns("T", {"x": [0.0, 0.0, 1.0, 1.0], "y": [0.0, 1.0, 0.0, 1.0]})
@@ -306,6 +306,32 @@ class TestShrink:
         assert dropped and grown and empty
 
 
+def kept_bytes(make):
+    """What ``make()`` returns, and the traced bytes it still holds."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        return made, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_kept_memory_is_one_id_per_member(tmp_path):
+    # a partitioning holds its membership once: one int64 id per member in
+    # ``groups``, and no per-tuple gid column beside it
+    rel = grid_rel(20_000, 2, seed=6)
+    params = PartitionParams(("a0", "a1"), 500)
+    partition(rel, params)  # warm-up: first-call allocations are not kept memory
+    p, built = kept_bytes(lambda: partition(rel, params))
+    assert p.m == 64
+    save_partitioning(p, tmp_path / "p.json")
+    back, loaded = kept_bytes(lambda: load_partitioning(tmp_path / "p.json", rel))
+    assert_same(back, p)
+    budget = 1.5 * 8 * rel.n
+    assert built <= budget and loaded <= budget, (built / (8 * rel.n), loaded / (8 * rel.n))
+
+
 class TestIo:
     def test_roundtrip(self, tmp_path):
         rel = grid_rel(120, 3, seed=9)
@@ -315,7 +341,8 @@ class TestIo:
         back = load_partitioning(path, rel)
         assert back.m == p.m
         assert back.tau == p.tau and back.omega == p.omega
-        assert back.gid.tolist() == p.gid.tolist()
+        assert back.n == p.n
+        assert [g.tolist() for g in back.groups] == [g.tolist() for g in p.groups]
         np.testing.assert_allclose(back.representatives, p.representatives)
         assert back.degenerate == p.degenerate
 
@@ -339,14 +366,14 @@ class TestIo:
         rel = from_columns("D", {"a0": x})
         ids = np.arange(m, dtype=np.int64)
         p = Partitioning(
-            attrs=("a0",), tau=1, omega=math.inf, gid=m - ids,
+            attrs=("a0",), tau=1, omega=math.inf, n=m,
             groups=tuple(np.split(ids[::-1].copy(), m)), sizes=np.ones(m, dtype=np.int64),
             radii=np.zeros(m), representatives=x[::-1].reshape(m, 1).copy(),
             degenerate=frozenset())
         save_partitioning(p, tmp_path / "p.json")
         raw = base64.b64decode(json.loads((tmp_path / "p.json").read_text())["gids"])
         assert len(raw) == m * width
-        assert np.array_equal(np.frombuffer(raw, dtype=f"<u{width}"), p.gid)
+        assert np.array_equal(np.frombuffer(raw, dtype=f"<u{width}"), m - ids)
         assert_same(load_partitioning(tmp_path / "p.json", rel), p)
 
     def test_infinite_omega_io(self, tmp_path):
@@ -385,7 +412,7 @@ class TestIo:
             "radii": [0.0, 0.0], "sizes": [1, 2], "degenerate": []}))
         back = load_partitioning(path, rel)
         assert [g.tolist() for g in back.groups] == [[2], [0, 4]]
-        assert back.gid.tolist() == [2, 0, 1, 0, 2, 0]  # 0: in no group
+        assert back.n == 6  # tuples 1, 3 and 5 are in no group
         save_partitioning(back, tmp_path / "again.json")
         again = json.loads((tmp_path / "again.json").read_text())
         assert base64.b64decode(again["gids"]) == bytes([2, 0, 1, 0, 2, 0])

@@ -135,6 +135,8 @@ class TestLoadCsvMatchesReference:
         ("a\n\n", None),
         ("a\n\n\n", None),
         ("a\n1\n\n2\n", None),
+        ("a,b\n1,2\n\n", None),
+        ("a\n\n1\n", None),
         ("a\n1\n  \n2\n", None),
         ("a\n \t\n", None),
         ("a,b\r\n1,2\r\n3,4\r\n", None),
@@ -224,13 +226,11 @@ class TestLoadCsvPath:
         monkeypatch.setattr(relation.csv, "reader", self._refuse)
         assert _outcome(lambda: load_csv(path)) == expected
 
-    def test_peak_memory_of_one_load(self, tmp_path):
-        # the file's bytes are parsed in place: no decoded copy of the text
-        # and no list of its lines sit beside them
-        data = np.random.default_rng(4).uniform(0.5, 2.0, size=(20_000, 4))
-        path = tmp_path / "d.csv"
+    @staticmethod
+    def _peak_of_load(path, header, data):
+        """Write ``data`` under ``header`` and load it: the traced peak."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("a0,a1,a2,a3\n")
+            fh.write(header + "\n")
             np.savetxt(fh, data, fmt="%.17g", delimiter=",")
         tracemalloc.start()
         try:
@@ -238,8 +238,23 @@ class TestLoadCsvPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rel.n == 20_000
+        assert rel.n == len(data)
+        return peak
+
+    def test_peak_memory_of_one_load(self, tmp_path):
+        # the file's bytes are parsed in place: no decoded copy of the text
+        # and no list of its lines sit beside them
+        data = np.random.default_rng(4).uniform(0.5, 2.0, size=(20_000, 4))
+        path = tmp_path / "d.csv"
+        peak = self._peak_of_load(path, "a0,a1,a2,a3", data)
         assert peak <= path.stat().st_size + 4 * data.nbytes
+
+    def test_utf8_header_adds_no_copy_of_the_body(self, tmp_path):
+        # the data lines are checked for ASCII in place, not sliced off
+        data = np.random.default_rng(4).uniform(0.5, 2.0, size=(20_000, 4))
+        ascii_peak = self._peak_of_load(tmp_path / "a.csv", "a0,a1,a2,a3", data)
+        utf8_peak = self._peak_of_load(tmp_path / "u.csv", "a0,a1,a2,\u00e93", data)
+        assert utf8_peak <= 1.10 * ascii_peak
 
 
 class TestSchema:

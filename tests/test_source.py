@@ -140,6 +140,25 @@ def test_one_partitioning_constructor():
     assert [site[:2] for site in sites] == [("partitioning", "_partitioning")], sites
 
 
+def test_gid_column_lives_only_in_the_partitioning_file():
+    # a partitioning holds its membership once, as ``groups``; the per-tuple
+    # gid column is the file's encoding of it, which only the code that
+    # saves and loads the file knows
+    import dataclasses
+
+    from pkgquery.partitioning import Partitioning
+
+    path = SRC / "partitioning.py"
+    trees, names, attrs = _uses(sorted(SRC.glob("*.py")))
+    file_code = [node for node in trees[path].body if isinstance(node, ast.FunctionDef)
+                 and node.name in ("save_partitioning", "load_partitioning")]
+    reads = [(where, line) for where, line in names.get("gid", []) + attrs.get("gid", [])
+             if not any(_only_inside([(where, line)], path, node) for node in file_code)]
+    assert [f"{where.name}:{line}" for where, line in reads] == []
+    assert "gid" not in [f.name for f in dataclasses.fields(Partitioning)]
+    assert not hasattr(Partitioning, "gid")
+
+
 def test_global_predicate_has_three_fields():
     # nothing sets a shift on a predicate; ``perfbench/check.py`` still
     # reads ``linear_shift``, so it stays as a class constant of 0

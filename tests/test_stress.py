@@ -135,7 +135,7 @@ class TestEngineeredRefinement:
                  "MINIMIZE SUM(P.x)", rel)
         groups = (np.array([0, 1]), np.array([2, 3]))
         p = Partitioning(
-            attrs=("x",), tau=2, omega=np.inf, gid=np.array([1, 1, 2, 2]),
+            attrs=("x",), tau=2, omega=np.inf, n=4,
             groups=groups, sizes=np.array([2, 2]),
             radii=np.array([1.0, 0.0]), representatives=np.array([[5.0], [2.0]]),
             degenerate=frozenset())
