@@ -221,7 +221,8 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
 
     The representative relation has one row per group (tuple id = 0-based
     group index) carrying group means for the partitioning attributes plus
-    every attribute the query touches, under the same names. The sketch
+    every attribute the query touches, under the same names: ``p.rep_rel``
+    itself, plus the per-query means of any other attribute. The sketch
     query is the validated query without its REPEAT bound, evaluated over
     that relation, so a filtered count counts a representative by its own
     (mean) values: its coefficient is the indicator of the group mean, not
@@ -241,16 +242,16 @@ def build_sketch_query(q: paql.PackageQuery, p: Partitioning, rel: Relation,
             f"cannot sketch categorical attribute(s) {categorical}: a group "
             f"representative holds means; use the direct method")
     flags: tuple[str, ...] = ()
-    needed = sorted(set(p.attrs) | used)
-    uncovered = sorted(used - set(p.attrs))
+    rep_rel = p.rep_rel
+    uncovered = sorted(used.difference(p.attrs))
     if uncovered:
         warnings.warn(
             f"query attributes {uncovered} are outside the partitioning "
             f"attributes; representatives approximate them but the "
             f"approximation guarantee does not cover them", stacklevel=2)
         flags = ("partial_coverage",)
-    means = group_means(p, rel, needed)
-    rep_rel = from_columns("representatives", {a: means[:, i] for i, a in enumerate(needed)})
+        means = dict(zip(uncovered, group_means(p, rel, uncovered).T))
+        rep_rel = from_columns("representatives", {**rep_rel.columns, **means})
     sketch_q = replace(q, repeat=None)
     caps = np.full(p.m, np.inf) if q.repeat is None else p.sizes * float(1 + q.repeat)
     if upper is not None:  # integral or inf, so each sum is exact in any order
@@ -278,10 +279,12 @@ def fixed_activity(refined: Iterable[np.ndarray], sketch: IlpModel,
 
 
 def _solved_part(model: IlpModel, x: np.ndarray) -> tuple[dict[int, int], np.ndarray]:
-    """A solved group's package entries and their row activity."""
+    """A solved group's package entries and their row activity, rounded once."""
     k = np.rint(x)
     keep = np.nonzero(k > 0)[0]
-    return package_from_solution(model, x), activity(model, keep, k[keep])
+    mult = k[keep]
+    return (dict(zip(model.var_ids[keep].tolist(), mult.astype(np.int64).tolist())),
+            activity(model, keep, mult))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +412,7 @@ class _Refiner:
 
     def _refine_rec(self, rep_part: dict[int, int], orig_part: dict[int, tuple],
                     is_root: bool):
+        """Extends ``orig_part`` in place; returns it as it was on failure."""
         if not rep_part:
             return True, orig_part
         queue = sorted(rep_part)
@@ -417,17 +421,18 @@ class _Refiner:
         failed: list[int] = []
         while queue:
             g = queue.pop(0)
-            solution = self._refine_group(g, rep_part, orig_part)
+            rest = {h: mult for h, mult in rep_part.items() if h != g}
+            solution = self._refine_group(g, rest, orig_part)
             if solution is None:
                 if not is_root:
                     failed.append(g)
                     return False, failed
                 continue
-            rest = {h: mult for h, mult in rep_part.items() if h != g}
-            ok, sub = self._refine_rec(
-                rest, {**orig_part, g: solution}, is_root=False)
+            orig_part[g] = solution
+            ok, sub = self._refine_rec(rest, orig_part, is_root=False)
             if ok:
                 return True, sub
+            del orig_part[g]
             self.ctx.backtracks += 1
             failed.extend(sub)
             # most recent failures first, then the prior order
@@ -436,13 +441,14 @@ class _Refiner:
         return False, failed
 
     # ``perfbench`` wraps this method by name to count refine solves
-    def _refine_group(self, g: int, rep_part: dict, orig_part: dict
+    def _refine_group(self, g: int, others: dict, orig_part: dict
                       ) -> Optional[tuple[dict[int, int], np.ndarray]]:
-        """Solve the refine model for group g; None when infeasible."""
+        """Solve group g's refine model beside the fixed part; None when infeasible."""
         self._check_budget()
-        others = {h: mult for h, mult in rep_part.items() if h != g}
-        fixed = fixed_activity((act for _, act in orig_part.values()), self.sketch, others)
-        model = shift_rhs(self._group_model(g), fixed)
+        model = self._group_model(g)
+        if others or orig_part:  # a part is held fixed: shift the rows by its activity
+            model = shift_rhs(model, fixed_activity(
+                (act for _, act in orig_part.values()), self.sketch, others))
         res = self.ctx.solve(model, kind="refine")
         return None if res is None else _solved_part(model, res.x)
 

@@ -154,7 +154,8 @@ def translate(q: paql.PackageQuery, rel: Relation,
     row_lo, row_hi = [-np.inf] * k, [np.inf] * k
     gathered: dict = {}  # one gather per attribute: a window reads its column twice
     for i, g in enumerate(q.global_predicates):
-        rows[i], op, rhs = _predicate_row(g, rel, pool, gathered)
+        rows[i], op, rhs = ((1.0, g.op, float(g.rhs)) if g.lhs.kind == paql.COUNT  # ones, in place
+                            else _predicate_row(g, rel, pool, gathered))
         if op != ">=":
             row_hi[i] = rhs
         if op != "<=":
@@ -182,7 +183,8 @@ def activity(m: IlpModel, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
 def shift_rhs(m: IlpModel, fixed: np.ndarray) -> IlpModel:
     """The model with both bounds of each row reduced by ``fixed``, the row
     activity of a package part held outside the model's variables."""
-    return replace(m, row_lo=m.row_lo - fixed, row_hi=m.row_hi - fixed)
+    return IlpModel(m.var_ids, m.upper, m.rows, m.row_lo - fixed, m.row_hi - fixed,
+                    m.objective, m.maximize)
 
 
 def hstack(left: IlpModel, right: IlpModel, cols: np.ndarray) -> IlpModel:
@@ -231,8 +233,8 @@ def feasible(m: IlpModel, x: Sequence[float], tol: float = FEAS_TOL) -> bool:
             f"multiplicity vector length {x.shape} != variable count {m.n_vars}")
     if np.any(x < -tol) or np.any(x > m.upper + tol):
         return False
-    lhs = m.rows @ x
-    return bool(np.all(lhs <= m.row_hi + tol) and np.all(lhs >= m.row_lo - tol))
+    return all(lo - tol <= lhs <= hi + tol for lhs, lo, hi in
+               zip((m.rows @ x).tolist(), m.row_lo.tolist(), m.row_hi.tolist()))
 
 
 def package_from_solution(m: IlpModel, x: Sequence[float]) -> dict[int, int]:

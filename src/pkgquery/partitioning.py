@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .relation import NUMERIC, Relation
+from .relation import NUMERIC, Relation, Schema
 
 MAXIMIZE_DIRECTION = "max"
 MINIMIZE_DIRECTION = "min"
@@ -55,6 +55,8 @@ class PartitionParams:
     def __post_init__(self):
         if not self.attrs:
             raise PartitionError("need at least one partitioning attribute")
+        if len(set(self.attrs)) != len(self.attrs):
+            raise PartitionError(f"duplicate partitioning attributes in {list(self.attrs)}")
         if self.tau < 1:
             raise PartitionError(f"size threshold must be >= 1, got {self.tau}")
         if not self.omega >= 0:  # NaN included
@@ -68,7 +70,8 @@ class Partitioning:
     ``groups[g]`` holds ascending member tuple ids for 0-based group index
     g; a tuple outside a restricted subset, or stored with a gid outside
     1..m in a loaded file, is in no group. ``representatives[g]`` is the
-    member centroid over ``attrs``.
+    member centroid over ``attrs``; ``rep_rel`` holds the same finite values
+    as the sketch's relation: row g is group g, one column per attribute.
     """
 
     attrs: tuple[str, ...]
@@ -80,6 +83,7 @@ class Partitioning:
     radii: np.ndarray
     representatives: np.ndarray  # m x k
     degenerate: frozenset[int]   # 0-based group indices violating conditions
+    rep_rel: Relation            # the representatives, one row per group
 
     @property
     def m(self) -> int:
@@ -89,13 +93,19 @@ class Partitioning:
 def _partitioning(attrs, tau, omega, n, groups, reps, radii, degenerate) -> Partitioning:
     """The one constructor: ``n`` tuples, sizes counted from ``groups``; per
     group a centroid, a radius, and the 0-based indices of the degenerate
-    ones."""
+    ones. The centroids, which must be finite, also form ``rep_rel``."""
     groups = tuple(groups)
+    reps = np.asarray(reps, dtype=np.float64).reshape(len(groups), len(attrs))
+    bad = [a for a, col in zip(attrs, reps.T) if not np.isfinite(col).all()]
+    if bad:  # a group mean that overflowed, or a damaged file
+        raise PartitionError(f"non-finite representative value of attribute {bad[0]!r}")
+    rep_rel = Relation(Schema("representatives", tuple((a, NUMERIC) for a in attrs)),
+                       dict(zip(attrs, reps.T.copy())), len(groups))
     return Partitioning(
         attrs=attrs, tau=tau, omega=omega, n=n, groups=groups,
         sizes=np.fromiter(map(len, groups), dtype=np.int64, count=len(groups)),
         radii=np.asarray(radii, dtype=np.float64), degenerate=frozenset(degenerate),
-        representatives=np.asarray(reps, dtype=np.float64).reshape(len(groups), len(attrs)))
+        representatives=reps, rep_rel=rep_rel)
 
 
 def _require_numeric(rel: Relation, attrs: Sequence[str]) -> None:
@@ -246,18 +256,10 @@ def restrict_to_ids(p: Partitioning, rel: Relation,
 
 def group_means(p: Partitioning, rel: Relation,
                 attrs: Sequence[str]) -> np.ndarray:
-    """Per-group means over arbitrary numeric attributes (m x len(attrs)).
-
-    For attributes in ``p.attrs`` this reuses the stored representatives;
-    other attributes are averaged on the fly."""
-    cols = []
-    for attr in attrs:
-        if attr in p.attrs:
-            cols.append(p.representatives[:, p.attrs.index(attr)])
-        else:
-            data = rel.column(attr)
-            cols.append(np.asarray([data[g].mean() for g in p.groups]))
-    return np.column_stack(cols) if cols else np.zeros((p.m, 0))
+    """Per-group means of numeric attributes (m x len(attrs)), averaged over
+    the members; ``p.rep_rel`` already holds those of ``p.attrs``."""
+    cols = [rel.column(a) for a in attrs]
+    return np.array([[col[g].mean() for col in cols] for g in p.groups]).reshape(p.m, len(attrs))
 
 
 def save_partitioning(p: Partitioning, path) -> None:
@@ -336,4 +338,8 @@ def load_partitioning(path, rel: Relation) -> Partitioning:
     order = np.nonzero(in_range)[0]
     order = order[np.argsort(packed[order], kind="stable")]
     groups = np.split(order, np.cumsum(counts)[:-1]) if m else ()
-    return _partitioning(attrs, tau, omega, rel.n, groups, reps, radii, degenerate)
+    try:  # the attrs, tau and omega partition accepts, and finite representatives
+        PartitionParams(attrs, tau, omega)
+        return _partitioning(attrs, tau, omega, rel.n, groups, reps, radii, degenerate)
+    except PartitionError as exc:
+        raise PartitionError(f"{path}: {exc}") from None

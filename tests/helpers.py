@@ -20,7 +20,8 @@ of its attributes' values; ``restrict_to_ids`` must agree with it exactly.
 inverse absorbed the row signs and ``LpResult`` carried its basis, and
 ``tokenize_reference`` the PaQL tokenizer before whitespace was folded into
 each token's match; ``lp_solve`` and ``paql._tokenize`` must agree with them
-exactly.
+exactly. ``feasible_reference`` is ``ilp.feasible`` as it stood when it
+compared the rows as numpy arrays; ``feasible`` must give the same answer.
 """
 
 import csv
@@ -33,14 +34,21 @@ from itertools import product
 import numpy as np
 
 from pkgquery import paql
-from pkgquery.ilp import IlpModel, RawIlp, feasible
+from pkgquery.ilp import IlpError, IlpModel, RawIlp, feasible
 from pkgquery.partitioning import (
     PartitionError,
     PartitionParams,
     Partitioning,
     _attr_matrix,
 )
-from pkgquery.relation import CATEGORICAL, NUMERIC, Relation, RelationError, Schema
+from pkgquery.relation import (
+    CATEGORICAL,
+    NUMERIC,
+    Relation,
+    RelationError,
+    Schema,
+    from_columns,
+)
 from pkgquery.solver import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -349,6 +357,18 @@ def model_from_raw(raw: RawIlp) -> IlpModel:
         maximize=True)
 
 
+def feasible_reference(m: IlpModel, x, tol: float) -> bool:
+    """``ilp.feasible`` with every comparison on numpy arrays."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (m.n_vars,):
+        raise IlpError(
+            f"multiplicity vector length {x.shape} != variable count {m.n_vars}")
+    if np.any(x < -tol) or np.any(x > m.upper + tol):
+        return False
+    lhs = m.rows @ x
+    return bool(np.all(lhs <= m.row_hi + tol) and np.all(lhs >= m.row_lo - tol))
+
+
 def _reference_group_stats(points: np.ndarray, ids: np.ndarray):
     sub = points[ids]
     centroid = sub.mean(axis=0)
@@ -396,11 +416,12 @@ def partition_reference(rel: Relation, params: PartitionParams) -> Partitioning:
         reps.append(centroid)
         if degen:
             degenerate.add(g)
+    reps = np.asarray(reps).reshape(len(final), k)
     return Partitioning(
         attrs=params.attrs, tau=params.tau, omega=params.omega, n=rel.n,
         groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
         radii=np.asarray(radii), degenerate=frozenset(degenerate),
-        representatives=np.asarray(reps).reshape(len(final), k))
+        representatives=reps, rep_rel=_reference_rep_rel(params.attrs, reps))
 
 
 def restrict_reference(p: Partitioning, points: np.ndarray, keep_ids) -> Partitioning:
@@ -421,11 +442,18 @@ def restrict_reference(p: Partitioning, points: np.ndarray, keep_ids) -> Partiti
         reps.append(centroid)
         if len(members) > p.tau or radius > p.omega * (1 + 1e-12):
             degenerate.add(g)
+    reps = np.asarray(reps).reshape(len(groups), len(p.attrs))
     return Partitioning(
         attrs=p.attrs, tau=p.tau, omega=p.omega, n=p.n,
         groups=tuple(groups), sizes=np.asarray(sizes, dtype=np.int64),
         radii=np.asarray(radii), degenerate=frozenset(degenerate),
-        representatives=np.asarray(reps).reshape(len(groups), len(p.attrs)))
+        representatives=reps, rep_rel=_reference_rep_rel(p.attrs, reps))
+
+
+def _reference_rep_rel(attrs, reps: np.ndarray) -> Relation:
+    """The representative relation of a partitioning: one row per group,
+    one column per attribute, as ``from_columns`` builds it."""
+    return from_columns("representatives", {a: reps[:, j] for j, a in enumerate(attrs)})
 
 
 def _pricing_order_reference(idx, mag, chunk=_PRICE_CHUNK):

@@ -271,6 +271,31 @@ class TestCli:
                                  "--input", str(csv_path), "--partitioning", str(part_path)],
                         1, message)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(tau=0), "size threshold must be >= 1, got 0"),
+        (lambda d: d.update(omega=math.nan), "radius limit must be >= 0, got nan"),
+        (lambda d: d["representatives"][0].__setitem__(1, math.nan),
+         "non-finite representative value of attribute 'b'"),
+    ], ids=["tau-0", "omega-nan", "nan-representative"])
+    def test_run_partitioning_partition_rejects_exits_1(self, tmp_path, capsys, edit,
+                                                         message):
+        # m <= tau here, so the sketch would not recurse: the load must check
+        csv_path, part_path, qpath = self._small(
+            tmp_path, "SELECT PACKAGE(R) AS P FROM R REPEAT 0 MAXIMIZE SUM(P.a)")
+        saved = json.loads(part_path.read_text())
+        edit(saved)
+        part_path.write_text(json.dumps(saved))
+        self._run_error(capsys, ["run", "--method", "sketchrefine", "--query", str(qpath),
+                                 "--input", str(csv_path), "--partitioning", str(part_path)],
+                        1, f"{part_path}: {message}")
+
+    def test_partition_duplicate_attributes_exits_2(self, tmp_path, capsys):
+        csv_path, _, _ = self._small(tmp_path, "")
+        self._run_error(capsys, ["partition", "--input", str(csv_path), "--attrs", "a,a",
+                                 "--tau", "2", "--out", str(tmp_path / "x.json")], 2,
+                        "duplicate partitioning attributes in ['a', 'a']")
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("attrs, message", [
         ("a,zz", "unknown attribute 'zz'"),
         ("a,c", "attribute 'c' is not numeric"),

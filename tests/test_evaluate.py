@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force, dyadic, package_satisfies, var_index
+import pkgquery.evaluate as evaluate_module
 from pkgquery import paql
 from pkgquery.evaluate import (
     FEASIBLE,
@@ -18,12 +19,15 @@ from pkgquery.evaluate import (
     eval_sketchrefine,
     fixed_activity,
 )
+from pkgquery.evaluate import _solved_part as solved_part
 from pkgquery.evaluate import _verify_package as verify_package
 from pkgquery.ilp import (
+    IlpModel,
     UnboundedModelError,
     activity,
     derive_bounds,
     feasible,
+    package_from_solution,
     shift_rhs,
     translate,
 )
@@ -201,6 +205,38 @@ class TestSketchQuery:
                 pytest.raises(RelationError, match="non-finite value in numeric column 'y'"):
             eval_sketchrefine(q, rel, p)
 
+    def test_covered_queries_read_the_stored_relation(self, monkeypatch):
+        # the representatives of the partitioning attributes are built with
+        # the partitioning: a query over them builds no relation of its own
+        rel, _, p = self.make(" R REPEAT 0")
+        calls = []
+        for name in ("group_means", "from_columns"):
+            real = getattr(evaluate_module, name)
+            monkeypatch.setattr(evaluate_module, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        for text in ("SELECT PACKAGE(R) AS P FROM R REPEAT 0 SUCH THAT COUNT(P.*) >= 1 "
+                     "MAXIMIZE SUM(P.kcal)",
+                     "SELECT PACKAGE(R) AS P FROM R SUCH THAT SUM(P.kcal) <= 3"):
+            rep_rel, sketch_q, _, flags = build_sketch_query(q_of(text, rel), p, rel)
+            assert rep_rel is p.rep_rel and flags == ()
+            assert translate(sketch_q, rep_rel).n_vars == p.m
+        assert calls == []
+
+    def test_uncovered_attribute_gets_per_query_means(self, monkeypatch):
+        # fat lies outside the partitioning: its means are computed for the
+        # query and added to the stored kcal column, which is not recomputed
+        rel, q, p = self.make(" R REPEAT 0")
+        calls = []
+        group_means = evaluate_module.group_means
+        monkeypatch.setattr(evaluate_module, "group_means",
+                            lambda *a: calls.append(a[2]) or group_means(*a))
+        rep_rel, _, _, flags = build_sketch_query(q, p, rel)
+        assert calls == [["fat"]] and flags == ("partial_coverage",)
+        assert rep_rel is not p.rep_rel
+        assert rep_rel.column("kcal") is p.rep_rel.column("kcal")
+        assert rep_rel.column("fat").tolist() == [
+            rel.column("fat")[members].mean() for members in p.groups]
+
     def test_base_predicate_never_reaches_sketch(self, recipes, meal_query):
         p = partition(recipes, PartitionParams(("kcal",), 5))
         with pytest.raises(EvalError, match="pre-filtered"):
@@ -305,6 +341,24 @@ class TestRefineQuery:
             assert got == feasible(full, x), (seed, fixed, x_g)
             outcomes[qi].add(got)
         assert all(seen == {True, False} for seen in outcomes.values())
+
+
+def test_solved_part_is_the_package_and_its_activity():
+    # one rounding gives both halves: the entries package_from_solution
+    # gives, and the activity of those multiplicities, bit for bit
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n, k = int(rng.integers(0, 12)), int(rng.integers(0, 4))
+        model = IlpModel(np.sort(rng.choice(1000, n, replace=False)).astype(np.int64),
+                         np.full(n, 9.0), rng.normal(size=(k, n)), np.full(k, -np.inf),
+                         np.full(k, np.inf), np.zeros(n))
+        # halves tie and round to even; near-integers and small negatives too
+        x = rng.choice([-0.5, -1e-9, 0.0, 0.5, 1.5, 2.5, 0.9999999, 3.0, 4.5], n)
+        entries, act = solved_part(model, x)
+        assert list(entries.items()) == list(package_from_solution(model, x).items())
+        assert all(type(t) is int and type(c) is int for t, c in entries.items())
+        keep = np.nonzero(np.rint(x) > 0)[0]
+        assert act.tobytes() == activity(model, keep, np.rint(x)[keep]).tobytes()
 
 
 def _recursive_fixture():
@@ -547,10 +601,8 @@ class TestHybrid:
         import pkgquery.partitioning as pt
         groups = (np.array([0, 1]), np.array([2, 3]))
         reps = np.array([[5.0], [5.0]])
-        p = pt.Partitioning(
-            attrs=("x",), tau=4, omega=np.inf, n=4, groups=groups,
-            sizes=np.array([2, 2]), radii=np.array([4.0, 0.0]),
-            representatives=reps, degenerate=frozenset())
+        p = pt._partitioning(("x",), 4, np.inf, 4, groups, reps,
+                             np.array([4.0, 0.0]), ())
         return rel, q, p
 
     def test_hybrid_rescues_outlier(self):

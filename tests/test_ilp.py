@@ -9,6 +9,7 @@ from helpers import (
     brute_force,
     dyadic,
     enumerate_vectors,
+    feasible_reference,
     model_from_raw,
     package_satisfies,
 )
@@ -231,6 +232,39 @@ class TestFeasible:
         m = translate(meal_query, recipes)
         with pytest.raises(Exception, match="length"):
             feasible(m, [0, 0])
+
+    def test_matches_the_array_comparisons(self):
+        # random models with '=' rows, infinite bounds and NaN entries, and
+        # vectors that sit exactly on a bound plus tol: the row check on
+        # Python floats answers as the numpy comparisons do
+        rng = np.random.default_rng(5)
+        edges = outcomes = 0
+        for trial in range(3000):
+            n, k = int(rng.integers(0, 6)), int(rng.integers(0, 4))
+            tol = [0.0, 1e-9, 0.25, np.nan][trial % 4]
+            x = rng.integers(-1, 4, n).astype(np.float64)
+            upper = rng.choice([0.0, 1.0, 2.0, 3.0, np.inf], n)
+            rows = rng.integers(-3, 4, (k, n)).astype(np.float64)
+            lhs = rows @ x
+            row_lo = np.where(rng.random(k) < 0.3, -np.inf, lhs - rng.choice([0, tol, 1], k))
+            row_hi = np.where(rng.random(k) < 0.3, np.inf, lhs - rng.choice([0, tol, -1], k))
+            eq = rng.random(k) < 0.3  # '=' rows
+            row_lo[eq] = row_hi[eq] = lhs[eq] - rng.choice([0, tol], eq.sum())
+            if n and rng.random() < 0.5:  # a vector entry at upper + tol or just past
+                j = rng.integers(n)
+                x[j] = upper[j] + tol
+                if rng.random() < 0.2:
+                    x[j] = np.nextafter(x[j], np.inf)
+            for arr in (x, upper, rows, row_lo, row_hi):
+                if arr.size and rng.random() < 0.05:
+                    arr.flat[rng.integers(arr.size)] = np.nan
+            m = IlpModel(np.arange(n), upper, rows, row_lo, row_hi, np.zeros(n))
+            with np.errstate(invalid="ignore"):  # inf times 0 in a row product
+                got = feasible(m, x, tol=tol)
+                assert got is feasible_reference(m, x, tol), (trial, m, x, tol)
+            edges += bool(np.any(lhs == row_hi + tol) or np.any(x == upper + tol))
+            outcomes += got
+        assert 0 < outcomes < 3000 and edges > 300
 
 
 class TestPackageFromSolution:

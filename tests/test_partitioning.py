@@ -13,7 +13,6 @@ import pkgquery.partitioning as partitioning
 from pkgquery.partitioning import (
     PartitionError,
     PartitionParams,
-    Partitioning,
     group_means,
     load_partitioning,
     partition,
@@ -41,6 +40,10 @@ def assert_same(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
     assert a.degenerate == b.degenerate
+    assert (a.rep_rel.schema, a.rep_rel.n) == (b.rep_rel.schema, b.rep_rel.n)
+    for attr in a.attrs:
+        x, y = a.rep_rel.column(attr), b.rep_rel.column(attr)
+        assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), attr
 
 
 def identity_rel(seed):
@@ -129,6 +132,29 @@ class TestPartition:
         # points and flag every group degenerate
         with pytest.raises(PartitionError, match="radius limit"):
             PartitionParams(("x",), 2, omega)
+
+    def test_duplicate_attributes_rejected(self):
+        # the representative relation holds one column per attribute
+        with pytest.raises(PartitionError, match=r"duplicate partitioning attributes "
+                                                 r"in \['x', 'y', 'x'\]"):
+            PartitionParams(("x", "y", "x"), 2)
+
+    def test_overflowing_representative_rejected(self):
+        # the group {0, 1} sums x to inf: its mean is no representative
+        rel = from_columns("T", {"x": [1e308, 1e308], "y": [1.0, 2.0]})
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(PartitionError, match="non-finite representative value "
+                                                    "of attribute 'x'"):
+            partition(rel, PartitionParams(("y", "x"), 2))
+
+    def test_representative_relation_holds_the_representatives(self):
+        rel = grid_rel(300, 3, seed=4)
+        p = partition(rel, PartitionParams(("a2", "a0"), 20))
+        r = p.rep_rel
+        assert (r.schema.name, r.schema.names, r.n) == ("representatives", ("a2", "a0"), p.m)
+        for j, attr in enumerate(p.attrs):
+            assert r.column(attr).flags.c_contiguous
+            assert r.column(attr).tobytes() == p.representatives[:, j].tobytes()
 
     def test_radius_limit_drives_splitting(self):
         rel = grid_rel(400, 2, seed=3)
@@ -285,6 +311,19 @@ class TestShrink:
         assert p2.m == 1
         assert p2.sizes.tolist() == [2]
 
+    def test_representatives_of_the_survivors(self):
+        # the restricted partitioning's representative relation holds the
+        # means of each group's surviving members, not the stored ones
+        rel = from_columns("T", {"x": [0.0, 2.0, 10.0, 12.0, 14.0],
+                                 "y": [1.0, 2.0, 6.0, 7.0, 8.0]})
+        p = partition(rel, PartitionParams(("x", "y"), 3))
+        assert [g.tolist() for g in p.groups] == [[0, 1], [2, 3, 4]]
+        r = restrict_to_ids(p, rel, [1, 2, 4])
+        assert r.rep_rel is not p.rep_rel
+        assert r.rep_rel.column("x").tolist() == [2.0, 12.0]
+        assert r.rep_rel.column("y").tolist() == [2.0, 7.0]
+        assert p.rep_rel.column("x").tolist() == [1.0, 12.0]
+
     def test_matches_reference(self):
         # seeded relations and keep sets, the empty one included; the
         # reference reads an n x k matrix where restrict_to_ids reads columns
@@ -365,11 +404,9 @@ class TestIo:
         x = np.arange(m, dtype=np.float64)
         rel = from_columns("D", {"a0": x})
         ids = np.arange(m, dtype=np.int64)
-        p = Partitioning(
-            attrs=("a0",), tau=1, omega=math.inf, n=m,
-            groups=tuple(np.split(ids[::-1].copy(), m)), sizes=np.ones(m, dtype=np.int64),
-            radii=np.zeros(m), representatives=x[::-1].reshape(m, 1).copy(),
-            degenerate=frozenset())
+        p = partitioning._partitioning(
+            ("a0",), 1, math.inf, m, np.split(ids[::-1].copy(), m),
+            x[::-1].reshape(m, 1), np.zeros(m), ())
         save_partitioning(p, tmp_path / "p.json")
         raw = base64.b64decode(json.loads((tmp_path / "p.json").read_text())["gids"])
         assert len(raw) == m * width
@@ -473,6 +510,28 @@ class TestIo:
         d["gids"] = base64.b64encode(edit(base64.b64decode(d["gids"]))).decode()
         path.write_text(json.dumps(d))
         with pytest.raises(PartitionError, match=message):
+            load_partitioning(path, rel)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(tau=0), "size threshold must be >= 1, got 0"),
+        (lambda d: d.update(omega=math.nan), "radius limit must be >= 0, got nan"),
+        (lambda d: d.update(attrs=[], representatives=[[]] * len(d["sizes"])),
+         "need at least one partitioning attribute"),
+        (lambda d: d.update(attrs=["a0", "a0"],
+                            representatives=[r * 2 for r in d["representatives"]]),
+         r"duplicate partitioning attributes in \['a0', 'a0'\]"),
+        (lambda d: d["representatives"][1].__setitem__(0, math.nan),
+         "non-finite representative value of attribute 'a0'"),
+    ], ids=["tau-0", "omega-nan", "no-attrs", "duplicate-attrs", "nan-representative"])
+    def test_load_checks_what_partition_checks(self, tmp_path, edit, message):
+        # a file holds what partition could have built, or it does not load
+        rel = grid_rel(200, 2, seed=3)
+        path = tmp_path / "p.json"
+        save_partitioning(partition(rel, PartitionParams(("a0",), 50)), path)
+        d = json.loads(path.read_text())
+        edit(d)
+        path.write_text(json.dumps(d))  # NaN as the bare token json reads back
+        with pytest.raises(PartitionError, match=r"p\.json: " + message):
             load_partitioning(path, rel)
 
     def test_tampered_sizes_detected(self, tmp_path):

@@ -21,7 +21,7 @@ from pkgquery.evaluate import (
 )
 from pkgquery.generate import gen_dataset, gen_workload
 from pkgquery.ilp import derive_bounds, translate
-from pkgquery.partitioning import PartitionParams, Partitioning, partition
+from pkgquery.partitioning import PartitionParams, _partitioning, partition
 from pkgquery.relation import from_columns
 from pkgquery.solver import solve
 
@@ -134,11 +134,8 @@ class TestEngineeredRefinement:
                  "SUCH THAT COUNT(P.*) = 2 AND SUM(P.x) BETWEEN 6.0 AND 6.0 "
                  "MINIMIZE SUM(P.x)", rel)
         groups = (np.array([0, 1]), np.array([2, 3]))
-        p = Partitioning(
-            attrs=("x",), tau=2, omega=np.inf, n=4,
-            groups=groups, sizes=np.array([2, 2]),
-            radii=np.array([1.0, 0.0]), representatives=np.array([[5.0], [2.0]]),
-            degenerate=frozenset())
+        p = _partitioning(("x",), 2, np.inf, 4, groups, np.array([[5.0], [2.0]]),
+                          np.array([1.0, 0.0]), ())
         for seed in range(6):
             report = eval_sketchrefine(q, rel, p, EvalConfig(seed=seed))
             assert report.status == FEASIBLE, f"seed {seed}: {report.flags}"
